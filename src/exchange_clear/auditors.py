@@ -132,6 +132,8 @@ class ConsistencyParams:
     Exhaustive over all non-empty subsets while the feasible set has at most
     `exhaustive_limit` allocations; otherwise all leave-one-out subsets plus
     `samples` seeded uniform draws.  The seed lands in the report summary.
+    Outside exhaustive mode the audit's memory is linear in the feasible
+    count: leave-one-outs are never materialized.
     """
 
     seed: int = 0
@@ -312,60 +314,20 @@ def audit_strategyproofness(
     )
 
 
-def _consistency_pairs(
-    count: int, params: ConsistencyParams
-) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], dict[str, int]]:
-    """Build the (superset, subset) index pairs to test.
-
-    The full feasible set is paired with every family member: all non-empty
-    subsets in exhaustive mode, otherwise leave-one-outs plus seeded samples.
-    Nested pairs inside the leave-one-out/sampled family are always added so
-    contractions of already-contracted sets get exercised too.
-    """
-    everything = tuple(range(count))
-    exhaustive = count <= params.exhaustive_limit
-
-    loo_sampled: list[tuple[int, ...]] = []
-    if count > 1:
-        loo_sampled.extend(tuple(j for j in range(count) if j != i) for i in range(count))
+def _sample_masks(count: int, params: ConsistencyParams) -> list[int]:
+    """The seeded uniform draws as bitmasks over feasible indices, in draw
+    order, without repeats and without draws equal to a leave-one-out."""
     rng = random.Random(params.seed)
-    drawn = 0
-    seen = set(loo_sampled)
+    masks: list[int] = []
+    seen: set[int] = set()
     for _ in range(params.samples):
         bits = rng.getrandbits(count)
         while bits == 0:
             bits = rng.getrandbits(count)
-        subset = tuple(i for i in range(count) if bits >> i & 1)
-        drawn += 1
-        if subset not in seen:
-            seen.add(subset)
-            loo_sampled.append(subset)
-
-    if exhaustive:
-        family = [
-            combo
-            for size in range(1, count + 1)
-            for combo in itertools.combinations(range(count), size)
-        ]
-    else:
-        family = list(loo_sampled)
-
-    pairs = [(everything, subset) for subset in family]
-    nested = 0
-    as_sets = [frozenset(s) for s in loo_sampled]
-    for i, sup in enumerate(loo_sampled):
-        for j, sub in enumerate(loo_sampled):
-            if i != j and as_sets[j] < as_sets[i]:
-                pairs.append((sup, sub))
-                nested += 1
-    stats = {
-        "exhaustive": int(exhaustive),
-        "samples_drawn": drawn,
-        "nested_pairs_tested": nested,
-        "pairs_tested": len(pairs),
-        "seed": params.seed,
-    }
-    return pairs, stats
+        if bits.bit_count() != count - 1 and bits not in seen:
+            seen.add(bits)
+            masks.append(bits)
+    return masks
 
 
 def _run_consistency_engine(
@@ -374,45 +336,104 @@ def _run_consistency_engine(
     agent_ids: tuple[str, ...],
     choose: Callable[[tuple[int, ...]], int],
     params: ConsistencyParams,
-    workers: int = 1,
 ) -> AuditReport:
-    pairs, stats = _consistency_pairs(len(allocations), params)
+    """Test (superset, subset) contractions of the feasible set, in order.
 
-    def as_profile_dict(profile: tuple[int, ...]) -> dict[str, int]:
-        return dict(zip(agent_ids, profile))
+    First the full set against every family member: all non-empty subsets in
+    exhaustive mode, otherwise the leave-one-outs followed by the sampled
+    subsets.  Then every strictly nested pair among the leave-one-outs and
+    samples, superset position major, so contractions of already-contracted
+    sets get exercised too.  A pair is a violation when the subset holds an
+    allocation with the superset choice's profile but its own choice has
+    another profile.
 
-    def evaluate(pair) -> ConsistencyViolation | None:
-        superset, subset = pair
-        chosen = choose(superset)
-        target = profiles[chosen]
-        match = next((i for i in subset if profiles[i] == target), None)
-        if match is None:
-            return None
-        contracted = choose(subset)
-        if profiles[contracted] == target:
-            return None
-        return ConsistencyViolation(
-            superset_size=len(superset),
-            subset_size=len(subset),
-            superset_choice=allocations[chosen],
-            subset_choice=allocations[contracted],
-            matching_allocation=allocations[match],
-            superset_profile=as_profile_dict(target),
-            subset_profile=as_profile_dict(profiles[contracted]),
-        )
+    Sets are bitmasks over feasible indices.  Leave-one-outs stay implicit,
+    and an index tuple exists only while `choose` runs on it, so memory is
+    linear in the feasible count.  Nested pairs follow from the family's
+    structure: a sample lies under the leave-one-out of i exactly when it
+    lacks i, a leave-one-out lies under a sample only when that sample is
+    the full set, and only sample pairs need a subset test.  `choose` must
+    be a pure function of its index tuple: it runs once for the full set,
+    once per leave-one-out and sample, and in exhaustive mode once per
+    subset, never once per pair.
+    """
+    count = len(allocations)
+    everything = tuple(range(count))
+    full = (1 << count) - 1
+    exhaustive = count <= params.exhaustive_limit
+    loos = range(count) if count > 1 else range(0)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, pairs))
+    # indices by profile, one mask per distinct profile (at most 2**agents)
+    with_profile: dict[tuple[int, ...], int] = {}
+    for i, profile in enumerate(profiles):
+        with_profile[profile] = with_profile.get(profile, 0) | 1 << i
+
+    witnesses: list[ConsistencyViolation] = []
+    tested = 0
+
+    def test(sup_size: int, sup_choice: int, sub: int, sub_size: int, sub_choice: int) -> None:
+        nonlocal tested
+        tested += 1
+        target = profiles[sup_choice]
+        if profiles[sub_choice] == target:
+            return
+        hits = sub & with_profile[target]
+        if hits:
+            witnesses.append(
+                ConsistencyViolation(
+                    superset_size=sup_size,
+                    subset_size=sub_size,
+                    superset_choice=allocations[sup_choice],
+                    subset_choice=allocations[sub_choice],
+                    matching_allocation=allocations[(hits & -hits).bit_length() - 1],
+                    superset_profile=dict(zip(agent_ids, target)),
+                    subset_profile=dict(zip(agent_ids, profiles[sub_choice])),
+                )
+            )
+
+    top = choose(everything)
+    loo_choices = [choose(everything[:i] + everything[i + 1 :]) for i in loos]
+    sampled = [
+        (mask, mask.bit_count(), choose(tuple(i for i in everything if mask >> i & 1)))
+        for mask in _sample_masks(count, params)
+    ]
+
+    if exhaustive:
+        for size in range(1, count + 1):
+            for combo in itertools.combinations(everything, size):
+                test(count, top, sum(1 << i for i in combo), size, choose(combo))
     else:
-        results = [evaluate(pair) for pair in pairs]
-    witnesses = tuple(w for w in results if w is not None)
-    summary = {"feasible_count": len(allocations), **stats}
+        for i in loos:
+            test(count, top, full ^ 1 << i, count - 1, loo_choices[i])
+        for mask, size, choice in sampled:
+            test(count, top, mask, size, choice)
+    family_pairs = tested
+
+    for i in loos:
+        for mask, size, choice in sampled:
+            if not mask >> i & 1:
+                test(count - 1, loo_choices[i], mask, size, choice)
+    for sup, sup_size, sup_choice in sampled:
+        if sup == full:
+            for i in loos:
+                test(count, sup_choice, full ^ 1 << i, count - 1, loo_choices[i])
+        for sub, size, choice in sampled:
+            if sub != sup and sub & sup == sub:
+                test(sup_size, sup_choice, sub, size, choice)
+
+    summary = {  # keys in sorted order
+        "exhaustive": int(exhaustive),
+        "feasible_count": count,
+        "nested_pairs_tested": tested - family_pairs,
+        "pairs_tested": tested,
+        "samples_drawn": max(params.samples, 0),
+        "seed": params.seed,
+    }
     return AuditReport(
         kind="weak-consistency",
         verdict=VERDICT_VIOLATION if witnesses else VERDICT_CLEAN,
-        witnesses=witnesses,
-        summary=dict(sorted(summary.items())),
+        witnesses=tuple(witnesses),
+        summary=summary,
     )
 
 
@@ -420,7 +441,6 @@ def audit_weak_consistency(
     market: Market,
     spec: MechanismSpec,
     params: ConsistencyParams | None = None,
-    workers: int = 1,
     search_budget: int | None = None,
 ) -> AuditReport:
     """Contract the feasible set and check that whenever some surviving
@@ -437,12 +457,15 @@ def audit_weak_consistency(
         key = tuple(profiles[i][j] for j in order)
         return ((sum(profiles[i]),) + key) if cup else key
 
-    keys = [key_of(i) for i in range(len(allocations))]
+    # rank[i] grows with the key; key ties rank the canonically first highest
+    rank = [0] * len(allocations)
+    for r, i in enumerate(sorted(range(len(allocations)), key=lambda i: (key_of(i), -i))):
+        rank[i] = r
 
     def choose(indices: tuple[int, ...]) -> int:
-        return max(indices, key=lambda i: (keys[i], -i))  # ties to the canonically first
+        return max(indices, key=rank.__getitem__)
 
-    return _run_consistency_engine(allocations, profiles, market.agent_ids, choose, params, workers)
+    return _run_consistency_engine(allocations, profiles, market.agent_ids, choose, params)
 
 
 def audit_weak_consistency_choice(
@@ -456,8 +479,7 @@ def audit_weak_consistency_choice(
     lists; used to regression-test the auditor's own sensitivity against
     deliberately broken mechanisms."""
     params = params or ConsistencyParams()
-    allocations = enumerate_feasible(market, constraints, search_budget)
-    profiles = [tuple(satisfaction_profile(market, a).values()) for a in allocations]
+    allocations, profiles = feasible_with_profiles(market, constraints, search_budget)
     position = {alloc: i for i, alloc in enumerate(allocations)}
 
     def choose(indices: tuple[int, ...]) -> int:

@@ -295,7 +295,15 @@ def _resolve_budget(budget: int | None) -> int:
     if budget is not None:
         return int(budget)
     env = os.environ.get(BUDGET_ENV_VAR)
-    return int(env) if env else DEFAULT_SEARCH_BUDGET
+    if not env:
+        return DEFAULT_SEARCH_BUDGET
+    try:
+        value = int(env)
+    except ValueError:
+        raise ValueError(f"{BUDGET_ENV_VAR}={env!r} is not an integer") from None
+    if value <= 0:
+        raise ValueError(f"{BUDGET_ENV_VAR}={env!r} must be positive: it is the search's node budget")
+    return value
 
 
 def _submasks(mask: int):
@@ -446,9 +454,8 @@ class _Search:
     def run(self) -> list[tuple[Allocation, tuple[int, ...]]]:
         cand_lists = [self._candidates(i) for i in range(self.n)]
         cand_sets = [set(c) for c in cand_lists]
-        results: list[tuple[tuple[str, ...], list[int]]] = []
+        results: list[tuple[tuple[int, ...], list[int]]] = []
         masks = [0] * self.n
-        agent_ids = self.market.agent_ids
         item_count = self.m
 
         def recurse(idx: int, remaining: int) -> None:
@@ -457,8 +464,10 @@ class _Search:
                 if remaining in cand_sets[idx]:
                     masks[idx] = remaining
                     if self._graph_ok(masks):
+                        # agents are in id order, so assignee indices sort
+                        # like the canonical key of assignee ids
                         key = tuple(
-                            agent_ids[next(i for i in range(self.n) if masks[i] >> p & 1)]
+                            next(i for i in range(self.n) if masks[i] >> p & 1)
                             for p in range(item_count)
                         )
                         results.append((key, list(masks)))
@@ -474,14 +483,20 @@ class _Search:
         recurse(0, self.full)
         results.sort(key=lambda r: r[0])
 
+        # the cached table holds every allocation: share one (item, agent)
+        # pair per cell and one tuple per distinct profile between them
+        cells = [
+            [(item_id, agent_id) for agent_id in self.market.agent_ids]
+            for item_id in self.market.item_ids
+        ]
+        interned: dict[tuple[int, ...], tuple[int, ...]] = {}
         out = []
-        item_ids = self.market.item_ids
         for key, final_masks in results:
-            alloc = Allocation(tuple(zip(item_ids, key)))
+            alloc = Allocation(tuple(cells[p][i] for p, i in enumerate(key)))
             profile = tuple(
                 1 if self._covers_live(final_masks[i], i) else 0 for i in range(self.n)
             )
-            out.append((alloc, profile))
+            out.append((alloc, interned.setdefault(profile, profile)))
         return out
 
 

@@ -17,6 +17,7 @@ import pytest
 
 from exchange_clear import (
     BUILT_IN_CONSTRAINT_SETS,
+    ConsistencyParams,
     ConstraintSet,
     GeneratorConfig,
     IR,
@@ -38,10 +39,10 @@ from exchange_clear import (
     satisfaction_profile,
     serialize,
 )
-from exchange_clear.feasibility import clear_enumeration_cache
+from exchange_clear.feasibility import clear_enumeration_cache, feasible_with_profiles
 from exchange_clear.cli import cli_dispatch
 
-from oracles import greedy_cp, two_agent_partner_market
+from oracles import greedy_cp, key_chooser, naive_weak_consistency, two_agent_partner_market
 
 FAMILY_SEEDS = range(1, 201)
 TWO_AGENT_SEEDS = range(1, 101)
@@ -209,7 +210,7 @@ def test_criterion_7_oracle_equivalence(family):
 
 
 def test_criterion_8_engineering_determinism(family, two_agent_family, tmp_path, capsys):
-    with criterion(8, "round-trip identity, byte-identical reports across worker counts, cli exit statuses"):
+    with criterion(8, "round-trip identity, byte-identical reports across worker counts and vs the naive consistency engine, cli exit statuses"):
         for market in family + two_agent_family:
             assert parse_instance(serialize(market)) == market
 
@@ -218,8 +219,15 @@ def test_criterion_8_engineering_determinism(family, two_agent_family, tmp_path,
         assert serialize(audit_strategyproofness(fx.market, spec, workers=1)) == serialize(
             audit_strategyproofness(fx.market, spec, workers=2)
         )
-        assert serialize(audit_weak_consistency(fx.market, spec, workers=1)) == serialize(
-            audit_weak_consistency(fx.market, spec, workers=2)
+        allocations, profiles = feasible_with_profiles(fx.market, fx.constraints)
+        assert serialize(audit_weak_consistency(fx.market, spec)) == serialize(
+            naive_weak_consistency(
+                allocations,
+                profiles,
+                fx.market.agent_ids,
+                key_chooser(fx.market, spec, profiles),
+                ConsistencyParams(),
+            )
         )
 
         example1_path = tmp_path / "example1.json"

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import exchange_clear
 from exchange_clear import fixture, serialize
 from exchange_clear.cli import cli_dispatch
 
@@ -179,6 +182,39 @@ def test_missing_instance_file(capsys):
 def test_no_subcommand_prints_usage(capsys):
     status, _, err = run_cli(capsys)
     assert status == 1
+
+
+def test_bad_budget_env_exits_one_naming_the_variable(capsys, monkeypatch, example1_path):
+    monkeypatch.setenv("EXCHANGE_CLEAR_BUDGET", "abc")
+    status, out, err = run_cli(
+        capsys, "enumerate", "--constraints", "sir", "--instance", example1_path,
+    )
+    assert status == 1
+    assert out == ""
+    assert "error: EXCHANGE_CLEAR_BUDGET='abc' is not an integer" in err
+
+
+def test_cli_stdout_stable_across_hash_seeds(theorem5_path):
+    src = str(Path(exchange_clear.__file__).resolve().parent.parent)
+    commands = [
+        ["audit-consistency", "--mechanism", "cup", "--constraints", "pairwise,desirable",
+         "--instance", theorem5_path],
+        ["enumerate", "--constraints", "pairwise,desirable", "--instance", theorem5_path, "--full"],
+    ]
+    for argv in commands:
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            env.pop("EXCHANGE_CLEAR_BUDGET", None)
+            proc = subprocess.run(
+                [sys.executable, "-m", "exchange_clear", *argv],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], argv
+        assert outputs[0]
 
 
 def test_cli_determinism_byte_identical(capsys, theorem5_path):

@@ -189,6 +189,16 @@ def test_budget_env_override(example1, monkeypatch):
         enumerate_feasible(example1.market, BUILT_IN_CONSTRAINT_SETS["unrestricted"])
 
 
+@pytest.mark.parametrize(
+    "value, cause",
+    [("abc", "is not an integer"), ("1e6", "is not an integer"), ("0", "must be positive"), ("-5", "must be positive")],
+)
+def test_budget_env_rejects_bad_values(example1, monkeypatch, value, cause):
+    monkeypatch.setenv("EXCHANGE_CLEAR_BUDGET", value)
+    with pytest.raises(ValueError, match=f"EXCHANGE_CLEAR_BUDGET={value!r} {cause}"):
+        enumerate_feasible(example1.market, BUILT_IN_CONSTRAINT_SETS["sir"])
+
+
 def test_maxcycle_constraint_in_enumeration():
     # three agents, one item each, everyone wants the next agent's item:
     # the only satisfying trade is a 3-cycle, excluded under cap 2
