@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -37,7 +36,7 @@ from .feasibility import (
     enumerate_feasible,
     feasible_with_profiles,
 )
-from .mechanisms import MechanismSpec, check_priority, run_mechanism
+from .mechanisms import MechanismSpec, check_priority, profile_key, run_mechanism
 
 VERDICT_VIOLATION = "violation"
 VERDICT_CLEAN = "no violation found"
@@ -263,7 +262,6 @@ def audit_strategyproofness(
     market: Market,
     spec: MechanismSpec,
     budget: MisreportBudget | None = None,
-    workers: int = 1,
     search_budget: int | None = None,
 ) -> AuditReport:
     """Probe every agent left unsatisfied by the truthful run with the budgeted
@@ -294,12 +292,7 @@ def audit_strategyproofness(
             return ManipulationWitness(scenario, truthful, outcome, realized)
         return None
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, tasks))
-    else:
-        results = [evaluate(scenario) for scenario in tasks]
-    witnesses = tuple(w for w in results if w is not None)
+    witnesses = tuple(w for w in map(evaluate, tasks) if w is not None)
 
     return AuditReport(
         kind="strategyproofness",
@@ -447,19 +440,11 @@ def audit_weak_consistency(
     allocation matches the original choice's satisfaction profile, the choice
     from the contracted set matches it too."""
     params = params or ConsistencyParams()
-    check_priority(market, spec.priority)
+    key = profile_key(market, spec)
     allocations, profiles = feasible_with_profiles(market, spec.constraints, search_budget)
-    index_of = {agent_id: i for i, agent_id in enumerate(market.agent_ids)}
-    order = [index_of[a] for a in spec.priority]
-    cup = spec.kind == "cup"
-
-    def key_of(i: int) -> tuple[int, ...]:
-        key = tuple(profiles[i][j] for j in order)
-        return ((sum(profiles[i]),) + key) if cup else key
-
     # rank[i] grows with the key; key ties rank the canonically first highest
     rank = [0] * len(allocations)
-    for r, i in enumerate(sorted(range(len(allocations)), key=lambda i: (key_of(i), -i))):
+    for r, i in enumerate(sorted(range(len(allocations)), key=lambda i: (key(profiles[i]), -i))):
         rank[i] = r
 
     def choose(indices: tuple[int, ...]) -> int:

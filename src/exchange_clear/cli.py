@@ -31,6 +31,7 @@ from .feasibility import (
     parse_constraints,
 )
 from .instances import (
+    SCHEMA_VERSION,
     GeneratorConfig,
     InstanceFormatError,
     generate_instance,
@@ -38,7 +39,7 @@ from .instances import (
     parse_instance,
     serialize,
 )
-from .mechanisms import MechanismSpec, run_mechanism
+from .mechanisms import MechanismSpec, check_priority, run_mechanism
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -73,12 +74,10 @@ def _load_market(path: str) -> Market:
 def _parse_priority(market: Market, text: str | None) -> tuple[str, ...]:
     if text is None:
         return market.agent_ids  # canonical agent-id order when the flag is omitted
-    priority = tuple(token.strip() for token in text.split(",") if token.strip())
-    if sorted(priority) != sorted(market.agent_ids):
-        raise CliError(
-            f"--priority {text!r} is not a permutation of agents {','.join(market.agent_ids)}"
-        )
-    return priority
+    try:
+        return check_priority(market, [token.strip() for token in text.split(",") if token.strip()])
+    except ValueError as exc:
+        raise CliError(f"--priority {text!r}: {exc}") from None
 
 
 def _parse_constraint_flag(text: str) -> ConstraintSet:
@@ -113,7 +112,7 @@ def _cmd_solve(args) -> int:
     allocation = run_mechanism(market, spec)
     profile = satisfaction_profile(market, allocation)
     doc = {
-        "schema_version": "1",
+        "schema_version": SCHEMA_VERSION,
         "mechanism": args.mechanism,
         "priority": list(priority),
         "constraints": format_constraints(constraints),
@@ -130,7 +129,7 @@ def _cmd_enumerate(args) -> int:
     constraints = _parse_constraint_flag(args.constraints)
     allocations = enumerate_feasible(market, constraints)
     doc = {
-        "schema_version": "1",
+        "schema_version": SCHEMA_VERSION,
         "constraints": format_constraints(constraints),
         "feasible_count": len(allocations),
         "max_satisfaction": max_satisfied_oracle(market, constraints),

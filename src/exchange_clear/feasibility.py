@@ -136,123 +136,95 @@ BUILT_IN_CONSTRAINT_SETS: dict[str, ConstraintSet] = {
 }
 
 
-Edge = tuple[str, str, str]  # (giving agent, receiving agent, item id)
-
-
-@dataclass(frozen=True)
-class TradeGraph:
-    """Directed multigraph over agent ids: one edge per item that changes hands."""
-
-    agents: tuple[str, ...]
-    edges: tuple[Edge, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
-
-    def balanced(self) -> bool:
-        """Every agent gives exactly as many items as she receives."""
-        delta: dict[str, int] = {}
-        for src, dst, _ in self.edges:
-            delta[src] = delta.get(src, 0) + 1
-            delta[dst] = delta.get(dst, 0) - 1
-        return all(v == 0 for v in delta.values())
-
-
-@dataclass(frozen=True)
-class CycleDecomposition:
-    """A partition of a trade graph's edges into directed closed walks."""
-
-    walks: tuple[tuple[Edge, ...], ...]
-
-    @property
-    def agent_counts(self) -> tuple[int, ...]:
-        return tuple(len({a for e in walk for a in e[:2]}) for walk in self.walks)
-
-
-def trade_graph(market: Market, allocation: Allocation) -> TradeGraph:
-    """Project an allocation onto the agent-level trade multigraph."""
-    edges = []
-    for ag in market.agents:
-        for item_id in ag.endowment:
-            assignee = allocation.agent_of(item_id)
-            if assignee != ag.id:
-                edges.append((ag.id, assignee, item_id))
-    return TradeGraph(market.agent_ids, tuple(edges))
-
-
-def _partition_into_cycles(edges: tuple[Edge, ...], cap: int) -> list[list[Edge]] | None:
-    """Exhaustively search for a partition of `edges` into simple directed cycles,
-    each visiting at most `cap` distinct agents.
+def _partition_into_cycles(edges: list[tuple[int, int]], cap: int) -> bool:
+    """Whether the (giver, receiver) `edges` partition into simple directed
+    cycles, each visiting at most `cap` distinct agents.
 
     Any partition into closed walks with the cap exists iff a partition into
     simple cycles with the cap does (a closed walk splits into simple cycles
     over subsets of its agents), so searching simple cycles loses nothing.
-    Deterministic: edges are tried in canonical sorted order.
+    Whether a partition exists does not depend on the order of `edges`.
     """
-    if not edges:
-        return []
-    if cap < 2:
-        return None  # trade edges never self-loop, so any cycle has >= 2 agents
-    by_src: dict[str, list[int]] = {}
-    for idx, (src, _, _) in enumerate(edges):
+    by_src: dict[int, list[int]] = {}
+    for idx, (src, _) in enumerate(edges):
         by_src.setdefault(src, []).append(idx)
     used = [False] * len(edges)
 
-    def next_unused() -> int | None:
-        for idx, flag in enumerate(used):
-            if not flag:
-                return idx
-        return None
-
-    def solve() -> list[list[Edge]] | None:
-        first = next_unused()
+    def solve() -> bool:
+        first = next((idx for idx, flag in enumerate(used) if not flag), None)
         if first is None:
-            return []
-        start, current, _ = edges[first]
+            return True
+        start, current = edges[first]
         used[first] = True
-        result = extend(start, edges[first][1], {start, current}, [first])
-        if result is None:
-            used[first] = False
-        return result
+        if extend(start, current, {start, current}):
+            return True
+        used[first] = False
+        return False
 
-    def extend(start: str, current: str, visited: set[str], path: list[int]) -> list[list[Edge]] | None:
+    def extend(start: int, current: int, visited: set[int]) -> bool:
         for idx in by_src.get(current, ()):
             if used[idx]:
                 continue
             dst = edges[idx][1]
             if dst == start:
                 used[idx] = True
-                rest = solve()
-                if rest is not None:
-                    return [[edges[j] for j in path + [idx]]] + rest
+                if solve():
+                    return True
                 used[idx] = False
             elif dst not in visited and len(visited) < cap:
                 used[idx] = True
-                result = extend(start, dst, visited | {dst}, path + [idx])
-                if result is not None:
-                    return result
+                if extend(start, dst, visited | {dst}):
+                    return True
                 used[idx] = False
-        return None
+        return False
 
-    return solve()
-
-
-def find_cycle_decomposition(graph: TradeGraph, max_agents: int) -> CycleDecomposition | None:
-    """Partition the graph's edges into closed walks of at most `max_agents`
-    distinct agents each, or return None when no such partition exists."""
-    if not graph.balanced():
-        return None  # each closed walk is balanced at every agent, so a partition needs balance
-    cycles = _partition_into_cycles(graph.edges, max_agents)
-    if cycles is None:
-        return None
-    return CycleDecomposition(tuple(tuple(c) for c in cycles))
+    try:
+        return solve()
+    finally:
+        solve = extend = None  # break the closures' reference cycle
 
 
-def _pair_balance_ok(edges: tuple[Edge, ...]) -> bool:
-    counts: dict[tuple[str, str], int] = {}
-    for src, dst, _ in edges:
-        counts[(src, dst)] = counts.get((src, dst), 0) + 1
-    return all(counts.get((dst, src), 0) == n for (src, dst), n in counts.items())
+def _trade_ok(
+    owner: list[int], assignee: list[int], n: int, pairwise: bool, cycle_cap: int | None
+) -> bool:
+    """The trade-structure constraints over one allocation, given per item the
+    index of the agent that owns it and of the agent it goes to (agents are
+    0 .. n-1).  Each item that changes hands is an edge owner -> assignee.
+    Of several cycle caps only the smallest binds, so one is passed."""
+    counts: dict[tuple[int, int], int] = {}
+    for edge in zip(owner, assignee):
+        if edge[0] != edge[1]:
+            counts[edge] = counts.get(edge, 0) + 1
+    if pairwise:
+        if any(counts.get((dst, src), 0) != k for (src, dst), k in counts.items()):
+            return False
+    if cycle_cap is None:
+        return True
+    delta = [0] * n
+    for (src, dst), k in counts.items():
+        delta[src] += k
+        delta[dst] -= k
+    if any(delta):
+        return False  # each closed walk is balanced at every agent
+    # union-find over agents that trade; a balanced component of k agents
+    # always decomposes into walks of <= k agents
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for src, dst in counts:
+        parent[find(src)] = find(dst)
+    comp_agents: dict[int, set[int]] = {}
+    for src, dst in counts:
+        comp_agents.setdefault(find(src), set()).update((src, dst))
+    if all(len(members) <= cycle_cap for members in comp_agents.values()):
+        return True
+    edges = [edge for edge in zip(owner, assignee) if edge[0] != edge[1]]
+    return _partition_into_cycles(edges, cycle_cap)
 
 
 def _desirable_ok(market: Market, allocation: Allocation) -> bool:
@@ -267,28 +239,27 @@ def _desirable_ok(market: Market, allocation: Allocation) -> bool:
 
 def satisfies_constraints(market: Market, allocation: Allocation, constraints: ConstraintSet) -> bool:
     """Conjunction of all constraint predicates over one allocation."""
-    graph = None
-    for c in constraints:
-        if c.kind == "unrestricted":
-            continue
-        if c.kind == "sir":
-            if not is_sir(market, allocation):
-                return False
-        elif c.kind == "ir":
-            if not is_ir(market, allocation):
-                return False
-        elif c.kind == "desirable":
-            if not _desirable_ok(market, allocation):
-                return False
-        else:
-            if graph is None:
-                graph = trade_graph(market, allocation)
-            if c.kind == "pairwise":
-                if not _pair_balance_ok(graph.edges) or find_cycle_decomposition(graph, 2) is None:
-                    return False
-            elif find_cycle_decomposition(graph, c.limit) is None:
-                return False
-    return True
+    kinds = {c.kind for c in constraints}
+    if "sir" in kinds and not is_sir(market, allocation):
+        return False
+    if "ir" in kinds and not is_ir(market, allocation):
+        return False
+    if "desirable" in kinds and not _desirable_ok(market, allocation):
+        return False
+    cycle_cap = min((c.limit for c in constraints if c.kind == "maxcycle"), default=None)
+    if "pairwise" not in kinds and cycle_cap is None:
+        return True
+    n = len(market.agents)
+    index = {agent_id: i for i, agent_id in enumerate(market.agent_ids)}
+    owner: list[int] = []
+    assignee: list[int] = []
+    for i, ag in enumerate(market.agents):
+        for item_id in ag.endowment:
+            owner.append(i)
+            # an agent outside the market only receives: index n stands for
+            # all of them, so balance fails as it should
+            assignee.append(index.get(allocation.agent_of(item_id), n))
+    return _trade_ok(owner, assignee, n + 1, "pairwise" in kinds, cycle_cap)
 
 
 def _resolve_budget(budget: int | None) -> int:
@@ -351,7 +322,7 @@ class _Search:
         self.need_ir = "ir" in kinds
         self.need_desirable = "desirable" in kinds
         self.need_pairwise = "pairwise" in kinds
-        self.cycle_caps = sorted(c.limit for c in constraints if c.kind == "maxcycle")
+        self.cycle_cap = min((c.limit for c in constraints if c.kind == "maxcycle"), default=None)
 
     def _mask(self, item_ids) -> int:
         mask = 0
@@ -396,81 +367,30 @@ class _Search:
                 self._charge()
         return sorted(cands)
 
-    def _graph_ok(self, masks: list[int]) -> bool:
-        if not (self.need_pairwise or self.cycle_caps):
-            return True
-        assignee = [0] * self.m
-        for i, mask in enumerate(masks):
-            while mask:
-                low = mask & -mask
-                assignee[low.bit_length() - 1] = i
-                mask ^= low
-        counts: dict[tuple[int, int], int] = {}
-        for p in range(self.m):
-            src, dst = self.owner[p], assignee[p]
-            if src != dst:
-                counts[(src, dst)] = counts.get((src, dst), 0) + 1
-        if self.need_pairwise:
-            if any(counts.get((dst, src), 0) != n for (src, dst), n in counts.items()):
-                return False
-        if self.cycle_caps:
-            delta = [0] * self.n
-            for (src, dst), n in counts.items():
-                delta[src] += n
-                delta[dst] -= n
-            if any(delta):
-                return False
-            # union-find over agents that trade; a balanced component of k
-            # agents always decomposes into walks of <= k agents
-            parent = list(range(self.n))
-
-            def find(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for src, dst in counts:
-                parent[find(src)] = find(dst)
-            comp_agents: dict[int, set[int]] = {}
-            for src, dst in counts:
-                comp_agents.setdefault(find(src), set()).update((src, dst))
-            for cap in self.cycle_caps:
-                if all(len(members) <= cap for members in comp_agents.values()):
-                    continue
-                agent_ids = self.market.agent_ids
-                item_by_pos = self.market.item_ids
-                edges = tuple(
-                    sorted(
-                        (agent_ids[self.owner[p]], agent_ids[assignee[p]], item_by_pos[p])
-                        for p in range(self.m)
-                        if self.owner[p] != assignee[p]
-                    )
-                )
-                if _partition_into_cycles(edges, cap) is None:
-                    return False
-        return True
-
     def run(self) -> list[tuple[Allocation, tuple[int, ...]]]:
         cand_lists = [self._candidates(i) for i in range(self.n)]
         cand_sets = [set(c) for c in cand_lists]
         results: list[tuple[tuple[int, ...], list[int]]] = []
         masks = [0] * self.n
-        item_count = self.m
+        last = self.n - 1
+        owner, n, pairwise, cycle_cap = self.owner, self.n, self.need_pairwise, self.cycle_cap
+        check_trades = pairwise or cycle_cap is not None
 
         def recurse(idx: int, remaining: int) -> None:
             self._charge()
-            if idx == self.n - 1:
+            if idx == last:
                 if remaining in cand_sets[idx]:
                     masks[idx] = remaining
-                    if self._graph_ok(masks):
+                    assignee = [0] * len(owner)
+                    for i, mask in enumerate(masks):
+                        while mask:
+                            low = mask & -mask
+                            assignee[low.bit_length() - 1] = i
+                            mask ^= low
+                    if not check_trades or _trade_ok(owner, assignee, n, pairwise, cycle_cap):
                         # agents are in id order, so assignee indices sort
                         # like the canonical key of assignee ids
-                        key = tuple(
-                            next(i for i in range(self.n) if masks[i] >> p & 1)
-                            for p in range(item_count)
-                        )
-                        results.append((key, list(masks)))
+                        results.append((tuple(assignee), list(masks)))
                 return
             for mask in cand_lists[idx]:
                 if mask & ~remaining:
@@ -480,7 +400,10 @@ class _Search:
 
         if self.n == 0:
             return []
-        recurse(0, self.full)
+        try:
+            recurse(0, self.full)
+        finally:
+            recurse = None  # break the closure's reference cycle
         results.sort(key=lambda r: r[0])
 
         # the cached table holds every allocation: share one (item, agent)

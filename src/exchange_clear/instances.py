@@ -116,8 +116,10 @@ def _require(condition: bool, message: str) -> None:
 def _decode_document(text: str) -> dict:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
         raise InstanceFormatError(f"malformed document: {exc}") from None
+    except RecursionError:
+        raise InstanceFormatError("malformed document: nested too deeply") from None
     _require(isinstance(data, dict), "top-level value must be an object")
     version = data.get("schema_version")
     _require(version is not None, "missing field 'schema_version'")

@@ -12,7 +12,7 @@ key-tied allocations give every agent the same utility.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import Allocation, Market, PriorityOrder, satisfaction_profile
 from .feasibility import ConstraintSet, feasible_with_profiles
@@ -44,64 +44,43 @@ def check_priority(market: Market, priority: Sequence[str]) -> PriorityOrder:
     return priority
 
 
-def _key_from_profile(profile_by_id: dict[str, int], spec: MechanismSpec) -> tuple[int, ...]:
-    head = (sum(profile_by_id.values()),) if spec.kind == "cup" else ()
-    return head + tuple(profile_by_id[a] for a in spec.priority)
+def profile_key(market: Market, spec: MechanismSpec) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The mechanism key of a satisfaction profile (0/1 per agent, canonical
+    agent order): (u_p1, ..., u_pn) for cp, with the satisfied count
+    prepended for cup.  Distinct profiles get distinct keys."""
+    check_priority(market, spec.priority)
+    index_of = {agent_id: i for i, agent_id in enumerate(market.agent_ids)}
+    order = [index_of[a] for a in spec.priority]
+    if spec.kind == "cup":
+        return lambda profile: (sum(profile),) + tuple(profile[i] for i in order)
+    return lambda profile: tuple(profile[i] for i in order)
 
 
 def lex_key(market: Market, allocation: Allocation, spec: MechanismSpec) -> tuple[int, ...]:
-    """The maximized tuple: (u_p1, ..., u_pn) for cp, with the satisfied count
-    prepended for cup."""
-    check_priority(market, spec.priority)
-    return _key_from_profile(satisfaction_profile(market, allocation), spec)
+    """The maximized tuple of one allocation."""
+    return profile_key(market, spec)(tuple(satisfaction_profile(market, allocation).values()))
 
 
 def choose_from(market: Market, spec: MechanismSpec, candidates: Iterable[Allocation]) -> Allocation:
     """The candidate with the lexicographically maximal key; ties go to the
     canonically first allocation regardless of the candidates' list order."""
-    check_priority(market, spec.priority)
-    best = None
-    best_key = None
-    best_canon = None
-    for alloc in candidates:
-        key = _key_from_profile(satisfaction_profile(market, alloc), spec)
-        canon = alloc.canonical_key
-        if best is None or key > best_key or (key == best_key and canon < best_canon):
-            best, best_key, best_canon = alloc, key, canon
-    if best is None:
+    key = profile_key(market, spec)
+    ordered = sorted(candidates, key=lambda alloc: alloc.canonical_key)
+    if not ordered:
         raise ValueError("empty candidate list")
-    return best
-
-
-def _argmax_over_profiles(
-    market: Market,
-    spec: MechanismSpec,
-    allocations: tuple[Allocation, ...],
-    profiles: tuple[tuple[int, ...], ...],
-) -> Allocation:
-    # allocations arrive in canonical order, so the first strict maximum is
-    # also the canonical tie-break winner
-    index_of = {agent_id: i for i, agent_id in enumerate(market.agent_ids)}
-    order = [index_of[a] for a in spec.priority]
-    cup = spec.kind == "cup"
-    best = None
-    best_key = None
-    for alloc, profile in zip(allocations, profiles):
-        key = tuple(profile[i] for i in order)
-        if cup:
-            key = (sum(profile),) + key
-        if best is None or key > best_key:
-            best, best_key = alloc, key
-    if best is None:
-        raise ValueError("empty candidate list")
-    return best
+    return max(ordered, key=lambda alloc: key(tuple(satisfaction_profile(market, alloc).values())))
 
 
 def run_mechanism(market: Market, spec: MechanismSpec, budget: int | None = None) -> Allocation:
     """Run the mechanism over the full feasible set of its constraint set."""
-    check_priority(market, spec.priority)
+    key = profile_key(market, spec)
     allocations, profiles = feasible_with_profiles(market, spec.constraints, budget)
-    return _argmax_over_profiles(market, spec, allocations, profiles)
+    if not allocations:
+        raise ValueError("empty candidate list")
+    # distinct profiles have distinct keys, so the best profile is unique;
+    # allocations arrive in canonical order, so its first holder is also
+    # the canonical tie-break winner
+    return allocations[profiles.index(max(set(profiles), key=key))]
 
 
 def run_cp(

@@ -6,6 +6,7 @@ so these are safe oracles for the optimized code paths.
 
 import itertools
 import random
+from dataclasses import dataclass
 
 from exchange_clear import (
     Agent,
@@ -15,19 +16,174 @@ from exchange_clear import (
     Item,
     Market,
     enumerate_feasible,
+    is_ir,
+    is_sir,
     satisfies,
-    satisfies_constraints,
 )
 from exchange_clear.auditors import VERDICT_CLEAN, VERDICT_VIOLATION
+from exchange_clear.feasibility import _desirable_ok
+
+
+# The agent-level trade multigraph: one edge owner -> assignee per item that
+# changes hands, decided by an exhaustive search over string edges.  The
+# package decides the same structure over integer agent indices.
+
+Edge = tuple[str, str, str]  # (giving agent, receiving agent, item id)
+
+
+@dataclass(frozen=True)
+class TradeGraph:
+    """Directed multigraph over agent ids: one edge per item that changes hands."""
+
+    agents: tuple[str, ...]
+    edges: tuple[Edge, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+
+    def balanced(self) -> bool:
+        """Every agent gives exactly as many items as she receives."""
+        delta: dict[str, int] = {}
+        for src, dst, _ in self.edges:
+            delta[src] = delta.get(src, 0) + 1
+            delta[dst] = delta.get(dst, 0) - 1
+        return all(v == 0 for v in delta.values())
+
+
+@dataclass(frozen=True)
+class CycleDecomposition:
+    """A partition of a trade graph's edges into directed closed walks."""
+
+    walks: tuple[tuple[Edge, ...], ...]
+
+    @property
+    def agent_counts(self) -> tuple[int, ...]:
+        return tuple(len({a for e in walk for a in e[:2]}) for walk in self.walks)
+
+
+def trade_graph(market: Market, allocation: Allocation) -> TradeGraph:
+    """Project an allocation onto the agent-level trade multigraph."""
+    edges = []
+    for ag in market.agents:
+        for item_id in ag.endowment:
+            assignee = allocation.agent_of(item_id)
+            if assignee != ag.id:
+                edges.append((ag.id, assignee, item_id))
+    return TradeGraph(market.agent_ids, tuple(edges))
+
+
+def _partition_into_cycles(edges: tuple[Edge, ...], cap: int) -> list[list[Edge]] | None:
+    """Exhaustively search for a partition of `edges` into simple directed cycles,
+    each visiting at most `cap` distinct agents.
+
+    Any partition into closed walks with the cap exists iff a partition into
+    simple cycles with the cap does (a closed walk splits into simple cycles
+    over subsets of its agents), so searching simple cycles loses nothing.
+    Deterministic: edges are tried in canonical sorted order.
+    """
+    if not edges:
+        return []
+    if cap < 2:
+        return None  # trade edges never self-loop, so any cycle has >= 2 agents
+    by_src: dict[str, list[int]] = {}
+    for idx, (src, _, _) in enumerate(edges):
+        by_src.setdefault(src, []).append(idx)
+    used = [False] * len(edges)
+
+    def next_unused() -> int | None:
+        for idx, flag in enumerate(used):
+            if not flag:
+                return idx
+        return None
+
+    def solve() -> list[list[Edge]] | None:
+        first = next_unused()
+        if first is None:
+            return []
+        start, current, _ = edges[first]
+        used[first] = True
+        result = extend(start, edges[first][1], {start, current}, [first])
+        if result is None:
+            used[first] = False
+        return result
+
+    def extend(start: str, current: str, visited: set[str], path: list[int]) -> list[list[Edge]] | None:
+        for idx in by_src.get(current, ()):
+            if used[idx]:
+                continue
+            dst = edges[idx][1]
+            if dst == start:
+                used[idx] = True
+                rest = solve()
+                if rest is not None:
+                    return [[edges[j] for j in path + [idx]]] + rest
+                used[idx] = False
+            elif dst not in visited and len(visited) < cap:
+                used[idx] = True
+                result = extend(start, dst, visited | {dst}, path + [idx])
+                if result is not None:
+                    return result
+                used[idx] = False
+        return None
+
+    return solve()
+
+
+def find_cycle_decomposition(graph: TradeGraph, max_agents: int) -> CycleDecomposition | None:
+    """Partition the graph's edges into closed walks of at most `max_agents`
+    distinct agents each, or return None when no such partition exists."""
+    if not graph.balanced():
+        return None  # each closed walk is balanced at every agent, so a partition needs balance
+    cycles = _partition_into_cycles(graph.edges, max_agents)
+    if cycles is None:
+        return None
+    return CycleDecomposition(tuple(tuple(c) for c in cycles))
+
+
+def _pair_balance_ok(edges: tuple[Edge, ...]) -> bool:
+    counts: dict[tuple[str, str], int] = {}
+    for src, dst, _ in edges:
+        counts[(src, dst)] = counts.get((src, dst), 0) + 1
+    return all(counts.get((dst, src), 0) == n for (src, dst), n in counts.items())
+
+
+def naive_satisfies_constraints(market, allocation, constraints):
+    """Conjunction of all constraint predicates over one allocation, deciding
+    trade structure on the string-edge trade multigraph."""
+    graph = None
+    for c in constraints:
+        if c.kind == "unrestricted":
+            continue
+        if c.kind == "sir":
+            if not is_sir(market, allocation):
+                return False
+        elif c.kind == "ir":
+            if not is_ir(market, allocation):
+                return False
+        elif c.kind == "desirable":
+            if not _desirable_ok(market, allocation):
+                return False
+        else:
+            if graph is None:
+                graph = trade_graph(market, allocation)
+            if c.kind == "pairwise":
+                if not _pair_balance_ok(graph.edges) or find_cycle_decomposition(graph, 2) is None:
+                    return False
+            elif find_cycle_decomposition(graph, c.limit) is None:
+                return False
+    return True
+
+
+
 
 
 def naive_enumerate(market, constraints):
-    """All n^|O| total assignments filtered by the public constraint predicate."""
+    """All n^|O| total assignments filtered by the naive constraint predicate."""
     item_ids = market.item_ids
     out = []
     for assignees in itertools.product(market.agent_ids, repeat=len(item_ids)):
         alloc = Allocation(tuple(zip(item_ids, assignees)))
-        if satisfies_constraints(market, alloc, constraints):
+        if naive_satisfies_constraints(market, alloc, constraints):
             out.append(alloc)
     return out
 

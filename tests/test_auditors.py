@@ -187,15 +187,6 @@ def test_sp_audit_finds_desirability_expansion_under_sir():
     assert {"o05"} <= witness.realized_bundle
 
 
-def test_sp_audit_workers_byte_stable(theorem5):
-    from exchange_clear import serialize
-
-    spec = MechanismSpec("cup", ("3", "1", "2"), theorem5.constraints)
-    sequential = serialize(audit_strategyproofness(theorem5.market, spec, workers=1))
-    threaded = serialize(audit_strategyproofness(theorem5.market, spec, workers=4))
-    assert sequential == threaded
-
-
 # ---------------------------------------------------------------- wc audit
 
 def test_wc_audit_cp_example1_exhaustive_feasible_subset():

@@ -197,12 +197,16 @@ def test_bad_budget_env_exits_one_naming_the_variable(capsys, monkeypatch, examp
 def test_cli_stdout_stable_across_hash_seeds(theorem5_path):
     src = str(Path(exchange_clear.__file__).resolve().parent.parent)
     commands = [
-        ["audit-consistency", "--mechanism", "cup", "--constraints", "pairwise,desirable",
-         "--instance", theorem5_path],
-        ["enumerate", "--constraints", "pairwise,desirable", "--instance", theorem5_path, "--full"],
+        (["audit-consistency", "--mechanism", "cup", "--constraints", "pairwise,desirable",
+          "--instance", theorem5_path], 0),
+        (["enumerate", "--constraints", "pairwise,desirable", "--instance", theorem5_path,
+          "--full"], 0),
+        (["audit-sp", "--mechanism", "cp", "--priority", "1,2,3",
+          "--constraints", "pairwise,desirable", "--instance", theorem5_path,
+          "--max-scenarios", "200"], 2),
     ]
-    for argv in commands:
-        outputs = []
+    for argv, expected_status in commands:
+        runs = []
         for hash_seed in ("0", "1"):
             env = dict(os.environ, PYTHONHASHSEED=hash_seed)
             env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -211,10 +215,35 @@ def test_cli_stdout_stable_across_hash_seeds(theorem5_path):
                 [sys.executable, "-m", "exchange_clear", *argv],
                 capture_output=True, text=True, env=env, timeout=120,
             )
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(proc.stdout)
-        assert outputs[0] == outputs[1], argv
-        assert outputs[0]
+            runs.append((proc.returncode, proc.stdout))
+        assert runs[0] == runs[1], argv
+        status, out = runs[0]
+        assert status == expected_status, (argv, status)
+        assert out
+        if argv[0] == "audit-sp":
+            assert json.loads(out)["witnesses"]
+
+
+def test_bad_priority_exits_one_naming_the_flag(capsys, example1_path):
+    status, out, err = run_cli(
+        capsys, "solve", "--mechanism", "cp", "--priority", "1,2",
+        "--constraints", "sir", "--instance", example1_path,
+    )
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: --priority '1,2': ")
+    assert "not a permutation" in err
+
+
+def test_deeply_nested_instance_exits_one(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    status, out, err = run_cli(
+        capsys, "enumerate", "--constraints", "sir", "--instance", str(path),
+    )
+    assert status == 1
+    assert out == ""
+    assert err == "error: malformed document: nested too deeply\n"
 
 
 def test_cli_determinism_byte_identical(capsys, theorem5_path):

@@ -1,3 +1,6 @@
+import gc
+import itertools
+
 import pytest
 
 from exchange_clear import (
@@ -7,20 +10,27 @@ from exchange_clear import (
     BudgetExceededError,
     Constraint,
     ConstraintSet,
+    GeneratorConfig,
     Item,
     Market,
-    TradeGraph,
     endowment_allocation,
     enumerate_feasible,
-    find_cycle_decomposition,
     format_constraints,
+    generate_instance,
     max_cycle_agents,
     parse_constraints,
     satisfies_constraints,
+)
+from exchange_clear.feasibility import clear_enumeration_cache
+
+from oracles import (
+    TradeGraph,
+    find_cycle_decomposition,
+    naive_enumerate,
+    naive_satisfies_constraints,
+    tiny_random_market,
     trade_graph,
 )
-
-from oracles import naive_enumerate, tiny_random_market
 
 # cross-check sets: every built-in plus a mixed conjunction that is legal to
 # assemble even though it is not a named built-in
@@ -28,6 +38,7 @@ CHECK_SETS = dict(BUILT_IN_CONSTRAINT_SETS)
 CHECK_SETS["sir+pairwise+desirable"] = ConstraintSet(
     (Constraint("sir"), Constraint("pairwise"), Constraint("desirable"))
 )
+CHECK_SETS["maxcycle4"] = ConstraintSet((max_cycle_agents(4),))
 
 
 def test_trade_graph_endowment_is_empty(example1):
@@ -215,3 +226,39 @@ def test_maxcycle_constraint_in_enumeration():
     assert cap2 == [endowment_allocation(market)]
     rotate = Allocation({"x": "3", "y": "1", "z": "2"})
     assert rotate in cap3
+
+
+@pytest.mark.parametrize("seed", range(1, 41))
+def test_satisfies_constraints_matches_naive_on_every_assignment(seed):
+    # four agents are needed for a balanced trade that a cap of 2 or 3 rejects
+    market = tiny_random_market(seed, max_agents=4, max_items=5)
+    for assignees in itertools.product(market.agent_ids, repeat=len(market.item_ids)):
+        alloc = Allocation(tuple(zip(market.item_ids, assignees)))
+        for name, cs in CHECK_SETS.items():
+            expected = naive_satisfies_constraints(market, alloc, cs)
+            assert satisfies_constraints(market, alloc, cs) == expected, (seed, name, alloc)
+
+
+def test_satisfies_constraints_rejects_trades_to_outsiders():
+    market = Market(agents=(Agent("1", ["x"]), Agent("2", ["y"])), items=(Item("x"), Item("y")))
+    alloc = Allocation({"x": "9", "y": "1"})
+    for name in ("pairwise", "maxcycle2", "maxcycle3"):
+        assert not satisfies_constraints(market, alloc, BUILT_IN_CONSTRAINT_SETS[name])
+        assert not naive_satisfies_constraints(market, alloc, BUILT_IN_CONSTRAINT_SETS[name])
+
+
+@pytest.mark.parametrize("set_name", ["pairwise", "sir+maxcycle3", "maxcycle2"])
+def test_search_leaves_no_reference_cycles(set_name):
+    # four agents with two items each: maxcycle2 and sir+maxcycle3 reach the
+    # cycle-partition search, pairwise is the 474-allocation table
+    market = generate_instance(
+        GeneratorConfig(seed=3, agents=(4, 4), items_per_agent=(2, 2))
+    )
+    clear_enumeration_cache()
+    gc.collect()
+    gc.disable()
+    try:
+        assert enumerate_feasible(market, BUILT_IN_CONSTRAINT_SETS[set_name])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

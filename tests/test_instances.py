@@ -1,4 +1,7 @@
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exchange_clear import (
     Agent,
@@ -7,6 +10,7 @@ from exchange_clear import (
     Item,
     Market,
     endowment_allocation,
+    fixture,
     generate_instance,
     parse_allocation,
     parse_instance,
@@ -62,6 +66,61 @@ def test_parse_schema_mismatch():
 def test_parse_malformed_document():
     with pytest.raises(InstanceFormatError, match="malformed document"):
         parse_instance("{nope")
+
+
+@pytest.mark.parametrize("parse", [parse_instance, parse_allocation])
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"schema_version": "1", "assignment": ' + "[" * 100_000])
+def test_parse_deeply_nested_document(parse, text):
+    with pytest.raises(InstanceFormatError, match="malformed document: nested too deeply"):
+        parse(text)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=12,
+)
+
+VALID_DOCUMENTS = [
+    json.loads(serialize(fixture("example1").market)),
+    json.loads(serialize(endowment_allocation(fixture("example1").market))),
+]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with one node replaced by, or one key dropped in
+    favour of, an arbitrary JSON value."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(VALID_DOCUMENTS))))
+    parent, key = None, None
+    node = doc
+    while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        keys = sorted(node) if isinstance(node, dict) else list(range(len(node)))
+        parent, key = node, draw(st.sampled_from(keys))
+        node = node[key]
+    replacement = draw(JSON_VALUES)
+    if parent is None:
+        doc = replacement
+    elif isinstance(parent, dict) and draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = replacement
+    return json.dumps(doc)
+
+
+def parses_or_rejects(parse, text):
+    try:
+        parse(text)
+    except InstanceFormatError:
+        pass  # any other exception fails the test
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(), JSON_VALUES.map(json.dumps), mutated_documents()))
+def test_parse_malformed_raises_instance_format_error_only(text):
+    parses_or_rejects(parse_instance, text)
+    parses_or_rejects(parse_allocation, text)
 
 
 def test_parse_unknown_field():

@@ -15,10 +15,13 @@ from exchange_clear import (
     max_satisfied_oracle,
     run_cp,
     run_cup,
+    run_mechanism,
     satisfaction_profile,
 )
 
-from oracles import greedy_cp, tiny_random_market
+from exchange_clear.feasibility import feasible_with_profiles
+
+from oracles import greedy_cp, key_chooser, tiny_random_market
 
 
 def test_lex_key_cup_example1(example1, example1_all_satisfying):
@@ -136,6 +139,21 @@ def test_cp_matches_greedy_oracle(seed):
         cs = BUILT_IN_CONSTRAINT_SETS[name]
         for priority in itertools.permutations(market.agent_ids):
             assert run_cp(market, priority, cs) == greedy_cp(market, priority, cs)
+
+
+@pytest.mark.parametrize("seed", range(1, 41))
+def test_run_mechanism_matches_key_chooser(seed):
+    market = tiny_random_market(seed)
+    for name in ("sir", "pairwise", "sir+maxcycle2", "desirable", "unrestricted"):
+        cs = BUILT_IN_CONSTRAINT_SETS[name]
+        allocations, profiles = feasible_with_profiles(market, cs)
+        everything = tuple(range(len(allocations)))
+        for kind in ("cp", "cup"):
+            for priority in itertools.permutations(market.agent_ids):
+                spec = MechanismSpec(kind, priority, cs)
+                expected = allocations[key_chooser(market, spec, profiles)(everything)]
+                assert run_mechanism(market, spec) == expected
+                assert choose_from(market, spec, reversed(allocations)) == expected
 
 
 def test_argmax_invariance(example1):

@@ -8,6 +8,7 @@ from exchange_clear import (
     Agent,
     Allocation,
     BUILT_IN_CONSTRAINT_SETS,
+    ConstraintSet,
     GeneratorConfig,
     Item,
     Market,
@@ -15,10 +16,10 @@ from exchange_clear import (
     endowment_allocation,
     enumerate_feasible,
     enumerate_misreports,
-    find_cycle_decomposition,
     generate_instance,
     is_ir,
     is_sir,
+    max_cycle_agents,
     pareto_dominates,
     parse_instance,
     run_cp,
@@ -27,10 +28,11 @@ from exchange_clear import (
     satisfies,
     satisfies_constraints,
     serialize,
-    trade_graph,
     utility,
     weakly_prefers,
 )
+
+from oracles import find_cycle_decomposition, trade_graph
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -149,8 +151,11 @@ def test_filter_soundness_and_chain(market):
 @SETTINGS
 @given(markets_with_allocations())
 def test_eulerian_balance_iff_decomposable(case):
+    # a cap of n agents never binds, so it accepts exactly the balanced trades
     market, alloc = case
     graph = trade_graph(market, alloc)
+    no_cap = ConstraintSet((max_cycle_agents(max(2, len(market.agent_ids))),))
+    assert satisfies_constraints(market, alloc, no_cap) == graph.balanced()
     decomposition = find_cycle_decomposition(graph, len(market.agent_ids))
     assert (decomposition is not None) == graph.balanced()
     if decomposition is not None:
