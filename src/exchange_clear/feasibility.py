@@ -10,9 +10,30 @@ must alternate directions).
 
 Every built-in constraint set admits the endowment allocation, so the
 feasible set is never empty.  Enumeration is exhaustive over total
-item -> agent assignments with pruning that never changes the returned set,
-and aborts with :class:`BudgetExceededError` once the search exceeds its
-node budget (the instance is beyond desk scale).
+item -> agent assignments: a depth-first search places the items in id
+order, each with the agents in id order, so allocations come out in
+canonical order.  After each placement it drops the branch as soon as one
+agent can no longer meet a constraint with the items still unplaced:
+
+- desirable: an agent is offered only items it owns, null items and items
+  in its demands;
+- sir: the assignee, the owner and every agent with the item in a live
+  demand must still be able to end with exactly its endowment or to cover
+  a demand from what it holds plus the unplaced items (so an item that one
+  of them cannot do without goes to that agent);
+- ir: the same coverage test for an agent whose endowment covers a demand;
+- pairwise (and a cycle cap of 2, which is the same condition): for each
+  agent j, the sum over i of max(0, gave(i -> j) - gave(j -> i)) is at most
+  the number of j's own items still unplaced;
+- other cycle caps: each agent's items received minus items given lie
+  between minus the unplaced items of the others and its own unplaced
+  items; components and the cycle partition are decided at the leaves.
+
+Each test is exact once every item is placed, so the pruning never changes
+the returned set.  The node budget counts the search's nodes (the root and
+every placement that survives the tests) plus every step of the leaves'
+cycle-partition search; past it the search aborts with
+:class:`BudgetExceededError` (the instance is beyond desk scale).
 """
 
 from __future__ import annotations
@@ -20,6 +41,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from .core import Allocation, Market, is_ir, is_sir
 
@@ -136,9 +158,10 @@ BUILT_IN_CONSTRAINT_SETS: dict[str, ConstraintSet] = {
 }
 
 
-def _partition_into_cycles(edges: list[tuple[int, int]], cap: int) -> bool:
+def _partition_into_cycles(edges: list[tuple[int, int]], cap: int, charge: Callable[[], None]) -> bool:
     """Whether the (giver, receiver) `edges` partition into simple directed
-    cycles, each visiting at most `cap` distinct agents.
+    cycles, each visiting at most `cap` distinct agents.  Every step calls
+    `charge`, which may raise to bound the search.
 
     Any partition into closed walks with the cap exists iff a partition into
     simple cycles with the cap does (a closed walk splits into simple cycles
@@ -151,6 +174,7 @@ def _partition_into_cycles(edges: list[tuple[int, int]], cap: int) -> bool:
     used = [False] * len(edges)
 
     def solve() -> bool:
+        charge()
         first = next((idx for idx, flag in enumerate(used) if not flag), None)
         if first is None:
             return True
@@ -162,6 +186,7 @@ def _partition_into_cycles(edges: list[tuple[int, int]], cap: int) -> bool:
         return False
 
     def extend(start: int, current: int, visited: set[int]) -> bool:
+        charge()
         for idx in by_src.get(current, ()):
             if used[idx]:
                 continue
@@ -184,13 +209,23 @@ def _partition_into_cycles(edges: list[tuple[int, int]], cap: int) -> bool:
         solve = extend = None  # break the closures' reference cycle
 
 
+def _uncharged() -> None:
+    pass
+
+
 def _trade_ok(
-    owner: list[int], assignee: list[int], n: int, pairwise: bool, cycle_cap: int | None
+    owner: list[int],
+    assignee: list[int],
+    n: int,
+    pairwise: bool,
+    cycle_cap: int | None,
+    charge: Callable[[], None] = _uncharged,
 ) -> bool:
-    """The trade-structure constraints over one allocation, given per item the
-    index of the agent that owns it and of the agent it goes to (agents are
-    0 .. n-1).  Each item that changes hands is an edge owner -> assignee.
-    Of several cycle caps only the smallest binds, so one is passed."""
+    """The trade-structure constraints over one allocation, given per endowed
+    item the index of the agent that owns it and of the agent it goes to
+    (agents are 0 .. n-1).  Each item that changes hands is an edge
+    owner -> assignee.  Of several cycle caps only the smallest binds, so one
+    is passed.  `charge` is called per step of the cycle-partition search."""
     counts: dict[tuple[int, int], int] = {}
     for edge in zip(owner, assignee):
         if edge[0] != edge[1]:
@@ -224,7 +259,7 @@ def _trade_ok(
     if all(len(members) <= cycle_cap for members in comp_agents.values()):
         return True
     edges = [edge for edge in zip(owner, assignee) if edge[0] != edge[1]]
-    return _partition_into_cycles(edges, cycle_cap)
+    return _partition_into_cycles(edges, cycle_cap, charge)
 
 
 def _desirable_ok(market: Market, allocation: Allocation) -> bool:
@@ -277,17 +312,8 @@ def _resolve_budget(budget: int | None) -> int:
     return value
 
 
-def _submasks(mask: int):
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 class _Search:
-    """Bitmask state for one (market, constraint set) enumeration."""
+    """Item-major depth-first search for one (market, constraint set)."""
 
     def __init__(self, market: Market, constraints: ConstraintSet, budget: int):
         self.market = market
@@ -302,7 +328,8 @@ class _Search:
         self.agents = market.agents
         self.n = len(self.agents)
         self.endow = [self._mask(ag.endowment) for ag in self.agents]
-        self.owner = [0] * self.m
+        # an item that no agent endows has owner -1 and makes no trade edge
+        self.owner = [-1] * self.m
         for i, ag in enumerate(self.agents):
             for item_id in ag.endowment:
                 self.owner[self.pos[item_id]] = i
@@ -330,82 +357,76 @@ class _Search:
             mask |= 1 << self.pos[item_id]
         return mask
 
-    def _charge(self, amount: int = 1) -> None:
-        self.nodes += amount
+    def _charge(self) -> None:
+        self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExceededError(
                 f"feasible-set search exceeded its budget of {self.budget} nodes; "
                 f"raise it via {BUDGET_ENV_VAR} or an explicit budget argument"
             )
 
-    def _covers_live(self, mask: int, agent_idx: int) -> bool:
-        return any(d & ~mask == 0 for d in self.live_demands[agent_idx])
-
-    def _candidates(self, agent_idx: int) -> list[int]:
-        """Bundle masks this agent may end up holding, given the per-agent
-        constraints (receivable items, coverage obligations)."""
-        endow = self.endow[agent_idx]
-        if self.need_desirable:
-            allowed = endow | self.null_mask | self.desirable[agent_idx]
-        else:
-            allowed = self.full
-        must_cover = self.need_ir and self._covers_live(endow, agent_idx)
-        cands: set[int] = set()
-        if self.need_sir or must_cover:
-            if self.need_sir:
-                cands.add(endow)  # keeping the endowment is always admissible under SIR
-            for d in self.live_demands[agent_idx]:
-                if d & ~allowed:
-                    continue
-                free = allowed & ~d
-                for sub in _submasks(free):
-                    cands.add(d | sub)
-                    self._charge()
-        else:
-            for sub in _submasks(allowed):
-                cands.add(sub)
-                self._charge()
-        return sorted(cands)
-
     def run(self) -> list[tuple[Allocation, tuple[int, ...]]]:
-        cand_lists = [self._candidates(i) for i in range(self.n)]
-        cand_sets = [set(c) for c in cand_lists]
-        results: list[tuple[tuple[int, ...], list[int]]] = []
-        masks = [0] * self.n
-        last = self.n - 1
-        owner, n, pairwise, cycle_cap = self.owner, self.n, self.need_pairwise, self.cycle_cap
-        check_trades = pairwise or cycle_cap is not None
-
-        def recurse(idx: int, remaining: int) -> None:
-            self._charge()
-            if idx == last:
-                if remaining in cand_sets[idx]:
-                    masks[idx] = remaining
-                    assignee = [0] * len(owner)
-                    for i, mask in enumerate(masks):
-                        while mask:
-                            low = mask & -mask
-                            assignee[low.bit_length() - 1] = i
-                            mask ^= low
-                    if not check_trades or _trade_ok(owner, assignee, n, pairwise, cycle_cap):
-                        # agents are in id order, so assignee indices sort
-                        # like the canonical key of assignee ids
-                        results.append((tuple(assignee), list(masks)))
-                return
-            for mask in cand_lists[idx]:
-                if mask & ~remaining:
-                    continue
-                masks[idx] = mask
-                recurse(idx + 1, remaining & ~mask)
-
-        if self.n == 0:
+        """Assign items in id order, each to the agents in id order, so leaves
+        come out in canonical order.  An item that one watched agent cannot
+        do without goes to that agent (two such agents end the branch); every
+        other placement is kept only if the receiver, the owner and the trade
+        balances can still meet the constraints with the items not yet
+        placed."""
+        n, m, full = self.n, self.m, self.full
+        if n == 0:
             return []
-        try:
-            recurse(0, self.full)
-        finally:
-            recurse = None  # break the closure's reference cycle
-        results.sort(key=lambda r: r[0])
+        endow, owner, live = self.endow, self.owner, self.live_demands
+        # a cap of 2 is pairwise balance, which propagates
+        pairwise, cycle_cap = self.need_pairwise or self.cycle_cap == 2, self.cycle_cap
+        need_sir, need_ir = self.need_sir, self.need_ir
+        charge = self._charge
 
+        def covers(x: int, avail: int) -> bool:
+            for d in live[x]:
+                if not d & ~avail:
+                    return True
+            return False
+
+        if self.need_desirable:
+            receivable = [endow[i] | self.null_mask | self.desirable[i] for i in range(n)]
+        else:
+            receivable = [full] * n
+        wanted = [0] * n  # items in some live demand of the agent
+        for i in range(n):
+            for d in live[i]:
+                wanted[i] |= d
+        # per item: who may receive it, and who may be unable to do without
+        # it (under sir its owner and its demanders, under ir the demanders
+        # whose endowment covers a demand)
+        allowed = [tuple(a for a in range(n) if receivable[a] >> p & 1) for p in range(m)]
+        if need_sir:
+            watch = [tuple(x for x in range(n) if wanted[x] >> p & 1 or x == owner[p]) for p in range(m)]
+        else:
+            bound = [need_ir and covers(x, endow[x]) for x in range(n)]
+            watch = [tuple(x for x in range(n) if wanted[x] >> p & 1 and bound[x]) for p in range(m)]
+        rest_after = [full & ~((2 << p) - 1) for p in range(m)]
+        own_left = [[(endow[j] & rest).bit_count() for j in range(n)] for rest in rest_after]
+        # pairwise balance implies agent balance and every cap >= 2, so only a
+        # cycle cap without it needs the balance bounds and the leaf check
+        cap_only = cycle_cap is not None and not pairwise
+        if cap_only:
+            endowed = 0
+            for mask in endow:
+                endowed |= mask
+            # the balance in - out of agent j can still reach 0 iff it lies
+            # in [-(others' items unplaced), own items unplaced]
+            bal_floor = [
+                [k - (endowed & rest).bit_count() for k in left]
+                for rest, left in zip(rest_after, own_left)
+            ]
+        traded = [p for p in range(m) if owner[p] >= 0]
+        edge_owner = [owner[p] for p in traded]
+
+        held = [0] * n
+        assign = [0] * m
+        gave = [[0] * n for _ in range(n)]  # gave[i][j]: items i owns placed with j
+        deficit = [0] * n  # sum over i of max(0, gave[i][j] - gave[j][i])
+        bal = [0] * n  # items received minus own items given away
         # the cached table holds every allocation: share one (item, agent)
         # pair per cell and one tuple per distinct profile between them
         cells = [
@@ -413,13 +434,79 @@ class _Search:
             for item_id in self.market.item_ids
         ]
         interned: dict[tuple[int, ...], tuple[int, ...]] = {}
-        out = []
-        for key, final_masks in results:
-            alloc = Allocation(tuple(cells[p][i] for p, i in enumerate(key)))
-            profile = tuple(
-                1 if self._covers_live(final_masks[i], i) else 0 for i in range(self.n)
-            )
-            out.append((alloc, interned.setdefault(profile, profile)))
+        out: list[tuple[Allocation, tuple[int, ...]]] = []
+
+        def admissible(p: int, a: int, o: int) -> bool:
+            rest = rest_after[p]
+            # under sir the receiver of an item not its own must end covered
+            if need_sir and a != o and not covers(a, held[a] | rest):
+                return False
+            if o < 0:
+                return True
+            left = own_left[p]
+            if pairwise and (deficit[a] > left[a] or deficit[o] > left[o]):
+                return False
+            if cap_only:
+                for b, lo, hi in zip(bal, bal_floor[p], left):
+                    if b < lo or b > hi:
+                        return False
+            return True
+
+        def descend(p: int) -> None:
+            charge()
+            if p == m:
+                if cap_only and not _trade_ok(
+                    edge_owner, [assign[q] for q in traded], n, False, cycle_cap, charge
+                ):
+                    return
+                profile = tuple(1 if covers(i, held[i]) else 0 for i in range(n))
+                alloc = Allocation(tuple(cells[q][a] for q, a in enumerate(assign)))
+                out.append((alloc, interned.setdefault(profile, profile)))
+                return
+            o = owner[p]
+            bit = 1 << p
+            rest = rest_after[p]
+            placed = full ^ rest
+            # a watched agent that cannot do without the item must receive it
+            claims = [
+                x for x in watch[p]
+                if not (need_sir and held[x] == endow[x] & placed) and not covers(x, held[x] | rest)
+            ]
+            if not claims:
+                receivers = allowed[p]
+            elif len(claims) == 1 and claims[0] in allowed[p]:
+                receivers = claims
+            else:
+                return
+            for a in receivers:
+                held[a] |= bit
+                assign[p] = a
+                trade = o >= 0 and a != o
+                if trade:
+                    gave[o][a] += 1
+                    repays = gave[o][a] <= gave[a][o]
+                    if repays:
+                        deficit[o] -= 1
+                    else:
+                        deficit[a] += 1
+                    bal[a] += 1
+                    bal[o] -= 1
+                if admissible(p, a, o):
+                    descend(p + 1)
+                held[a] ^= bit
+                if trade:
+                    gave[o][a] -= 1
+                    if repays:
+                        deficit[o] += 1
+                    else:
+                        deficit[a] -= 1
+                    bal[a] -= 1
+                    bal[o] += 1
+
+        try:
+            descend(0)
+        finally:
+            descend = covers = admissible = None  # break the closures' reference cycles
         return out
 
 
@@ -449,8 +536,8 @@ def enumerate_feasible(
     """All total item->agent assignments passing the constraint set.
 
     Returned in canonical order: lexicographic by the tuple of assignee ids
-    read in canonical item order.  The search prunes (per-agent candidate
-    bundles, partition bookkeeping) but is exhaustive: pruning never changes
+    read in canonical item order.  The search prunes placements that no
+    completion can make feasible but is exhaustive: pruning never changes
     the returned set, which is cross-checked against a naive enumerator in
     the tests.
     """

@@ -2,6 +2,7 @@ import gc
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exchange_clear import (
     Agent,
@@ -19,9 +20,16 @@ from exchange_clear import (
     generate_instance,
     max_cycle_agents,
     parse_constraints,
+    satisfaction_profile,
     satisfies_constraints,
 )
-from exchange_clear.feasibility import clear_enumeration_cache
+from exchange_clear import feasibility
+from exchange_clear.feasibility import (
+    DEFAULT_SEARCH_BUDGET,
+    _Search,
+    clear_enumeration_cache,
+    feasible_with_profiles,
+)
 
 from oracles import (
     TradeGraph,
@@ -249,8 +257,9 @@ def test_satisfies_constraints_rejects_trades_to_outsiders():
 
 @pytest.mark.parametrize("set_name", ["pairwise", "sir+maxcycle3", "maxcycle2"])
 def test_search_leaves_no_reference_cycles(set_name):
-    # four agents with two items each: maxcycle2 and sir+maxcycle3 reach the
-    # cycle-partition search, pairwise is the 474-allocation table
+    # four agents with two items each: sir+maxcycle3 reaches the
+    # cycle-partition search, pairwise and maxcycle2 give the 474-allocation
+    # table
     market = generate_instance(
         GeneratorConfig(seed=3, agents=(4, 4), items_per_agent=(2, 2))
     )
@@ -262,3 +271,71 @@ def test_search_leaves_no_reference_cycles(set_name):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _naive_with_profiles(market, cs):
+    allocs = naive_enumerate(market, cs)
+    profiles = tuple(tuple(satisfaction_profile(market, a).values()) for a in allocs)
+    return tuple(allocs), profiles
+
+
+@pytest.mark.parametrize("seed", range(1, 41))
+def test_feasible_with_profiles_matches_naive(seed):
+    # four agents reach balanced trades that a cap of 2 or 3 rejects
+    market = tiny_random_market(seed, max_agents=4, max_items=5)
+    for name, cs in CHECK_SETS.items():
+        assert feasible_with_profiles(market, cs) == _naive_with_profiles(market, cs), (seed, name)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(CHECK_SETS)))
+def test_feasible_with_profiles_matches_naive_property(seed, name):
+    market = tiny_random_market(seed, max_agents=4, max_items=5)
+    cs = CHECK_SETS[name]
+    assert feasible_with_profiles(market, cs) == _naive_with_profiles(market, cs)
+
+
+def test_unendowed_item_makes_no_trade_edge():
+    # "z" is endowed by nobody: giving it to either agent trades nothing
+    market = Market((Agent("1", ["x"]), Agent("2", ["y"])), (Item("x"), Item("y"), Item("z")))
+    for name in ("pairwise", "maxcycle2", "maxcycle3", "unrestricted"):
+        cs = BUILT_IN_CONSTRAINT_SETS[name]
+        allocs = enumerate_feasible(market, cs)
+        assert allocs == naive_enumerate(market, cs)
+        assert len(allocs) == (8 if name == "unrestricted" else 4)
+
+
+def test_cycle_partition_steps_are_charged(monkeypatch):
+    market = generate_instance(GeneratorConfig(seed=3, agents=(4, 4), items_per_agent=(2, 2)))
+    cs = BUILT_IN_CONSTRAINT_SETS["maxcycle3"]
+    charged = _Search(market, cs, DEFAULT_SEARCH_BUDGET)
+    expected = charged.run()
+
+    real = feasibility._partition_into_cycles
+    steps = []
+    monkeypatch.setattr(
+        feasibility,
+        "_partition_into_cycles",
+        lambda edges, cap, charge: real(edges, cap, lambda: steps.append(1)),
+    )
+    free = _Search(market, cs, DEFAULT_SEARCH_BUDGET)
+    assert free.run() == expected
+    assert steps and free.nodes + len(steps) == charged.nodes
+    # the assignment search alone fits this budget; the partition steps do not
+    assert _Search(market, cs, free.nodes).run() == expected
+    monkeypatch.undo()
+    with pytest.raises(BudgetExceededError):
+        _Search(market, cs, free.nodes).run()
+
+
+def test_pairwise_five_agent_ladder_cell_fits_default_budget():
+    market = generate_instance(GeneratorConfig(seed=3, agents=(5, 5), items_per_agent=(2, 2)))
+    allocs = enumerate_feasible(market, BUILT_IN_CONSTRAINT_SETS["pairwise"], budget=DEFAULT_SEARCH_BUDGET)
+    assert len(allocs) == 5850
+
+
+def test_pairwise_four_agent_search_is_propagated():
+    # checking trade structure only on complete allocations visits all
+    # 65,536 of them (73,378 nodes)
+    market = generate_instance(GeneratorConfig(seed=3, agents=(4, 4), items_per_agent=(2, 2)))
+    assert len(enumerate_feasible(market, BUILT_IN_CONSTRAINT_SETS["pairwise"], budget=5_000)) == 474
