@@ -9,6 +9,16 @@ individual rationality contains an allocation satisfying everyone, and a
 three-agent pairwise-trading market ("theorem5") on which every priority
 mechanism that is Pareto-optimal within the pairwise/desirable feasible set
 can be manipulated by a scripted demand restriction.
+
+The strategyproofness audit's unit of work is one (market, constraint set,
+probed agent): its misreported markets are built and searched once, into a
+misreport table that holds, per scenario, the distinct satisfaction profiles
+with their first holders and whether that holder's realized bundle covers
+the agent's true demands.  Every mechanism spec over that market and
+constraint set is then judged by an argmax over the table.  The tables live
+in a bounded memo of 16 entries (the agents of the last few markets);
+misreported markets never enter the enumeration cache.
+``feasibility.clear_enumeration_cache`` empties both.
 """
 
 from __future__ import annotations
@@ -33,10 +43,13 @@ from .core import (
 from .feasibility import (
     BUILT_IN_CONSTRAINT_SETS,
     ConstraintSet,
+    enumeration_memo,
     enumerate_feasible,
     feasible_with_profiles,
+    resolve_budget,
+    search_feasible,
 )
-from .mechanisms import MechanismSpec, check_priority, profile_key, run_mechanism
+from .mechanisms import MechanismSpec, chosen_index, profile_key, run_mechanism
 
 VERDICT_VIOLATION = "violation"
 VERDICT_CLEAN = "no violation found"
@@ -79,6 +92,12 @@ class MisreportBudget:
     bundle_cap: int = 3
     max_scenarios: int = 128
     singleton_bundle_probes: bool = True
+
+    def __post_init__(self):
+        for name in ("bundle_cap", "max_scenarios"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 0:
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -205,8 +224,7 @@ def enumerate_misreports(
     market: Market, agent_id: str, budget: MisreportBudget | None = None
 ) -> list[MisreportScenario]:
     """The first `max_scenarios` scenarios of the canonical misreport order."""
-    budget = budget or MisreportBudget()
-    return list(itertools.islice(_misreport_stream(market, agent_id, budget), budget.max_scenarios))
+    return _misreports_with_truncation(market, agent_id, budget or MisreportBudget())[0]
 
 
 def _misreports_with_truncation(
@@ -258,6 +276,55 @@ def realized_bundle(misreport_allocation_bundle: Bundle, withheld: Bundle) -> Bu
     return misreport_allocation_bundle | withheld
 
 
+@dataclass(frozen=True)
+class _MisreportTable:
+    """Every misreport of one agent, searched once, ready to be judged under
+    any mechanism spec.
+
+    `profiles` holds each distinct satisfaction profile of the misreported
+    markets once.  A row is (scenario, ids, covering): `ids` are the indices
+    into `profiles` of the scenario's distinct profiles, and `covering` maps
+    those whose first holder leaves the agent with a bundle covering a true
+    demand to (that holder, the realized bundle).  Scenarios where no
+    holder does cannot yield a witness and get no row.
+    """
+
+    profiles: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[MisreportScenario, tuple[int, ...], dict[int, tuple[Allocation, Bundle]]], ...]
+    scenarios: int
+    truncated: bool
+
+
+@enumeration_memo(16)
+def _misreport_table(
+    market: Market,
+    constraints: ConstraintSet,
+    agent_id: str,
+    budget: MisreportBudget,
+    search_budget: int,
+) -> _MisreportTable:
+    scenarios, truncated = _misreports_with_truncation(market, agent_id, budget)
+    true_demands = market.agent(agent_id).demands
+    profile_ids: dict[tuple[int, ...], int] = {}
+    rows = []
+    for scenario in scenarios:
+        allocations, profiles = search_feasible(
+            apply_misreport(market, scenario), constraints, search_budget
+        )
+        ids = []
+        covering = {}
+        for profile in dict.fromkeys(profiles):
+            pid = profile_ids.setdefault(profile, len(profile_ids))
+            ids.append(pid)
+            holder = allocations[profiles.index(profile)]
+            realized = realized_bundle(holder.bundle_of(agent_id), scenario.withheld)
+            if covers(realized, true_demands):
+                covering[pid] = (holder, realized)
+        if covering:
+            rows.append((scenario, tuple(ids), covering))
+    return _MisreportTable(tuple(profile_ids), tuple(rows), len(scenarios), truncated)
+
+
 def audit_strategyproofness(
     market: Market,
     spec: MechanismSpec,
@@ -267,41 +334,39 @@ def audit_strategyproofness(
     """Probe every agent left unsatisfied by the truthful run with the budgeted
     misreport space.  Under dichotomous preferences a satisfied agent cannot
     strictly gain, so only unsatisfied agents are probed; the report records
-    how much of the misreport space was actually searched."""
+    how much of the misreport space was actually searched.
+
+    A misreport is a witness when the mechanism's choice on the misreported
+    market (its key-maximal profile's first holder) leaves the agent, with
+    her withheld items, covering a true demand."""
     budget = budget or MisreportBudget()
-    check_priority(market, spec.priority)
-    allocations, _ = feasible_with_profiles(market, spec.constraints, search_budget)
-    truthful = run_mechanism(market, spec, search_budget)
-    profile = satisfaction_profile(market, truthful)
-    unsatisfied = [agent_id for agent_id in market.agent_ids if profile[agent_id] == 0]
+    key = profile_key(market, spec)
+    search_budget = resolve_budget(search_budget)
+    allocations, profiles = feasible_with_profiles(market, spec.constraints, search_budget)
+    chosen = chosen_index(profiles, key)
+    truthful = allocations[chosen]
+    unsatisfied = [a for a, sat in zip(market.agent_ids, profiles[chosen]) if not sat]
 
-    tasks: list[MisreportScenario] = []
-    truncated_agents = 0
+    witnesses = []
+    examined = truncated_agents = 0
     for agent_id in unsatisfied:
-        scenarios, truncated = _misreports_with_truncation(market, agent_id, budget)
-        tasks.extend(scenarios)
-        truncated_agents += 1 if truncated else 0
-
-    true_demands = {ag.id: ag.demands for ag in market.agents}
-
-    def evaluate(scenario: MisreportScenario) -> ManipulationWitness | None:
-        misreported = apply_misreport(market, scenario)
-        outcome = run_mechanism(misreported, spec, search_budget)
-        realized = realized_bundle(outcome.bundle_of(scenario.agent), scenario.withheld)
-        if covers(realized, true_demands[scenario.agent]):
-            return ManipulationWitness(scenario, truthful, outcome, realized)
-        return None
-
-    witnesses = tuple(w for w in map(evaluate, tasks) if w is not None)
+        table = _misreport_table(market, spec.constraints, agent_id, budget, search_budget)
+        examined += table.scenarios
+        truncated_agents += int(table.truncated)
+        keys = [key(profile) for profile in table.profiles]
+        for scenario, ids, covering in table.rows:
+            hit = covering.get(max(ids, key=keys.__getitem__))
+            if hit is not None:
+                witnesses.append(ManipulationWitness(scenario, truthful, *hit))
 
     return AuditReport(
         kind="strategyproofness",
         verdict=VERDICT_VIOLATION if witnesses else VERDICT_CLEAN,
-        witnesses=witnesses,
+        witnesses=tuple(witnesses),
         summary={
             "agents_probed": len(unsatisfied),
             "feasible_count": len(allocations),
-            "scenarios_examined": len(tasks),
+            "scenarios_examined": examined,
             "truncated_agents": truncated_agents,
         },
     )

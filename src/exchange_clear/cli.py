@@ -80,6 +80,16 @@ def _parse_priority(market: Market, text: str | None) -> tuple[str, ...]:
         raise CliError(f"--priority {text!r}: {exc}") from None
 
 
+def _parse_misreport_budget(args) -> MisreportBudget:
+    fields = {"bundle_cap": args.bundle_cap, "max_scenarios": args.max_scenarios}
+    for name, value in fields.items():
+        try:
+            MisreportBudget(**{name: value})
+        except ValueError as exc:
+            raise CliError(f"--{name.replace('_', '-')} {value}: {exc}") from None
+    return MisreportBudget(**fields)
+
+
 def _parse_constraint_flag(text: str) -> ConstraintSet:
     try:
         return parse_constraints(text)
@@ -151,7 +161,7 @@ def _cmd_audit_sp(args) -> int:
     constraints = _parse_constraint_flag(args.constraints)
     priority = _parse_priority(market, args.priority)
     spec = MechanismSpec(args.mechanism, priority, constraints)
-    budget = MisreportBudget(bundle_cap=args.bundle_cap, max_scenarios=args.max_scenarios)
+    budget = _parse_misreport_budget(args)
     report = audit_strategyproofness(market, spec, budget)
     sys.stdout.write(serialize(report))
     return _audit_exit(report)

@@ -297,7 +297,9 @@ def satisfies_constraints(market: Market, allocation: Allocation, constraints: C
     return _trade_ok(owner, assignee, n + 1, "pairwise" in kinds, cycle_cap)
 
 
-def _resolve_budget(budget: int | None) -> int:
+def resolve_budget(budget: int | None) -> int:
+    """The node budget of a search: `budget` itself, else the value of
+    EXCHANGE_CLEAR_BUDGET, else :data:`DEFAULT_SEARCH_BUDGET`."""
     if budget is not None:
         return int(budget)
     env = os.environ.get(BUDGET_ENV_VAR)
@@ -510,14 +512,37 @@ class _Search:
         return out
 
 
-@lru_cache(maxsize=4096)
+_memos: list = []
+
+
+def enumeration_memo(maxsize: int):
+    """An `lru_cache` of `maxsize` entries that :func:`clear_enumeration_cache`
+    also empties; for memos whose entries are built from feasible sets."""
+
+    def decorate(fn):
+        memo = lru_cache(maxsize=maxsize)(fn)
+        _memos.append(memo)
+        return memo
+
+    return decorate
+
+
+def search_feasible(
+    market: Market, constraints: ConstraintSet, budget: int
+) -> tuple[tuple[Allocation, ...], tuple[tuple[int, ...], ...]]:
+    """What :func:`feasible_with_profiles` returns, searched afresh on every
+    call and never cached: for markets that are searched once, such as the
+    strategyproofness audit's misreported ones.  `budget` is the node
+    budget itself (see :func:`resolve_budget`)."""
+    pairs = _Search(market, constraints, budget).run()
+    return tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
+
+
+@enumeration_memo(4096)
 def _feasible_profiles_cached(
     market: Market, constraints: ConstraintSet, budget: int
 ) -> tuple[tuple[Allocation, ...], tuple[tuple[int, ...], ...]]:
-    pairs = _Search(market, constraints, budget).run()
-    allocs = tuple(p[0] for p in pairs)
-    profiles = tuple(p[1] for p in pairs)
-    return allocs, profiles
+    return search_feasible(market, constraints, budget)
 
 
 def feasible_with_profiles(
@@ -527,7 +552,7 @@ def feasible_with_profiles(
     (0/1 per agent, canonical agent order).  Cached; shared by the mechanisms
     and the auditors so repeated runs over one instance pay for the search once.
     """
-    return _feasible_profiles_cached(market, constraints, _resolve_budget(budget))
+    return _feasible_profiles_cached(market, constraints, resolve_budget(budget))
 
 
 def enumerate_feasible(
@@ -546,4 +571,7 @@ def enumerate_feasible(
 
 
 def clear_enumeration_cache() -> None:
-    _feasible_profiles_cached.cache_clear()
+    """Empty the enumeration cache and every memo built on feasible sets
+    (the strategyproofness audit's misreport tables)."""
+    for memo in _memos:
+        memo.cache_clear()

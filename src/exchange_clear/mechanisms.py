@@ -71,16 +71,24 @@ def choose_from(market: Market, spec: MechanismSpec, candidates: Iterable[Alloca
     return max(ordered, key=lambda alloc: key(tuple(satisfaction_profile(market, alloc).values())))
 
 
-def run_mechanism(market: Market, spec: MechanismSpec, budget: int | None = None) -> Allocation:
-    """Run the mechanism over the full feasible set of its constraint set."""
-    key = profile_key(market, spec)
-    allocations, profiles = feasible_with_profiles(market, spec.constraints, budget)
-    if not allocations:
+def chosen_index(
+    profiles: Sequence[tuple[int, ...]], key: Callable[[tuple[int, ...]], tuple[int, ...]]
+) -> int:
+    """The index the mechanism picks from a feasible table: the first holder
+    of the profile with the maximal key."""
+    if not profiles:
         raise ValueError("empty candidate list")
     # distinct profiles have distinct keys, so the best profile is unique;
     # allocations arrive in canonical order, so its first holder is also
     # the canonical tie-break winner
-    return allocations[profiles.index(max(set(profiles), key=key))]
+    return profiles.index(max(set(profiles), key=key))
+
+
+def run_mechanism(market: Market, spec: MechanismSpec, budget: int | None = None) -> Allocation:
+    """Run the mechanism over the full feasible set of its constraint set."""
+    key = profile_key(market, spec)
+    allocations, profiles = feasible_with_profiles(market, spec.constraints, budget)
+    return allocations[chosen_index(profiles, key)]
 
 
 def run_cp(

@@ -15,12 +15,25 @@ from exchange_clear import (
     ConsistencyViolation,
     Item,
     Market,
+    covers,
     enumerate_feasible,
     is_ir,
     is_sir,
+    run_mechanism,
+    satisfaction_profile,
     satisfies,
 )
-from exchange_clear.auditors import VERDICT_CLEAN, VERDICT_VIOLATION
+from exchange_clear.feasibility import feasible_with_profiles
+from exchange_clear.mechanisms import check_priority
+from exchange_clear.auditors import (
+    VERDICT_CLEAN,
+    VERDICT_VIOLATION,
+    ManipulationWitness,
+    MisreportBudget,
+    _misreports_with_truncation,
+    apply_misreport,
+    realized_bundle,
+)
 from exchange_clear.feasibility import _desirable_ok
 
 
@@ -351,3 +364,48 @@ def key_chooser(market, spec, profiles):
         return max(indices, key=lambda i: (keys[i], -i))
 
     return choose
+
+
+def naive_audit_strategyproofness(market, spec, budget=None, search_budget=None):
+    """The strategyproofness audit one (spec, scenario) at a time: every
+    misreported market is rebuilt and the mechanism rerun on it for every
+    spec, through the enumeration cache.  The package judges each agent's
+    misreports once per market and constraint set and must report the same
+    bytes."""
+    budget = budget or MisreportBudget()
+    check_priority(market, spec.priority)
+    allocations, _ = feasible_with_profiles(market, spec.constraints, search_budget)
+    truthful = run_mechanism(market, spec, search_budget)
+    profile = satisfaction_profile(market, truthful)
+    unsatisfied = [agent_id for agent_id in market.agent_ids if profile[agent_id] == 0]
+
+    tasks = []
+    truncated_agents = 0
+    for agent_id in unsatisfied:
+        scenarios, truncated = _misreports_with_truncation(market, agent_id, budget)
+        tasks.extend(scenarios)
+        truncated_agents += 1 if truncated else 0
+
+    true_demands = {ag.id: ag.demands for ag in market.agents}
+
+    def evaluate(scenario):
+        misreported = apply_misreport(market, scenario)
+        outcome = run_mechanism(misreported, spec, search_budget)
+        realized = realized_bundle(outcome.bundle_of(scenario.agent), scenario.withheld)
+        if covers(realized, true_demands[scenario.agent]):
+            return ManipulationWitness(scenario, truthful, outcome, realized)
+        return None
+
+    witnesses = tuple(w for w in map(evaluate, tasks) if w is not None)
+
+    return AuditReport(
+        kind="strategyproofness",
+        verdict=VERDICT_VIOLATION if witnesses else VERDICT_CLEAN,
+        witnesses=witnesses,
+        summary={
+            "agents_probed": len(unsatisfied),
+            "feasible_count": len(allocations),
+            "scenarios_examined": len(tasks),
+            "truncated_agents": truncated_agents,
+        },
+    )

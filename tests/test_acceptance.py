@@ -39,6 +39,7 @@ from exchange_clear import (
     satisfaction_profile,
     serialize,
 )
+from exchange_clear.auditors import _misreport_table
 from exchange_clear.feasibility import clear_enumeration_cache, feasible_with_profiles
 from exchange_clear.cli import cli_dispatch
 
@@ -217,6 +218,7 @@ def test_criterion_8_engineering_determinism(family, two_agent_family, tmp_path,
         fx = fixture("theorem5")
         spec = MechanismSpec("cp", fx.market.agent_ids, fx.constraints)
         clear_enumeration_cache()
+        assert _misreport_table.cache_info().currsize == 0  # no misreport table survives
         cold = serialize(audit_strategyproofness(fx.market, spec))
         assert cold == serialize(audit_strategyproofness(fx.market, spec))
         allocations, profiles = feasible_with_profiles(fx.market, fx.constraints)

@@ -235,6 +235,18 @@ def test_bad_priority_exits_one_naming_the_flag(capsys, example1_path):
     assert "not a permutation" in err
 
 
+@pytest.mark.parametrize("flag", ["--max-scenarios", "--bundle-cap"])
+def test_negative_misreport_bound_exits_one_naming_the_flag(capsys, theorem5_path, flag):
+    status, out, err = run_cli(
+        capsys, "audit-sp", "--mechanism", "cp", "--constraints", "pairwise,desirable",
+        "--instance", theorem5_path, flag, "-2",
+    )
+    assert status == 1
+    assert out == ""
+    assert err.startswith(f"error: {flag} -2: ")
+    assert "must be a non-negative integer" in err
+
+
 def test_deeply_nested_instance_exits_one(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000)
