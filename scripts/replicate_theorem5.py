@@ -8,19 +8,13 @@ mirroring the `exchange-clear replicate-theorem5` subcommand.
 """
 
 import argparse
-import itertools
 import sys
 
 from exchange_clear import (
-    MechanismSpec,
-    apply_misreport,
-    covers,
     fixture,
-    realized_bundle,
+    impossibility_runs,
     replicate_impossibility,
-    run_mechanism,
     satisfaction_profile,
-    scripted_misreport,
     serialize,
 )
 
@@ -44,24 +38,14 @@ def main() -> int:
     print()
 
     replicated_everywhere = True
-    for kind in ("cp", "cup"):
-        for priority in itertools.permutations(market.agent_ids):
-            spec = MechanismSpec(kind, priority, fx.constraints)
-            outcome = run_mechanism(market, spec)
-            profile = satisfaction_profile(market, outcome)
-            unsatisfied = [a for a, u in profile.items() if u == 0]
-            flipped = None
-            for agent_id in unsatisfied:
-                scenario = scripted_misreport(fx, agent_id)
-                shadow = run_mechanism(apply_misreport(market, scenario), spec)
-                realized = realized_bundle(shadow.bundle_of(agent_id), scenario.withheld)
-                if covers(realized, market.agent(agent_id).demands):
-                    flipped = agent_id
-                    break
-            replicated_everywhere &= flipped is not None
-            print(f"{kind} priority={','.join(priority)}  satisfied="
-                  f"{[a for a, u in profile.items() if u]}  unsatisfied={unsatisfied}  "
-                  f"-> agent {flipped} gains by restricting her reported demands")
+    for spec, outcome, _, witness in impossibility_runs():
+        profile = satisfaction_profile(market, outcome)
+        flipped = None if witness is None else witness.scenario.agent
+        replicated_everywhere &= flipped is not None
+        print(f"{spec.kind} priority={','.join(spec.priority)}  satisfied="
+              f"{[a for a, u in profile.items() if u]}  "
+              f"unsatisfied={[a for a, u in profile.items() if u == 0]}  "
+              f"-> agent {flipped} gains by restricting her reported demands")
 
     print()
     report = replicate_impossibility()

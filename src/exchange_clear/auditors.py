@@ -16,9 +16,10 @@ misreport table that holds, per scenario, the distinct satisfaction profiles
 with their first holders and whether that holder's realized bundle covers
 the agent's true demands.  Every mechanism spec over that market and
 constraint set is then judged by an argmax over the table.  The tables live
-in a bounded memo of 16 entries (the agents of the last few markets);
-misreported markets never enter the enumeration cache.
-``feasibility.clear_enumeration_cache`` empties both.
+in a bounded memo of 16 entries (the agents of the last few markets).  The
+impossibility replication judges the fixture's scripted misreports with the
+same rows and argmax, so misreported markets never enter the enumeration
+cache.  ``feasibility.clear_enumeration_cache`` empties both.
 """
 
 from __future__ import annotations
@@ -83,15 +84,14 @@ class MisreportBudget:
     """Bounds on the misreport space searched per agent.
 
     The space always contains the truthful report, every subset misreport
-    (sub-endowment plus a non-empty subset of the true demand set) and, when
-    `singleton_bundle_probes` is on, every single-bundle report {b} with
-    |b| <= bundle_cap over the items left in the market.  `max_scenarios`
-    truncates the canonical-order list; enlarging any bound only appends.
+    (sub-endowment plus a non-empty subset of the true demand set) and every
+    single-bundle report {b} with |b| <= bundle_cap over the items left in
+    the market.  `max_scenarios` truncates the canonical-order list;
+    enlarging any bound only appends.
     """
 
     bundle_cap: int = 3
     max_scenarios: int = 128
-    singleton_bundle_probes: bool = True
 
     def __post_init__(self):
         for name in ("bundle_cap", "max_scenarios"):
@@ -206,18 +206,17 @@ def _misreport_stream(market: Market, agent_id: str, budget: MisreportBudget):
             scenario = make(reported_endowment, reported_demands)
             if scenario is not None:
                 yield scenario
-    if budget.singleton_bundle_probes:
-        pool = sorted(market.item_ids)
-        for size in range(0, budget.bundle_cap + 1):
-            for combo in itertools.combinations(pool, size):
-                probe = frozenset(combo)
-                for reported_endowment in endow_subsets:
-                    withheld = agent.endowment - frozenset(reported_endowment)
-                    if probe & withheld:
-                        continue
-                    scenario = make(reported_endowment, [probe])
-                    if scenario is not None:
-                        yield scenario
+    pool = sorted(market.item_ids)
+    for size in range(0, budget.bundle_cap + 1):
+        for combo in itertools.combinations(pool, size):
+            probe = frozenset(combo)
+            for reported_endowment in endow_subsets:
+                withheld = agent.endowment - frozenset(reported_endowment)
+                if probe & withheld:
+                    continue
+                scenario = make(reported_endowment, [probe])
+                if scenario is not None:
+                    yield scenario
 
 
 def enumerate_misreports(
@@ -276,34 +275,20 @@ def realized_bundle(misreport_allocation_bundle: Bundle, withheld: Bundle) -> Bu
     return misreport_allocation_bundle | withheld
 
 
-@dataclass(frozen=True)
-class _MisreportTable:
-    """Every misreport of one agent, searched once, ready to be judged under
-    any mechanism spec.
+def _misreport_rows(
+    market: Market, constraints: ConstraintSet, agent_id: str, scenarios: Iterable, search_budget: int
+) -> tuple[tuple, tuple]:
+    """Misreports of one agent, each searched once (never through the
+    enumeration cache), ready to be judged under any mechanism spec.
 
-    `profiles` holds each distinct satisfaction profile of the misreported
-    markets once.  A row is (scenario, ids, covering): `ids` are the indices
-    into `profiles` of the scenario's distinct profiles, and `covering` maps
-    those whose first holder leaves the agent with a bundle covering a true
-    demand to (that holder, the realized bundle).  Scenarios where no
-    holder does cannot yield a witness and get no row.
+    Returns (profiles, rows).  `profiles` holds each distinct satisfaction
+    profile of the misreported markets once.  A row is (scenario, ids,
+    covering): `ids` are the indices into `profiles` of the scenario's
+    distinct profiles, and `covering` maps those whose first holder leaves
+    the agent with a bundle covering a true demand to (that holder, the
+    realized bundle).  Scenarios where no holder does cannot yield a witness
+    and get no row.
     """
-
-    profiles: tuple[tuple[int, ...], ...]
-    rows: tuple[tuple[MisreportScenario, tuple[int, ...], dict[int, tuple[Allocation, Bundle]]], ...]
-    scenarios: int
-    truncated: bool
-
-
-@enumeration_memo(16)
-def _misreport_table(
-    market: Market,
-    constraints: ConstraintSet,
-    agent_id: str,
-    budget: MisreportBudget,
-    search_budget: int,
-) -> _MisreportTable:
-    scenarios, truncated = _misreports_with_truncation(market, agent_id, budget)
     true_demands = market.agent(agent_id).demands
     profile_ids: dict[tuple[int, ...], int] = {}
     rows = []
@@ -322,7 +307,33 @@ def _misreport_table(
                 covering[pid] = (holder, realized)
         if covering:
             rows.append((scenario, tuple(ids), covering))
-    return _MisreportTable(tuple(profile_ids), tuple(rows), len(scenarios), truncated)
+    return tuple(profile_ids), tuple(rows)
+
+
+def _manipulations(
+    profiles: Sequence[tuple[int, ...]], rows: Iterable[tuple], key: Callable, truthful: Allocation
+) -> list[ManipulationWitness]:
+    """The rows that are witnesses for the mechanism with `key`: its choice
+    on a misreported market is the first holder of the row's key-maximal
+    profile, and the row is a witness when that holder is covering."""
+    keys = [key(profile) for profile in profiles]
+    witnesses = []
+    for scenario, ids, covering in rows:
+        hit = covering.get(max(ids, key=keys.__getitem__))
+        if hit is not None:
+            witnesses.append(ManipulationWitness(scenario, truthful, *hit))
+    return witnesses
+
+
+@enumeration_memo(16)
+def _misreport_table(
+    market: Market, constraints: ConstraintSet, agent_id: str, budget: MisreportBudget, search_budget: int
+) -> tuple[tuple, tuple, int, bool]:
+    """(profiles, rows) of the agent's budgeted misreport space, its size and
+    whether it was truncated."""
+    scenarios, truncated = _misreports_with_truncation(market, agent_id, budget)
+    profiles, rows = _misreport_rows(market, constraints, agent_id, scenarios, search_budget)
+    return profiles, rows, len(scenarios), truncated
 
 
 def audit_strategyproofness(
@@ -350,14 +361,12 @@ def audit_strategyproofness(
     witnesses = []
     examined = truncated_agents = 0
     for agent_id in unsatisfied:
-        table = _misreport_table(market, spec.constraints, agent_id, budget, search_budget)
-        examined += table.scenarios
-        truncated_agents += int(table.truncated)
-        keys = [key(profile) for profile in table.profiles]
-        for scenario, ids, covering in table.rows:
-            hit = covering.get(max(ids, key=keys.__getitem__))
-            if hit is not None:
-                witnesses.append(ManipulationWitness(scenario, truthful, *hit))
+        profiles, rows, scenarios, truncated = _misreport_table(
+            market, spec.constraints, agent_id, budget, search_budget
+        )
+        examined += scenarios
+        truncated_agents += int(truncated)
+        witnesses.extend(_manipulations(profiles, rows, key, truthful))
 
     return AuditReport(
         kind="strategyproofness",
@@ -416,6 +425,8 @@ def _run_consistency_engine(
     subset, never once per pair.
     """
     count = len(allocations)
+    if not count:
+        raise ValueError("empty candidate list")
     everything = tuple(range(count))
     full = (1 << count) - 1
     exhaustive = count <= params.exhaustive_limit
@@ -641,61 +652,65 @@ def scripted_misreport(fx: CounterexampleFixture, agent_id: str) -> MisreportSce
     )
 
 
-def replicate_impossibility(search_budget: int | None = None) -> AuditReport:
-    """Exercise every priority order and both mechanisms on the "theorem5"
-    fixture without strong individual rationality.
+def impossibility_runs(search_budget: int | None = None):
+    """The 12 runs of the "theorem5" replication: both mechanisms under every
+    priority order, without strong individual rationality.
 
-    For each of the 12 runs the outcome is checked to be constrained Pareto
-    optimal, at least one agent must be unsatisfied, and one of the scripted
-    misreports must flip an unsatisfied agent to satisfied.  The individual
-    rationality predicate is also confirmed to hold on the whole feasible set
-    (no agent's endowment satisfies her, so that filter cannot bite).  The
-    "violation" verdict means the impossibility replicated, which is the
-    expected outcome.
+    Yields (spec, outcome, whether no feasible allocation Pareto-dominates
+    the outcome, witness or None) per run.  The witness is that of the first
+    unsatisfied agent whose scripted misreport makes the mechanism cover one
+    of her true demands.  Each agent's scripted misreport is searched once,
+    when first needed, and judged like any strategyproofness misreport.
     """
     fx = fixture("theorem5")
     market, constraints = fx.market, fx.constraints
-    allocations, _ = feasible_with_profiles(market, constraints, search_budget)
-    ir_identity = all(is_ir(market, alloc) for alloc in allocations)
-
-    witnesses = []
-    runs = manipulated = pareto_ok_runs = runs_with_unsat = 0
+    budget = resolve_budget(search_budget)
+    rows = {}
     for kind in ("cp", "cup"):
         for priority in itertools.permutations(market.agent_ids):
-            runs += 1
             spec = MechanismSpec(kind, priority, constraints)
-            outcome = run_mechanism(market, spec, search_budget)
+            outcome = run_mechanism(market, spec, budget)
             profile = satisfaction_profile(market, outcome)
-            if not audit_constrained_pareto(market, outcome, constraints, search_budget).violation_found:
-                pareto_ok_runs += 1
-            unsatisfied = [a for a in market.agent_ids if profile[a] == 0]
-            if unsatisfied:
-                runs_with_unsat += 1
-            for agent_id in unsatisfied:
-                scenario = scripted_misreport(fx, agent_id)
-                misreported = apply_misreport(market, scenario)
-                mis_outcome = run_mechanism(misreported, spec, search_budget)
-                realized = realized_bundle(mis_outcome.bundle_of(agent_id), scenario.withheld)
-                if covers(realized, market.agent(agent_id).demands):
-                    witnesses.append(
-                        ManipulationWitness(scenario, outcome, mis_outcome, realized)
-                    )
-                    manipulated += 1
+            pareto = audit_constrained_pareto(market, outcome, constraints, budget)
+            key = profile_key(market, spec)
+            witness = None
+            for agent_id in (a for a in market.agent_ids if profile[a] == 0):
+                if agent_id not in rows:
+                    scripted = [scripted_misreport(fx, agent_id)]
+                    rows[agent_id] = _misreport_rows(market, constraints, agent_id, scripted, budget)
+                hits = _manipulations(*rows[agent_id], key, outcome)
+                if hits:
+                    witness = hits[0]
                     break
+            yield spec, outcome, not pareto.violation_found, witness
 
-    replicated = (
-        ir_identity and manipulated == runs and pareto_ok_runs == runs and runs_with_unsat == runs
-    )
+
+def replicate_impossibility(search_budget: int | None = None) -> AuditReport:
+    """Add up :func:`impossibility_runs`.  The impossibility replicated when
+    every run is constrained Pareto optimal, leaves some agent unsatisfied
+    and has a witness, and the individual rationality predicate holds on the
+    whole feasible set (no agent's endowment satisfies her, so that filter
+    cannot bite).  The "violation" verdict means the impossibility
+    replicated, which is the expected outcome.
+    """
+    fx = fixture("theorem5")
+    allocations, _ = feasible_with_profiles(fx.market, fx.constraints, search_budget)
+    ir_identity = all(is_ir(fx.market, alloc) for alloc in allocations)
+    runs = list(impossibility_runs(search_budget))
+    witnesses = tuple(witness for *_, witness in runs if witness is not None)
+    pareto_ok_runs = sum(pareto_ok for _, _, pareto_ok, _ in runs)
+    runs_with_unsat = sum(0 in satisfaction_profile(fx.market, out).values() for _, out, _, _ in runs)
+    replicated = ir_identity and len(witnesses) == pareto_ok_runs == runs_with_unsat == len(runs)
     return AuditReport(
         kind="impossibility-replication",
         verdict=VERDICT_VIOLATION if replicated else VERDICT_CLEAN,
-        witnesses=tuple(witnesses),
+        witnesses=witnesses,
         summary={
             "feasible_count": len(allocations),
             "ir_filter_identity": int(ir_identity),
-            "manipulations_found": manipulated,
+            "manipulations_found": len(witnesses),
             "pareto_optimal_runs": pareto_ok_runs,
-            "runs": runs,
+            "runs": len(runs),
             "runs_with_unsatisfied": runs_with_unsat,
         },
     )

@@ -375,8 +375,6 @@ class _Search:
         balances can still meet the constraints with the items not yet
         placed."""
         n, m, full = self.n, self.m, self.full
-        if n == 0:
-            return []
         endow, owner, live = self.endow, self.owner, self.live_demands
         # a cap of 2 is pairwise balance, which propagates
         pairwise, cycle_cap = self.need_pairwise or self.cycle_cap == 2, self.cycle_cap

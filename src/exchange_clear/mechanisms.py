@@ -66,9 +66,8 @@ def choose_from(market: Market, spec: MechanismSpec, candidates: Iterable[Alloca
     canonically first allocation regardless of the candidates' list order."""
     key = profile_key(market, spec)
     ordered = sorted(candidates, key=lambda alloc: alloc.canonical_key)
-    if not ordered:
-        raise ValueError("empty candidate list")
-    return max(ordered, key=lambda alloc: key(tuple(satisfaction_profile(market, alloc).values())))
+    profiles = [tuple(satisfaction_profile(market, alloc).values()) for alloc in ordered]
+    return ordered[chosen_index(profiles, key)]
 
 
 def chosen_index(

@@ -15,8 +15,11 @@ from exchange_clear import (
     ConsistencyViolation,
     Item,
     Market,
+    MechanismSpec,
+    audit_constrained_pareto,
     covers,
     enumerate_feasible,
+    fixture,
     is_ir,
     is_sir,
     run_mechanism,
@@ -33,6 +36,7 @@ from exchange_clear.auditors import (
     _misreports_with_truncation,
     apply_misreport,
     realized_bundle,
+    scripted_misreport,
 )
 from exchange_clear.feasibility import _desirable_ok
 
@@ -407,5 +411,68 @@ def naive_audit_strategyproofness(market, spec, budget=None, search_budget=None)
             "feasible_count": len(allocations),
             "scenarios_examined": len(tasks),
             "truncated_agents": truncated_agents,
+        },
+    )
+
+
+def naive_replicate_impossibility(search_budget: int | None = None) -> AuditReport:
+    """Exercise every priority order and both mechanisms on the "theorem5"
+    fixture without strong individual rationality, rerunning the mechanism
+    on each scripted misreport through the enumeration cache.  The package
+    judges the scripted misreports with the strategyproofness audit's rows
+    and argmax and must report the same bytes.
+
+    For each of the 12 runs the outcome is checked to be constrained Pareto
+    optimal, at least one agent must be unsatisfied, and one of the scripted
+    misreports must flip an unsatisfied agent to satisfied.  The individual
+    rationality predicate is also confirmed to hold on the whole feasible set
+    (no agent's endowment satisfies her, so that filter cannot bite).  The
+    "violation" verdict means the impossibility replicated, which is the
+    expected outcome.
+    """
+    fx = fixture("theorem5")
+    market, constraints = fx.market, fx.constraints
+    allocations, _ = feasible_with_profiles(market, constraints, search_budget)
+    ir_identity = all(is_ir(market, alloc) for alloc in allocations)
+
+    witnesses = []
+    runs = manipulated = pareto_ok_runs = runs_with_unsat = 0
+    for kind in ("cp", "cup"):
+        for priority in itertools.permutations(market.agent_ids):
+            runs += 1
+            spec = MechanismSpec(kind, priority, constraints)
+            outcome = run_mechanism(market, spec, search_budget)
+            profile = satisfaction_profile(market, outcome)
+            if not audit_constrained_pareto(market, outcome, constraints, search_budget).violation_found:
+                pareto_ok_runs += 1
+            unsatisfied = [a for a in market.agent_ids if profile[a] == 0]
+            if unsatisfied:
+                runs_with_unsat += 1
+            for agent_id in unsatisfied:
+                scenario = scripted_misreport(fx, agent_id)
+                misreported = apply_misreport(market, scenario)
+                mis_outcome = run_mechanism(misreported, spec, search_budget)
+                realized = realized_bundle(mis_outcome.bundle_of(agent_id), scenario.withheld)
+                if covers(realized, market.agent(agent_id).demands):
+                    witnesses.append(
+                        ManipulationWitness(scenario, outcome, mis_outcome, realized)
+                    )
+                    manipulated += 1
+                    break
+
+    replicated = (
+        ir_identity and manipulated == runs and pareto_ok_runs == runs and runs_with_unsat == runs
+    )
+    return AuditReport(
+        kind="impossibility-replication",
+        verdict=VERDICT_VIOLATION if replicated else VERDICT_CLEAN,
+        witnesses=tuple(witnesses),
+        summary={
+            "feasible_count": len(allocations),
+            "ir_filter_identity": int(ir_identity),
+            "manipulations_found": manipulated,
+            "pareto_optimal_runs": pareto_ok_runs,
+            "runs": runs,
+            "runs_with_unsatisfied": runs_with_unsat,
         },
     )

@@ -41,9 +41,14 @@ def test_enumerate_misreports_counting_example():
         agents=(Agent("1", ["x"], [{"y"}]), Agent("2", ["y"], [{"x"}])),
         items=(Item("x"), Item("y")),
     )
-    scenarios = enumerate_misreports(market, "1", MisreportBudget(singleton_bundle_probes=False))
-    assert len(scenarios) == 2  # two endowment subsets x one nonempty demand subset
-    assert scenarios[0].reported_endowment == {"x"}  # the truthful report comes first
+    agent = market.agent("1")
+    scenarios = enumerate_misreports(market, "1")
+    subset = [s for s in scenarios if s.reported_demands and s.reported_demands <= agent.demands]
+    # two endowment subsets x one nonempty demand subset, before the first probe
+    assert scenarios[:2] == subset and len(scenarios) > 2
+    assert (scenarios[0].reported_endowment, scenarios[0].reported_demands) == (
+        agent.endowment, agent.demands
+    )  # the truthful report comes first
     assert scenarios[1].withheld == {"x"}
 
 
@@ -69,7 +74,7 @@ def test_misreport_scenario_invariant():
 
 def test_apply_misreport_truthful_is_identity(example1):
     market = example1.market
-    truthful = enumerate_misreports(market, "1", MisreportBudget(singleton_bundle_probes=False))[0]
+    truthful = enumerate_misreports(market, "1")[0]
     assert apply_misreport(market, truthful) == market
 
 

@@ -189,3 +189,16 @@ def test_engine_memory_is_linear_in_feasible_count():
     assert report.summary["feasible_count"] == count
     assert not report.witnesses
     assert peak < 2_000_000, peak
+
+
+def test_empty_feasible_set_raises_a_named_error():
+    # an item that nobody owns and no agent may receive under sir leaves
+    # nothing feasible; sampling zero indices would never draw a set
+    market = Market((Agent("1", [], []),), (Item("x"),))
+    constraints = BUILT_IN_CONSTRAINT_SETS["sir"]
+    assert feasible_with_profiles(market, constraints) == ((), ())
+    spec = MechanismSpec("cp", market.agent_ids, constraints)
+    with pytest.raises(ValueError, match="^empty candidate list$"):
+        audit_weak_consistency(market, spec)
+    with pytest.raises(ValueError, match="^empty candidate list$"):
+        audit_weak_consistency_choice(market, constraints, broken_choice(market, constraints))

@@ -20,6 +20,7 @@ from exchange_clear import (
     generate_instance,
     max_cycle_agents,
     parse_constraints,
+    run_cp,
     satisfaction_profile,
     satisfies_constraints,
 )
@@ -303,6 +304,18 @@ def test_unendowed_item_makes_no_trade_edge():
         allocs = enumerate_feasible(market, cs)
         assert allocs == naive_enumerate(market, cs)
         assert len(allocs) == (8 if name == "unrestricted" else 4)
+
+
+@pytest.mark.parametrize("set_name", sorted(BUILT_IN_CONSTRAINT_SETS))
+@pytest.mark.parametrize("items", [(), (Item("x"),)], ids=["no-items", "one-item"])
+def test_agentless_market_matches_naive(set_name, items):
+    # with no items the empty allocation is the endowment and is feasible;
+    # an item with no agent to receive it leaves nothing feasible
+    market = Market((), items)
+    cs = BUILT_IN_CONSTRAINT_SETS[set_name]
+    assert feasible_with_profiles(market, cs) == _naive_with_profiles(market, cs)
+    if not items:
+        assert run_cp(market, (), cs) == Allocation(())
 
 
 def test_cycle_partition_steps_are_charged(monkeypatch):

@@ -1,5 +1,6 @@
-"""The strategyproofness audit against its per-(spec, scenario) reference,
-and the lifecycle of its memo of misreport tables."""
+"""The strategyproofness audit and the impossibility replication against
+their per-(spec, scenario) references, and the lifecycle of the audit's
+memo of misreport tables."""
 
 import itertools
 
@@ -10,18 +11,28 @@ from exchange_clear import (
     BudgetExceededError,
     MechanismSpec,
     MisreportBudget,
+    apply_misreport,
     audit_strategyproofness,
+    fixture,
+    replicate_impossibility,
+    scripted_misreport,
     serialize,
 )
 from exchange_clear.auditors import _misreport_table
 from exchange_clear.feasibility import (
     BUDGET_ENV_VAR,
+    DEFAULT_SEARCH_BUDGET,
     _feasible_profiles_cached,
+    _Search,
     clear_enumeration_cache,
     feasible_with_profiles,
 )
 
-from oracles import naive_audit_strategyproofness, tiny_random_market
+from oracles import (
+    naive_audit_strategyproofness,
+    naive_replicate_impossibility,
+    tiny_random_market,
+)
 from test_feasibility import CHECK_SETS
 
 TRUNCATING = MisreportBudget(bundle_cap=1, max_scenarios=5)
@@ -129,6 +140,58 @@ def test_misreported_markets_stay_out_of_the_enumeration_cache():
             report = audit_strategyproofness(SEED27, MechanismSpec(kind, priority, SIR))
             assert report.summary["agents_probed"] > 0
             assert _feasible_profiles_cached.cache_info().currsize <= before + 1
+    assert _feasible_profiles_cached.cache_info().currsize == 1
+
+
+# ------------------------------------------------- impossibility replication
+
+def _replication_bytes(replicate, search_budget):
+    clear_enumeration_cache()
+    try:
+        return serialize(replicate(search_budget))
+    except BudgetExceededError as exc:
+        return f"BudgetExceededError: {exc}"
+
+
+def _same_replication(search_budget):
+    fast = _replication_bytes(replicate_impossibility, search_budget)
+    assert fast == _replication_bytes(naive_replicate_impossibility, search_budget), search_budget
+    return fast
+
+
+def _replication_search_nodes():
+    """The node count of each search the replication may run: the true
+    market and each agent's scripted misreport."""
+    fx = fixture("theorem5")
+    markets = [fx.market] + [
+        apply_misreport(fx.market, scripted_misreport(fx, agent_id)) for agent_id in fx.market.agent_ids
+    ]
+    counts = []
+    for market in markets:
+        search = _Search(market, fx.constraints, DEFAULT_SEARCH_BUDGET)
+        search.run()
+        counts.append(search.nodes)
+    return counts
+
+
+@pytest.mark.parametrize("search_budget", [None, *range(1, 1001, 25)])
+def test_replication_matches_naive(search_budget):
+    _same_replication(search_budget)
+
+
+def test_replication_matches_naive_at_each_search_node_count():
+    counts = _replication_search_nodes()
+    failed = {}
+    for nodes in counts:
+        for search_budget in (nodes, nodes - 1):
+            failed[search_budget] = _same_replication(search_budget).startswith("BudgetExceededError")
+    # the whole replication fits the largest count and no budget below it
+    assert not failed[max(counts)] and failed[max(counts) - 1]
+
+
+def test_replication_leaves_only_the_true_market_in_the_cache():
+    clear_enumeration_cache()
+    assert replicate_impossibility().violation_found
     assert _feasible_profiles_cached.cache_info().currsize == 1
 
 
