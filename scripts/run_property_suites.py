@@ -7,28 +7,10 @@ Useful for longer soak runs than the frozen acceptance family.
 """
 
 import argparse
-import itertools
 import sys
 import time
 
-from exchange_clear import (
-    BUILT_IN_CONSTRAINT_SETS,
-    GeneratorConfig,
-    MechanismSpec,
-    audit_constrained_pareto,
-    audit_strategyproofness,
-    audit_weak_consistency,
-    generate_instance,
-    max_satisfied_oracle,
-    run_cp,
-    run_cup,
-    satisfaction_profile,
-)
-
-SIR_SETS = {
-    name: cs for name, cs in BUILT_IN_CONSTRAINT_SETS.items()
-    if any(c.kind == "sir" for c in cs)
-}
+from exchange_clear import satisfaction_profile, suites
 
 
 def main() -> int:
@@ -38,54 +20,32 @@ def main() -> int:
     parser.add_argument("--skip-consistency", action="store_true")
     args = parser.parse_args()
 
-    seeds = range(args.first_seed, args.first_seed + args.instances)
-    markets = [generate_instance(GeneratorConfig(seed=s)) for s in seeds]
-    print(f"{len(markets)} markets, constraint sets: {', '.join(SIR_SETS)}")
+    markets = suites.family(range(args.first_seed, args.first_seed + args.instances))
+    print(f"{len(markets)} markets, constraint sets: {', '.join(suites.SIR_SETS)}")
 
     started = time.monotonic()
-    sp_audits = sp_witnesses = 0
-    for market in markets:
-        for cs in SIR_SETS.values():
-            for kind in ("cp", "cup"):
-                for priority in itertools.permutations(market.agent_ids):
-                    report = audit_strategyproofness(market, MechanismSpec(kind, priority, cs))
-                    sp_audits += 1
-                    sp_witnesses += len(report.witnesses)
-    print(f"strategyproofness: {sp_audits} audits, {sp_witnesses} witnesses "
+    sp = [len(report.witnesses) for *_, report in suites.strategyproofness(markets)]
+    print(f"strategyproofness: {len(sp)} audits, {sum(sp)} witnesses "
           f"[{time.monotonic() - started:.0f}s]")
 
-    wc_audits = wc_witnesses = 0
+    wc = []
     if not args.skip_consistency:
         tick = time.monotonic()
-        for market in markets:
-            orders = (market.agent_ids, tuple(reversed(market.agent_ids)))
-            for cs in SIR_SETS.values():
-                for kind in ("cp", "cup"):
-                    for priority in orders:
-                        report = audit_weak_consistency(market, MechanismSpec(kind, priority, cs))
-                        wc_audits += 1
-                        wc_witnesses += len(report.witnesses)
-        print(f"weak consistency: {wc_audits} audits, {wc_witnesses} violations "
+        wc = [len(report.witnesses) for *_, report in suites.weak_consistency(markets)]
+        print(f"weak consistency: {len(wc)} audits, {sum(wc)} violations "
               f"[{time.monotonic() - tick:.0f}s]")
 
     tick = time.monotonic()
     runs = dominated = oracle_mismatches = 0
-    for market in markets:
-        for cs in SIR_SETS.values():
-            oracle = max_satisfied_oracle(market, cs)
-            for priority in itertools.permutations(market.agent_ids):
-                for runner in (run_cp, run_cup):
-                    alloc = runner(market, priority, cs)
-                    runs += 1
-                    if audit_constrained_pareto(market, alloc, cs).violation_found:
-                        dominated += 1
-                cup_sum = sum(satisfaction_profile(market, run_cup(market, priority, cs)).values())
-                if cup_sum != oracle:
-                    oracle_mismatches += 1
+    for market, spec, outcome, pareto, oracle in suites.outcomes(markets):
+        runs += 1
+        dominated += pareto.violation_found
+        if spec.kind == "cup":
+            oracle_mismatches += sum(satisfaction_profile(market, outcome).values()) != oracle
     print(f"pareto + oracle: {runs} runs, {dominated} dominated outputs, "
           f"{oracle_mismatches} oracle mismatches [{time.monotonic() - tick:.0f}s]")
 
-    failed = sp_witnesses or wc_witnesses or dominated or oracle_mismatches
+    failed = sum(sp) or sum(wc) or dominated or oracle_mismatches
     print("RESULT:", "FAIL" if failed else "PASS",
           f"(total {time.monotonic() - started:.0f}s)")
     return 1 if failed else 0

@@ -16,7 +16,8 @@ misreport table that holds, per scenario, the distinct satisfaction profiles
 with their first holders and whether that holder's realized bundle covers
 the agent's true demands.  Every mechanism spec over that market and
 constraint set is then judged by an argmax over the table.  The tables live
-in a bounded memo of 16 entries (the agents of the last few markets).  The
+in a 16-entry memo (the agents of the last few markets), so a caller should
+audit one market and constraint set back to back, as ``suites`` does.  The
 impossibility replication judges the fixture's scripted misreports with the
 same rows and argmax, so misreported markets never enter the enumeration
 cache.  ``feasibility.clear_enumeration_cache`` empties both.
@@ -79,6 +80,15 @@ class MisreportScenario:
             raise ValueError("reported endowment and withheld items overlap")
 
 
+def _check_int_fields(params, *signed: str) -> None:
+    """ValueError naming the first field not an integer, or negative unless in `signed`."""
+    for name in params.__dataclass_fields__:
+        value = getattr(params, name)
+        if type(value) is not int or (value < 0 and name not in signed):  # rejects bools too
+            kind = "an integer" if name in signed else "a non-negative integer"
+            raise ValueError(f"{name} must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MisreportBudget:
     """Bounds on the misreport space searched per agent.
@@ -94,10 +104,7 @@ class MisreportBudget:
     max_scenarios: int = 128
 
     def __post_init__(self):
-        for name in ("bundle_cap", "max_scenarios"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+        _check_int_fields(self)
 
 
 @dataclass(frozen=True)
@@ -157,6 +164,9 @@ class ConsistencyParams:
     seed: int = 0
     samples: int = 64
     exhaustive_limit: int = 12
+
+    def __post_init__(self):
+        _check_int_fields(self, "seed")
 
 
 @dataclass
@@ -495,7 +505,7 @@ def _run_consistency_engine(
         "feasible_count": count,
         "nested_pairs_tested": tested - family_pairs,
         "pairs_tested": tested,
-        "samples_drawn": max(params.samples, 0),
+        "samples_drawn": params.samples,
         "seed": params.seed,
     }
     return AuditReport(
@@ -685,18 +695,17 @@ def impossibility_runs(search_budget: int | None = None):
             yield spec, outcome, not pareto.violation_found, witness
 
 
-def replicate_impossibility(search_budget: int | None = None) -> AuditReport:
-    """Add up :func:`impossibility_runs`.  The impossibility replicated when
-    every run is constrained Pareto optimal, leaves some agent unsatisfied
-    and has a witness, and the individual rationality predicate holds on the
-    whole feasible set (no agent's endowment satisfies her, so that filter
-    cannot bite).  The "violation" verdict means the impossibility
-    replicated, which is the expected outcome.
+def impossibility_report(runs: Sequence[tuple], search_budget: int | None = None) -> AuditReport:
+    """Add up the records of :func:`impossibility_runs`.  The impossibility
+    replicated when every run is constrained Pareto optimal, leaves some
+    agent unsatisfied and has a witness, and the individual rationality
+    predicate holds on the whole feasible set (no agent's endowment
+    satisfies her, so that filter cannot bite).  The "violation" verdict
+    means the impossibility replicated, which is the expected outcome.
     """
     fx = fixture("theorem5")
     allocations, _ = feasible_with_profiles(fx.market, fx.constraints, search_budget)
     ir_identity = all(is_ir(fx.market, alloc) for alloc in allocations)
-    runs = list(impossibility_runs(search_budget))
     witnesses = tuple(witness for *_, witness in runs if witness is not None)
     pareto_ok_runs = sum(pareto_ok for _, _, pareto_ok, _ in runs)
     runs_with_unsat = sum(0 in satisfaction_profile(fx.market, out).values() for _, out, _, _ in runs)
@@ -714,3 +723,8 @@ def replicate_impossibility(search_budget: int | None = None) -> AuditReport:
             "runs_with_unsatisfied": runs_with_unsat,
         },
     )
+
+
+def replicate_impossibility(search_budget: int | None = None) -> AuditReport:
+    """:func:`impossibility_report` of :func:`impossibility_runs`."""
+    return impossibility_report(list(impossibility_runs(search_budget)), search_budget)

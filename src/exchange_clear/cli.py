@@ -80,14 +80,14 @@ def _parse_priority(market: Market, text: str | None) -> tuple[str, ...]:
         raise CliError(f"--priority {text!r}: {exc}") from None
 
 
-def _parse_misreport_budget(args) -> MisreportBudget:
-    fields = {"bundle_cap": args.bundle_cap, "max_scenarios": args.max_scenarios}
+def _params_from_flags(cls, args, *names: str):
+    fields = {name: getattr(args, name) for name in names}
     for name, value in fields.items():
         try:
-            MisreportBudget(**{name: value})
+            cls(**{name: value})
         except ValueError as exc:
             raise CliError(f"--{name.replace('_', '-')} {value}: {exc}") from None
-    return MisreportBudget(**fields)
+    return cls(**fields)
 
 
 def _parse_constraint_flag(text: str) -> ConstraintSet:
@@ -161,7 +161,7 @@ def _cmd_audit_sp(args) -> int:
     constraints = _parse_constraint_flag(args.constraints)
     priority = _parse_priority(market, args.priority)
     spec = MechanismSpec(args.mechanism, priority, constraints)
-    budget = _parse_misreport_budget(args)
+    budget = _params_from_flags(MisreportBudget, args, "bundle_cap", "max_scenarios")
     report = audit_strategyproofness(market, spec, budget)
     sys.stdout.write(serialize(report))
     return _audit_exit(report)
@@ -172,7 +172,7 @@ def _cmd_audit_consistency(args) -> int:
     constraints = _parse_constraint_flag(args.constraints)
     priority = _parse_priority(market, args.priority)
     spec = MechanismSpec(args.mechanism, priority, constraints)
-    params = ConsistencyParams(seed=args.seed, samples=args.samples)
+    params = _params_from_flags(ConsistencyParams, args, "seed", "samples")
     report = audit_weak_consistency(market, spec, params)
     sys.stdout.write(serialize(report))
     return _audit_exit(report)

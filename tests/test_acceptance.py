@@ -19,10 +19,8 @@ from exchange_clear import (
     BUILT_IN_CONSTRAINT_SETS,
     ConsistencyParams,
     ConstraintSet,
-    GeneratorConfig,
     IR,
     MechanismSpec,
-    audit_constrained_pareto,
     audit_strategyproofness,
     audit_weak_consistency,
     audit_weak_consistency_choice,
@@ -30,7 +28,6 @@ from exchange_clear import (
     endowment_allocation,
     enumerate_feasible,
     fixture,
-    generate_instance,
     max_satisfied_oracle,
     parse_instance,
     replicate_impossibility,
@@ -38,6 +35,7 @@ from exchange_clear import (
     run_cup,
     satisfaction_profile,
     serialize,
+    suites,
 )
 from exchange_clear.auditors import _misreport_table
 from exchange_clear.feasibility import clear_enumeration_cache, feasible_with_profiles
@@ -47,22 +45,6 @@ from oracles import greedy_cp, key_chooser, naive_weak_consistency, two_agent_pa
 
 FAMILY_SEEDS = range(1, 201)
 TWO_AGENT_SEEDS = range(1, 101)
-
-
-def family_config(seed):
-    return GeneratorConfig(
-        seed=seed,
-        agents=(2, 4),
-        items_per_agent=(1, 2),
-        demands_per_agent=(1, 3),
-        demand_bundle_size=(1, 3),
-    )
-
-SIR_SETS = {
-    name: cs
-    for name, cs in BUILT_IN_CONSTRAINT_SETS.items()
-    if any(c.kind == "sir" for c in cs)
-}
 
 
 @contextmanager
@@ -78,7 +60,7 @@ def criterion(number, description):
 
 @pytest.fixture(scope="module")
 def family():
-    markets = [generate_instance(family_config(s)) for s in FAMILY_SEEDS]
+    markets = suites.family(FAMILY_SEEDS)
     for market in markets:
         assert len(market.agents) <= 4
         assert len(market.items) <= 8
@@ -130,18 +112,9 @@ def test_criterion_3_strategyproofness_suite(family):
     with criterion(3, "200 instances x sir constraint sets x cp/cup x all priorities: zero manipulation witnesses"):
         started = time.monotonic()
         audits = 0
-        for market in family:
-            for cs in SIR_SETS.values():
-                for kind in ("cp", "cup"):
-                    for priority in itertools.permutations(market.agent_ids):
-                        report = audit_strategyproofness(market, MechanismSpec(kind, priority, cs))
-                        audits += 1
-                        assert not report.violation_found, (
-                            market,
-                            kind,
-                            priority,
-                            serialize(report),
-                        )
+        for market, spec, report in suites.strategyproofness(family):
+            audits += 1
+            assert not report.violation_found, (market, spec, serialize(report))
         elapsed = time.monotonic() - started
         print(f"  criterion 3: {audits} audits in {elapsed:.0f}s")
         assert elapsed < 600
@@ -149,14 +122,8 @@ def test_criterion_3_strategyproofness_suite(family):
 
 def test_criterion_4_weak_consistency_suite(family):
     with criterion(4, "same family: zero weak-consistency violations for cp/cup; broken mechanism is caught"):
-        for market in family:
-            forward = market.agent_ids
-            reverse = tuple(reversed(forward))
-            for cs in SIR_SETS.values():
-                for kind in ("cp", "cup"):
-                    for priority in (forward, reverse):
-                        report = audit_weak_consistency(market, MechanismSpec(kind, priority, cs))
-                        assert not report.violation_found, serialize(report)
+        for _, _, report in suites.weak_consistency(family):
+            assert not report.violation_found, serialize(report)
 
         # auditor sensitivity: the frozen broken-mechanism fixture must trip it
         from exchange_clear import Agent, Item, Market
@@ -178,13 +145,8 @@ def test_criterion_4_weak_consistency_suite(family):
 
 def test_criterion_5_outputs_constrained_pareto_optimal(family):
     with criterion(5, "same family: every cp/cup output is undominated within its own feasible set"):
-        for market in family:
-            for cs in SIR_SETS.values():
-                for priority in itertools.permutations(market.agent_ids):
-                    for runner in (run_cp, run_cup):
-                        alloc = runner(market, priority, cs)
-                        report = audit_constrained_pareto(market, alloc, cs)
-                        assert not report.violation_found, serialize(report)
+        for _, _, _, pareto, _ in suites.outcomes(family):
+            assert not pareto.violation_found, serialize(pareto)
 
 
 def test_criterion_6_two_agent_tightness(two_agent_family):
@@ -201,13 +163,11 @@ def test_criterion_6_two_agent_tightness(two_agent_family):
 
 def test_criterion_7_oracle_equivalence(family):
     with criterion(7, "cup satisfaction sum equals the brute-force oracle and cp equals greedy filtering"):
-        for market in family:
-            for cs in SIR_SETS.values():
-                oracle = max_satisfied_oracle(market, cs)
-                for priority in itertools.permutations(market.agent_ids):
-                    cup = run_cup(market, priority, cs)
-                    assert sum(satisfaction_profile(market, cup).values()) == oracle
-                    assert run_cp(market, priority, cs) == greedy_cp(market, priority, cs)
+        for market, spec, outcome, _, oracle in suites.outcomes(family):
+            if spec.kind == "cup":
+                assert sum(satisfaction_profile(market, outcome).values()) == oracle
+            else:
+                assert outcome == greedy_cp(market, spec.priority, spec.constraints)
 
 
 def test_criterion_8_engineering_determinism(family, two_agent_family, tmp_path, capsys):

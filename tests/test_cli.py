@@ -247,6 +247,16 @@ def test_negative_misreport_bound_exits_one_naming_the_flag(capsys, theorem5_pat
     assert "must be a non-negative integer" in err
 
 
+def test_negative_samples_exit_one_naming_the_flag(capsys, example1_path):
+    status, out, err = run_cli(
+        capsys, "audit-consistency", "--mechanism", "cp", "--constraints", "sir",
+        "--instance", example1_path, "--samples", "-5",
+    )
+    assert status == 1
+    assert out == ""
+    assert err == "error: --samples -5: samples must be a non-negative integer, got -5\n"
+
+
 def test_deeply_nested_instance_exits_one(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000)

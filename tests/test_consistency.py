@@ -202,3 +202,17 @@ def test_empty_feasible_set_raises_a_named_error():
         audit_weak_consistency(market, spec)
     with pytest.raises(ValueError, match="^empty candidate list$"):
         audit_weak_consistency_choice(market, constraints, broken_choice(market, constraints))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", 1.5), ("seed", "x"), ("samples", -5), ("samples", "x"),
+     ("samples", True), ("exhaustive_limit", -1), ("exhaustive_limit", 2.0)],
+)
+def test_consistency_params_reject_bad_fields_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a"):
+        ConsistencyParams(**{field: value})
+
+
+def test_consistency_params_accept_a_negative_seed():
+    assert ConsistencyParams(seed=-3, samples=0, exhaustive_limit=0).seed == -3

@@ -2,9 +2,12 @@
 
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
+
+from exchange_clear import auditors, suites
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,7 +38,31 @@ def test_replicate_theorem5_narrates_every_run():
     assert not any("agent None" in line for line in runs)
 
 
+def test_replicate_theorem5_searches_each_scripted_misreport_once(monkeypatch, capsys):
+    # the narration and the aggregate line share one replication
+    search_feasible = auditors.search_feasible
+    searches = []
+    monkeypatch.setattr(
+        auditors, "search_feasible", lambda *args: searches.append(args) or search_feasible(*args)
+    )
+    monkeypatch.setattr(sys, "argv", ["replicate_theorem5.py"])
+    main = runpy.run_path(str(ROOT / "scripts" / "replicate_theorem5.py"))["main"]
+    assert main() == 2
+    assert "aggregate: violation" in capsys.readouterr().out
+    assert len(searches) == 3
+
+
 def test_run_property_suites_passes():
     done = run("scripts/run_property_suites.py", "--instances", "3")
     assert done.returncode == 0, done.stdout + done.stderr
     assert "RESULT: PASS" in done.stdout
+
+
+def test_run_property_suites_flags():
+    done = run("scripts/run_property_suites.py", "--instances", "3", "--first-seed", "7",
+               "--skip-consistency")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "RESULT: PASS" in done.stdout
+    assert "weak consistency" not in done.stdout
+    audits = len(list(suites.strategyproofness(suites.family(range(7, 10)))))
+    assert f"strategyproofness: {audits} audits," in done.stdout
