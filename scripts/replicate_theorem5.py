@@ -35,7 +35,7 @@ def main() -> int:
     print(f"instance: {fx.name}  items={len(market.items)}  feasibility=pairwise+desirable")
     for agent in market.agents:
         print(f"  agent {agent.id}: endows {sorted(agent.endowment)}, "
-              f"likes {sorted(fx.desirable_sets[agent.id])}")
+              f"likes {sorted(agent.desirable)}")
     print()
 
     for spec, outcome, _, witness in runs:

@@ -174,7 +174,6 @@ class CounterexampleFixture:
     name: str
     market: Market
     constraints: ConstraintSet
-    desirable_sets: dict[str, Bundle]
     scripted_misreports: dict[str, Bundle]
 
 
@@ -411,7 +410,7 @@ def _run_consistency_engine(
     allocations: Sequence[Allocation],
     profiles: Sequence[tuple[int, ...]],
     agent_ids: tuple[str, ...],
-    choose: Callable[[tuple[int, ...]], int],
+    choose: Callable[[int], int],
     params: ConsistencyParams,
 ) -> AuditReport:
     """Test (superset, subset) contractions of the feasible set, in order.
@@ -424,20 +423,19 @@ def _run_consistency_engine(
     allocation with the superset choice's profile but its own choice has
     another profile.
 
-    Sets are bitmasks over feasible indices.  Leave-one-outs stay implicit,
-    and an index tuple exists only while `choose` runs on it, so memory is
-    linear in the feasible count.  Nested pairs follow from the family's
-    structure: a sample lies under the leave-one-out of i exactly when it
-    lacks i, a leave-one-out lies under a sample only when that sample is
-    the full set, and only sample pairs need a subset test.  `choose` must
-    be a pure function of its index tuple: it runs once for the full set,
-    once per leave-one-out and sample, and in exhaustive mode once per
-    subset, never once per pair.
+    Sets are bitmasks over feasible indices, bit i standing for
+    `allocations[i]`, and nothing else holds them, so memory is linear in
+    the feasible count.  Nested pairs follow from the family's structure: a
+    sample lies under the leave-one-out of i exactly when it lacks i, a
+    leave-one-out lies under a sample only when that sample is the full
+    set, and only sample pairs need a subset test.  `choose` takes such a
+    mask and returns the index it picks from it; it must be a pure function
+    of the mask.  It runs once for the full set, once per leave-one-out and
+    sample, and in exhaustive mode once per subset, never once per pair.
     """
     count = len(allocations)
     if not count:
         raise ValueError("empty candidate list")
-    everything = tuple(range(count))
     full = (1 << count) - 1
     exhaustive = count <= params.exhaustive_limit
     loos = range(count) if count > 1 else range(0)
@@ -470,17 +468,15 @@ def _run_consistency_engine(
                 )
             )
 
-    top = choose(everything)
-    loo_choices = [choose(everything[:i] + everything[i + 1 :]) for i in loos]
-    sampled = [
-        (mask, mask.bit_count(), choose(tuple(i for i in everything if mask >> i & 1)))
-        for mask in _sample_masks(count, params)
-    ]
+    top = choose(full)
+    loo_choices = [choose(full ^ 1 << i) for i in loos]
+    sampled = [(mask, mask.bit_count(), choose(mask)) for mask in _sample_masks(count, params)]
 
     if exhaustive:
         for size in range(1, count + 1):
-            for combo in itertools.combinations(everything, size):
-                test(count, top, sum(1 << i for i in combo), size, choose(combo))
+            for combo in itertools.combinations(range(count), size):
+                mask = sum(1 << i for i in combo)
+                test(count, top, mask, size, choose(mask))
     else:
         for i in loos:
             test(count, top, full ^ 1 << i, count - 1, loo_choices[i])
@@ -528,13 +524,11 @@ def audit_weak_consistency(
     params = params or ConsistencyParams()
     key = profile_key(market, spec)
     allocations, profiles = feasible_with_profiles(market, spec.constraints, search_budget)
-    # rank[i] grows with the key; key ties rank the canonically first highest
-    rank = [0] * len(allocations)
-    for r, i in enumerate(sorted(range(len(allocations)), key=lambda i: (key(profiles[i]), -i))):
-        rank[i] = r
+    # best first: key descending, key ties to the canonically first index
+    order = sorted(range(len(allocations)), key=lambda i: (key(profiles[i]), -i), reverse=True)
 
-    def choose(indices: tuple[int, ...]) -> int:
-        return max(indices, key=rank.__getitem__)
+    def choose(mask: int) -> int:
+        return next(i for i in order if mask >> i & 1)
 
     return _run_consistency_engine(allocations, profiles, market.agent_ids, choose, params)
 
@@ -553,8 +547,8 @@ def audit_weak_consistency_choice(
     allocations, profiles = feasible_with_profiles(market, constraints, search_budget)
     position = {alloc: i for i, alloc in enumerate(allocations)}
 
-    def choose(indices: tuple[int, ...]) -> int:
-        return position[choice([allocations[i] for i in indices])]
+    def choose(mask: int) -> int:
+        return position[choice([a for i, a in enumerate(allocations) if mask >> i & 1])]
 
     return _run_consistency_engine(allocations, profiles, market.agent_ids, choose, params)
 
@@ -618,7 +612,6 @@ def fixture(name: str) -> CounterexampleFixture:
             name="example1",
             market=market,
             constraints=BUILT_IN_CONSTRAINT_SETS["sir"],
-            desirable_sets={},
             scripted_misreports={},
         )
     if name == "theorem5":
@@ -643,7 +636,6 @@ def fixture(name: str) -> CounterexampleFixture:
             name="theorem5",
             market=market,
             constraints=BUILT_IN_CONSTRAINT_SETS["pairwise+desirable"],
-            desirable_sets=liked,
             scripted_misreports=scripted,
         )
     raise ValueError(f"unknown fixture name {name!r}")

@@ -70,6 +70,13 @@ def family():
 
 
 @pytest.fixture(scope="module")
+def outcomes(family):
+    """One walk of the family's mechanism runs, shared by criteria 5 and 7:
+    (market, spec, outcome, Pareto report, oracle max) per run."""
+    return list(suites.outcomes(family))
+
+
+@pytest.fixture(scope="module")
 def two_agent_family():
     return [two_agent_partner_market(s) for s in TWO_AGENT_SEEDS]
 
@@ -143,9 +150,9 @@ def test_criterion_4_weak_consistency_suite(family):
         assert audit_weak_consistency_choice(broken_market, constraints, broken).violation_found
 
 
-def test_criterion_5_outputs_constrained_pareto_optimal(family):
+def test_criterion_5_outputs_constrained_pareto_optimal(outcomes):
     with criterion(5, "same family: every cp/cup output is undominated within its own feasible set"):
-        for _, _, _, pareto, _ in suites.outcomes(family):
+        for _, _, _, pareto, _ in outcomes:
             assert not pareto.violation_found, serialize(pareto)
 
 
@@ -161,9 +168,9 @@ def test_criterion_6_two_agent_tightness(two_agent_family):
                 assert not report.violation_found, serialize(report)
 
 
-def test_criterion_7_oracle_equivalence(family):
+def test_criterion_7_oracle_equivalence(outcomes):
     with criterion(7, "cup satisfaction sum equals the brute-force oracle and cp equals greedy filtering"):
-        for market, spec, outcome, _, oracle in suites.outcomes(family):
+        for market, spec, outcome, _, oracle in outcomes:
             if spec.kind == "cup":
                 assert sum(satisfaction_profile(market, outcome).values()) == oracle
             else:

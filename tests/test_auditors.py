@@ -287,8 +287,12 @@ def test_fixture_example1_valid(example1):
 
 
 def test_fixture_theorem5_desirable_sets(theorem5):
-    for agent_id, liked in theorem5.desirable_sets.items():
-        assert theorem5.market.agent(agent_id).desirable == liked
+    liked = {
+        "1": {"b1", "b3", "c1", "c2", "c3"},
+        "2": {"a1", "a3", "c1", "c2", "c3"},
+        "3": {"a2", "a3", "b2", "b3"},
+    }
+    assert {agent.id: agent.desirable for agent in theorem5.market.agents} == liked
     assert len(theorem5.market.agent("1").demands) == 10
     assert len(theorem5.market.agent("3").demands) == 4
 

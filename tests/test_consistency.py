@@ -23,8 +23,9 @@ from exchange_clear import (
     choose_from,
     serialize,
 )
-from exchange_clear.auditors import _run_consistency_engine
+from exchange_clear.auditors import _run_consistency_engine, _sample_masks
 from exchange_clear.feasibility import feasible_with_profiles
+from exchange_clear.instances import GeneratorConfig, generate_instance
 
 from oracles import key_chooser, naive_consistency_pairs, naive_weak_consistency, tiny_random_market
 
@@ -144,6 +145,53 @@ def test_engine_matches_naive_when_a_sample_is_the_full_set():
     assert_choice_matches(market, constraints, params)
 
 
+def pairwise_bench_market(seed, count):
+    """A 4-agent market of the shape the benchmark's consistency workload
+    audits, with its `pairwise` feasible count pinned."""
+    market = generate_instance(GeneratorConfig(seed=seed, agents=(4, 4)))
+    constraints = BUILT_IN_CONSTRAINT_SETS["pairwise"]
+    assert len(feasible_with_profiles(market, constraints)[0]) == count
+    return market, constraints
+
+
+@pytest.mark.parametrize("seed, count", [(1, 56), (4, 156)])
+def test_engine_matches_naive_on_bench_size_markets(seed, count):
+    market, constraints = pairwise_bench_market(seed, count)
+    for kind in ("cp", "cup"):
+        for priority in (market.agent_ids, market.agent_ids[::-1]):
+            spec = MechanismSpec(kind, priority, constraints)
+            assert_mechanism_matches(market, spec, ConsistencyParams())
+
+
+def test_broken_chooser_matches_naive_on_a_bench_size_market():
+    market, constraints = pairwise_bench_market(1, 56)
+    report = assert_choice_matches(market, constraints, ConsistencyParams())
+    assert len(report.witnesses) == 719
+
+
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_choose_runs_once_per_set_never_per_pair(exhaustive):
+    market = tiny_random_market(9)
+    constraints = BUILT_IN_CONSTRAINT_SETS["sir"]
+    count = len(feasible_with_profiles(market, constraints)[0])
+    assert count == 6
+    params = ConsistencyParams(seed=5, samples=20, exhaustive_limit=count if exhaustive else 0)
+    broken = broken_choice(market, constraints)
+    calls = []
+
+    def choice(candidates):
+        calls.append(len(candidates))
+        return broken(candidates)
+
+    report = audit_weak_consistency_choice(market, constraints, choice, params)
+    expected = 1 + count + len(_sample_masks(count, params))
+    if exhaustive:
+        expected += 2**count - 1
+    assert report.summary["exhaustive"] == int(exhaustive)
+    assert len(calls) == expected
+    assert report.summary["pairs_tested"] > expected  # calls are not per pair
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(1, 10_000),
@@ -173,12 +221,10 @@ def test_engine_memory_is_linear_in_feasible_count():
     count = 2_000
     profiles = [((i * 7) % 3 == 0, i % 5 == 0) for i in range(count)]
     allocations = list(range(count))
-    rank = [0] * count
-    for r, i in enumerate(sorted(range(count), key=lambda i: (profiles[i], -i))):
-        rank[i] = r
+    order = sorted(range(count), key=lambda i: (profiles[i], -i), reverse=True)
 
-    def choose(indices):
-        return max(indices, key=rank.__getitem__)
+    def choose(mask):
+        return next(i for i in order if mask >> i & 1)
 
     tracemalloc.start()
     try:
