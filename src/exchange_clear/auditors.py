@@ -216,7 +216,7 @@ def _misreport_stream(market: Market, agent_id: str, budget: MisreportBudget):
             if scenario is not None:
                 yield scenario
     pool = sorted(market.item_ids)
-    for size in range(0, budget.bundle_cap + 1):
+    for size in range(0, min(budget.bundle_cap, len(pool)) + 1):
         for combo in itertools.combinations(pool, size):
             probe = frozenset(combo)
             for reported_endowment in endow_subsets:

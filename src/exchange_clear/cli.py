@@ -8,7 +8,6 @@ means any error.  Identical invocations produce byte-identical stdout.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -34,6 +33,7 @@ from .instances import (
     SCHEMA_VERSION,
     GeneratorConfig,
     InstanceFormatError,
+    _dump,
     generate_instance,
     parse_allocation,
     parse_instance,
@@ -108,10 +108,6 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
     except ValueError:
         pass
     raise CliError(f"{flag} expects 'N' or 'LO:HI', got {text!r}")
-
-
-def _dump(doc: dict) -> str:
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
 def _cmd_solve(args) -> int:

@@ -30,10 +30,11 @@ agent can no longer meet a constraint with the items still unplaced:
   items; components and the cycle partition are decided at the leaves.
 
 Each test is exact once every item is placed, so the pruning never changes
-the returned set.  The node budget counts the search's nodes (the root and
-every placement that survives the tests) plus every step of the leaves'
-cycle-partition search; past it the search aborts with
-:class:`BudgetExceededError` (the instance is beyond desk scale).
+the returned set.  The search, `_search`, returns the allocations, their
+satisfaction profiles and its node count: the root, every placement that
+survives the tests and every step of the leaves' cycle-partition search.
+Past the node budget it aborts with :class:`BudgetExceededError` (the
+instance is beyond desk scale).
 """
 
 from __future__ import annotations
@@ -213,6 +214,17 @@ def _uncharged() -> None:
     pass
 
 
+def _decode(constraints: ConstraintSet) -> tuple[set[str], bool, int | None]:
+    """The kinds in `constraints`, whether trades must be pairwise balanced,
+    and the cycle cap left to check.  Only the smallest cap binds; a cap of 2
+    is pairwise balance, which meets every cap, so under pairwise balance no
+    cap is left."""
+    kinds = {c.kind for c in constraints}
+    cap = min((c.limit for c in constraints if c.kind == "maxcycle"), default=None)
+    pairwise = "pairwise" in kinds or cap == 2
+    return kinds, pairwise, None if pairwise else cap
+
+
 def _trade_ok(
     owner: list[int],
     assignee: list[int],
@@ -224,15 +236,14 @@ def _trade_ok(
     """The trade-structure constraints over one allocation, given per endowed
     item the index of the agent that owns it and of the agent it goes to
     (agents are 0 .. n-1).  Each item that changes hands is an edge
-    owner -> assignee.  Of several cycle caps only the smallest binds, so one
-    is passed.  `charge` is called per step of the cycle-partition search."""
+    owner -> assignee.  `pairwise` and `cycle_cap` are as :func:`_decode`
+    returns them.  `charge` is called per step of the cycle-partition search."""
     counts: dict[tuple[int, int], int] = {}
     for edge in zip(owner, assignee):
         if edge[0] != edge[1]:
             counts[edge] = counts.get(edge, 0) + 1
     if pairwise:
-        if any(counts.get((dst, src), 0) != k for (src, dst), k in counts.items()):
-            return False
+        return all(counts.get((dst, src), 0) == k for (src, dst), k in counts.items())
     if cycle_cap is None:
         return True
     delta = [0] * n
@@ -274,15 +285,14 @@ def _desirable_ok(market: Market, allocation: Allocation) -> bool:
 
 def satisfies_constraints(market: Market, allocation: Allocation, constraints: ConstraintSet) -> bool:
     """Conjunction of all constraint predicates over one allocation."""
-    kinds = {c.kind for c in constraints}
+    kinds, pairwise, cycle_cap = _decode(constraints)
     if "sir" in kinds and not is_sir(market, allocation):
         return False
     if "ir" in kinds and not is_ir(market, allocation):
         return False
     if "desirable" in kinds and not _desirable_ok(market, allocation):
         return False
-    cycle_cap = min((c.limit for c in constraints if c.kind == "maxcycle"), default=None)
-    if "pairwise" not in kinds and cycle_cap is None:
+    if not pairwise and cycle_cap is None:
         return True
     n = len(market.agents)
     index = {agent_id: i for i, agent_id in enumerate(market.agent_ids)}
@@ -294,14 +304,16 @@ def satisfies_constraints(market: Market, allocation: Allocation, constraints: C
             # an agent outside the market only receives: index n stands for
             # all of them, so balance fails as it should
             assignee.append(index.get(allocation.agent_of(item_id), n))
-    return _trade_ok(owner, assignee, n + 1, "pairwise" in kinds, cycle_cap)
+    return _trade_ok(owner, assignee, n + 1, pairwise, cycle_cap)
 
 
 def resolve_budget(budget: int | None) -> int:
     """The node budget of a search: `budget` itself, else the value of
     EXCHANGE_CLEAR_BUDGET, else :data:`DEFAULT_SEARCH_BUDGET`."""
     if budget is not None:
-        return int(budget)
+        if type(budget) is not int or budget <= 0:
+            raise ValueError(f"node budget must be a positive integer, got {budget!r}")
+        return budget
     env = os.environ.get(BUDGET_ENV_VAR)
     if not env:
         return DEFAULT_SEARCH_BUDGET
@@ -314,200 +326,176 @@ def resolve_budget(budget: int | None) -> int:
     return value
 
 
-class _Search:
-    """Item-major depth-first search for one (market, constraint set)."""
+def _search(
+    market: Market, constraints: ConstraintSet, budget: int
+) -> tuple[tuple[Allocation, ...], tuple[tuple[int, ...], ...], int]:
+    """Depth-first search of one (market, constraint set).  Returns the
+    feasible allocations in canonical order, their satisfaction profiles and
+    the number of nodes charged against `budget`; no state outlives the call.
 
-    def __init__(self, market: Market, constraints: ConstraintSet, budget: int):
-        self.market = market
-        self.budget = budget
-        self.nodes = 0
-        item_ids = market.item_ids
-        self.m = len(item_ids)
-        self.pos = {item_id: p for p, item_id in enumerate(item_ids)}
-        self.full = (1 << self.m) - 1
-        self.null_mask = self._mask(market.null_item_ids)
+    Items are assigned in id order, each to the agents in id order, so leaves
+    come out in canonical order.  An item that one watched agent cannot do
+    without goes to that agent (two such agents end the branch); every other
+    placement is kept only if the receiver, the owner and the trade balances
+    can still meet the constraints with the items not yet placed."""
+    kinds, pairwise, cycle_cap = _decode(constraints)
+    need_sir, need_ir = "sir" in kinds, "ir" in kinds
+    agents, item_ids = market.agents, market.item_ids
+    n, m = len(agents), len(item_ids)
+    pos = {item_id: p for p, item_id in enumerate(item_ids)}
+    full = (1 << m) - 1
 
-        self.agents = market.agents
-        self.n = len(self.agents)
-        self.endow = [self._mask(ag.endowment) for ag in self.agents]
-        # an item that no agent endows has owner -1 and makes no trade edge
-        self.owner = [-1] * self.m
-        for i, ag in enumerate(self.agents):
-            for item_id in ag.endowment:
-                self.owner[self.pos[item_id]] = i
-        # demands with items absent from the market can never be covered;
-        # desirability still derives from demand bundles as written
-        self.live_demands = []
-        self.desirable = []
-        for ag in self.agents:
-            live = sorted(
-                {self._mask(d) for d in ag.demands if all(x in self.pos for x in d)}
-            )
-            self.live_demands.append(live)
-            self.desirable.append(self._mask(x for x in ag.desirable if x in self.pos))
+    def mask(ids) -> int:
+        out = 0
+        for item_id in ids:
+            out |= 1 << pos[item_id]
+        return out
 
-        kinds = {c.kind for c in constraints}
-        self.need_sir = "sir" in kinds
-        self.need_ir = "ir" in kinds
-        self.need_desirable = "desirable" in kinds
-        self.need_pairwise = "pairwise" in kinds
-        self.cycle_cap = min((c.limit for c in constraints if c.kind == "maxcycle"), default=None)
+    endow = [mask(ag.endowment) for ag in agents]
+    # an item that no agent endows has owner -1 and makes no trade edge
+    owner = [-1] * m
+    for i, ag in enumerate(agents):
+        for item_id in ag.endowment:
+            owner[pos[item_id]] = i
+    # demands with items absent from the market can never be covered;
+    # desirability still derives from demand bundles as written
+    live = [sorted({mask(d) for d in ag.demands if all(x in pos for x in d)}) for ag in agents]
+    if "desirable" in kinds:
+        null = mask(market.null_item_ids)
+        receivable = [
+            endow[i] | null | mask(x for x in ag.desirable if x in pos) for i, ag in enumerate(agents)
+        ]
+    else:
+        receivable = [full] * n
+    nodes = 0
 
-    def _mask(self, item_ids) -> int:
-        mask = 0
-        for item_id in item_ids:
-            mask |= 1 << self.pos[item_id]
-        return mask
-
-    def _charge(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.budget:
+    def charge() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
             raise BudgetExceededError(
-                f"feasible-set search exceeded its budget of {self.budget} nodes; "
+                f"feasible-set search exceeded its budget of {budget} nodes; "
                 f"raise it via {BUDGET_ENV_VAR} or an explicit budget argument"
             )
 
-    def run(self) -> list[tuple[Allocation, tuple[int, ...]]]:
-        """Assign items in id order, each to the agents in id order, so leaves
-        come out in canonical order.  An item that one watched agent cannot
-        do without goes to that agent (two such agents end the branch); every
-        other placement is kept only if the receiver, the owner and the trade
-        balances can still meet the constraints with the items not yet
-        placed."""
-        n, m, full = self.n, self.m, self.full
-        endow, owner, live = self.endow, self.owner, self.live_demands
-        # a cap of 2 is pairwise balance, which propagates
-        pairwise, cycle_cap = self.need_pairwise or self.cycle_cap == 2, self.cycle_cap
-        need_sir, need_ir = self.need_sir, self.need_ir
-        charge = self._charge
-
-        def covers(x: int, avail: int) -> bool:
-            for d in live[x]:
-                if not d & ~avail:
-                    return True
-            return False
-
-        if self.need_desirable:
-            receivable = [endow[i] | self.null_mask | self.desirable[i] for i in range(n)]
-        else:
-            receivable = [full] * n
-        wanted = [0] * n  # items in some live demand of the agent
-        for i in range(n):
-            for d in live[i]:
-                wanted[i] |= d
-        # per item: who may receive it, and who may be unable to do without
-        # it (under sir its owner and its demanders, under ir the demanders
-        # whose endowment covers a demand)
-        allowed = [tuple(a for a in range(n) if receivable[a] >> p & 1) for p in range(m)]
-        if need_sir:
-            watch = [tuple(x for x in range(n) if wanted[x] >> p & 1 or x == owner[p]) for p in range(m)]
-        else:
-            bound = [need_ir and covers(x, endow[x]) for x in range(n)]
-            watch = [tuple(x for x in range(n) if wanted[x] >> p & 1 and bound[x]) for p in range(m)]
-        rest_after = [full & ~((2 << p) - 1) for p in range(m)]
-        own_left = [[(endow[j] & rest).bit_count() for j in range(n)] for rest in rest_after]
-        # pairwise balance implies agent balance and every cap >= 2, so only a
-        # cycle cap without it needs the balance bounds and the leaf check
-        cap_only = cycle_cap is not None and not pairwise
-        if cap_only:
-            endowed = 0
-            for mask in endow:
-                endowed |= mask
-            # the balance in - out of agent j can still reach 0 iff it lies
-            # in [-(others' items unplaced), own items unplaced]
-            bal_floor = [
-                [k - (endowed & rest).bit_count() for k in left]
-                for rest, left in zip(rest_after, own_left)
-            ]
-        traded = [p for p in range(m) if owner[p] >= 0]
-        edge_owner = [owner[p] for p in traded]
-
-        held = [0] * n
-        assign = [0] * m
-        gave = [[0] * n for _ in range(n)]  # gave[i][j]: items i owns placed with j
-        deficit = [0] * n  # sum over i of max(0, gave[i][j] - gave[j][i])
-        bal = [0] * n  # items received minus own items given away
-        # the cached table holds every allocation: share one (item, agent)
-        # pair per cell and one tuple per distinct profile between them
-        cells = [
-            [(item_id, agent_id) for agent_id in self.market.agent_ids]
-            for item_id in self.market.item_ids
-        ]
-        interned: dict[tuple[int, ...], tuple[int, ...]] = {}
-        out: list[tuple[Allocation, tuple[int, ...]]] = []
-
-        def admissible(p: int, a: int, o: int) -> bool:
-            rest = rest_after[p]
-            # under sir the receiver of an item not its own must end covered
-            if need_sir and a != o and not covers(a, held[a] | rest):
-                return False
-            if o < 0:
+    def covers(x: int, avail: int) -> bool:
+        for d in live[x]:
+            if not d & ~avail:
                 return True
-            left = own_left[p]
-            if pairwise and (deficit[a] > left[a] or deficit[o] > left[o]):
-                return False
-            if cap_only:
-                for b, lo, hi in zip(bal, bal_floor[p], left):
-                    if b < lo or b > hi:
-                        return False
+        return False
+
+    wanted = [0] * n  # items in some live demand of the agent
+    for i in range(n):
+        for d in live[i]:
+            wanted[i] |= d
+    # per item: who may receive it, and who may be unable to do without
+    # it (under sir its owner and its demanders, under ir the demanders
+    # whose endowment covers a demand)
+    allowed = [tuple(a for a in range(n) if receivable[a] >> p & 1) for p in range(m)]
+    if need_sir:
+        watch = [tuple(x for x in range(n) if wanted[x] >> p & 1 or x == owner[p]) for p in range(m)]
+    else:
+        bound = [need_ir and covers(x, endow[x]) for x in range(n)]
+        watch = [tuple(x for x in range(n) if wanted[x] >> p & 1 and bound[x]) for p in range(m)]
+    rest_after = [full & ~((2 << p) - 1) for p in range(m)]
+    own_left = [[(endow[j] & rest).bit_count() for j in range(n)] for rest in rest_after]
+    if cycle_cap:
+        endowed = 0
+        for bits in endow:
+            endowed |= bits
+        # the balance in - out of agent j can still reach 0 iff it lies
+        # in [-(others' items unplaced), own items unplaced]
+        bal_floor = [
+            [k - (endowed & rest).bit_count() for k in left]
+            for rest, left in zip(rest_after, own_left)
+        ]
+    traded = [p for p in range(m) if owner[p] >= 0]
+    edge_owner = [owner[p] for p in traded]
+
+    held = [0] * n
+    assign = [0] * m
+    gave = [[0] * n for _ in range(n)]  # gave[i][j]: items i owns placed with j
+    deficit = [0] * n  # sum over i of max(0, gave[i][j] - gave[j][i])
+    bal = [0] * n  # items received minus own items given away
+    # the cached table holds every allocation: share one (item, agent)
+    # pair per cell and one tuple per distinct profile between them
+    cells = [[(item_id, agent_id) for agent_id in market.agent_ids] for item_id in item_ids]
+    interned: dict[tuple[int, ...], tuple[int, ...]] = {}
+    allocations: list[Allocation] = []
+    profiles: list[tuple[int, ...]] = []
+
+    def admissible(p: int, a: int, o: int) -> bool:
+        rest = rest_after[p]
+        # under sir the receiver of an item not its own must end covered
+        if need_sir and a != o and not covers(a, held[a] | rest):
+            return False
+        if o < 0:
             return True
+        left = own_left[p]
+        if pairwise and (deficit[a] > left[a] or deficit[o] > left[o]):
+            return False
+        if cycle_cap:
+            for b, lo, hi in zip(bal, bal_floor[p], left):
+                if b < lo or b > hi:
+                    return False
+        return True
 
-        def descend(p: int) -> None:
-            charge()
-            if p == m:
-                if cap_only and not _trade_ok(
-                    edge_owner, [assign[q] for q in traded], n, False, cycle_cap, charge
-                ):
-                    return
-                profile = tuple(1 if covers(i, held[i]) else 0 for i in range(n))
-                alloc = Allocation(tuple(cells[q][a] for q, a in enumerate(assign)))
-                out.append((alloc, interned.setdefault(profile, profile)))
+    def descend(p: int) -> None:
+        charge()
+        if p == m:
+            if cycle_cap and not _trade_ok(
+                edge_owner, [assign[q] for q in traded], n, False, cycle_cap, charge
+            ):
                 return
-            o = owner[p]
-            bit = 1 << p
-            rest = rest_after[p]
-            placed = full ^ rest
-            # a watched agent that cannot do without the item must receive it
-            claims = [
-                x for x in watch[p]
-                if not (need_sir and held[x] == endow[x] & placed) and not covers(x, held[x] | rest)
-            ]
-            if not claims:
-                receivers = allowed[p]
-            elif len(claims) == 1 and claims[0] in allowed[p]:
-                receivers = claims
-            else:
-                return
-            for a in receivers:
-                held[a] |= bit
-                assign[p] = a
-                trade = o >= 0 and a != o
-                if trade:
-                    gave[o][a] += 1
-                    repays = gave[o][a] <= gave[a][o]
-                    if repays:
-                        deficit[o] -= 1
-                    else:
-                        deficit[a] += 1
-                    bal[a] += 1
-                    bal[o] -= 1
-                if admissible(p, a, o):
-                    descend(p + 1)
-                held[a] ^= bit
-                if trade:
-                    gave[o][a] -= 1
-                    if repays:
-                        deficit[o] += 1
-                    else:
-                        deficit[a] -= 1
-                    bal[a] -= 1
-                    bal[o] += 1
+            profile = tuple(1 if covers(i, held[i]) else 0 for i in range(n))
+            allocations.append(Allocation(tuple(cells[q][a] for q, a in enumerate(assign))))
+            profiles.append(interned.setdefault(profile, profile))
+            return
+        o = owner[p]
+        bit = 1 << p
+        rest = rest_after[p]
+        placed = full ^ rest
+        # a watched agent that cannot do without the item must receive it
+        claims = [
+            x for x in watch[p]
+            if not (need_sir and held[x] == endow[x] & placed) and not covers(x, held[x] | rest)
+        ]
+        if not claims:
+            receivers = allowed[p]
+        elif len(claims) == 1 and claims[0] in allowed[p]:
+            receivers = claims
+        else:
+            return
+        for a in receivers:
+            held[a] |= bit
+            assign[p] = a
+            trade = o >= 0 and a != o
+            if trade:
+                gave[o][a] += 1
+                repays = gave[o][a] <= gave[a][o]
+                if repays:
+                    deficit[o] -= 1
+                else:
+                    deficit[a] += 1
+                bal[a] += 1
+                bal[o] -= 1
+            if admissible(p, a, o):
+                descend(p + 1)
+            held[a] ^= bit
+            if trade:
+                gave[o][a] -= 1
+                if repays:
+                    deficit[o] += 1
+                else:
+                    deficit[a] -= 1
+                bal[a] -= 1
+                bal[o] += 1
 
-        try:
-            descend(0)
-        finally:
-            descend = covers = admissible = None  # break the closures' reference cycles
-        return out
+    try:
+        descend(0)
+    finally:
+        descend = None  # break the closure's reference cycle
+    return tuple(allocations), tuple(profiles), nodes
 
 
 _memos: list = []
@@ -532,15 +520,11 @@ def search_feasible(
     call and never cached: for markets that are searched once, such as the
     strategyproofness audit's misreported ones.  `budget` is the node
     budget itself (see :func:`resolve_budget`)."""
-    pairs = _Search(market, constraints, budget).run()
-    return tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
+    allocations, profiles, _ = _search(market, constraints, budget)
+    return allocations, profiles
 
 
-@enumeration_memo(4096)
-def _feasible_profiles_cached(
-    market: Market, constraints: ConstraintSet, budget: int
-) -> tuple[tuple[Allocation, ...], tuple[tuple[int, ...], ...]]:
-    return search_feasible(market, constraints, budget)
+_feasible_profiles_cached = enumeration_memo(4096)(search_feasible)
 
 
 def feasible_with_profiles(

@@ -95,6 +95,12 @@ def _report_document(report: AuditReport) -> dict:
     }
 
 
+def _dump(doc: dict) -> str:
+    """The canonical JSON text of a document: what `serialize` and the
+    command line write."""
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
 def serialize(value) -> str:
     """Canonical text form of a Market, Allocation, or AuditReport."""
     if isinstance(value, Market):
@@ -105,7 +111,7 @@ def serialize(value) -> str:
         doc = _report_document(value)
     else:
         raise TypeError(f"cannot serialize value of type {type(value).__name__}")
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return _dump(doc)
 
 
 def _require(condition: bool, message: str) -> None:

@@ -1,6 +1,21 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from exchange_clear import Allocation, fixture
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def subprocess_env(**overrides: str) -> dict[str, str]:
+    """The environment for running the package in a child process: the
+    current one plus `overrides`, with `src` first on PYTHONPATH and no node
+    budget inherited from EXCHANGE_CLEAR_BUDGET."""
+    env = dict(os.environ, **overrides)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.pop("EXCHANGE_CLEAR_BUDGET", None)
+    return env
 
 
 @pytest.fixture(scope="session")

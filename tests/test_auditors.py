@@ -67,6 +67,27 @@ def test_enumerate_misreports_prefix_monotone(theorem5):
     assert small == large[: len(small)]
 
 
+def test_misreport_probe_sizes_stop_at_the_item_pool(example1, monkeypatch):
+    market = example1.market
+    pool = sorted(market.item_ids)
+    budget = MisreportBudget(bundle_cap=len(pool), max_scenarios=10**6)
+    expected = enumerate_misreports(market, "2", budget)
+    assert len(expected) == 194
+    real = itertools.combinations
+    probe_sizes = []
+
+    def combinations(elems, size):
+        if elems == pool:
+            probe_sizes.append(size)
+        return real(elems, size)
+
+    monkeypatch.setattr(itertools, "combinations", combinations)
+    # a bundle cap past the pool adds no scenario and no probe size
+    huge = MisreportBudget(bundle_cap=10**5, max_scenarios=10**6)
+    assert enumerate_misreports(market, "2", huge) == expected
+    assert probe_sizes == list(range(len(pool) + 1))
+
+
 def test_misreport_scenario_invariant():
     with pytest.raises(ValueError):
         MisreportScenario("1", frozenset({"x"}), frozenset(), frozenset({"x"}))

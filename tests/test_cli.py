@@ -1,12 +1,10 @@
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import exchange_clear
+from conftest import subprocess_env
 from exchange_clear import fixture, serialize
 from exchange_clear.cli import cli_dispatch
 
@@ -195,7 +193,6 @@ def test_bad_budget_env_exits_one_naming_the_variable(capsys, monkeypatch, examp
 
 
 def test_cli_stdout_stable_across_hash_seeds(theorem5_path):
-    src = str(Path(exchange_clear.__file__).resolve().parent.parent)
     commands = [
         (["audit-consistency", "--mechanism", "cup", "--constraints", "pairwise,desirable",
           "--instance", theorem5_path], 0),
@@ -208,12 +205,9 @@ def test_cli_stdout_stable_across_hash_seeds(theorem5_path):
     for argv, expected_status in commands:
         runs = []
         for hash_seed in ("0", "1"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            env.pop("EXCHANGE_CLEAR_BUDGET", None)
             proc = subprocess.run(
                 [sys.executable, "-m", "exchange_clear", *argv],
-                capture_output=True, text=True, env=env, timeout=120,
+                capture_output=True, text=True, env=subprocess_env(PYTHONHASHSEED=hash_seed), timeout=120,
             )
             runs.append((proc.returncode, proc.stdout))
         assert runs[0] == runs[1], argv
@@ -279,7 +273,7 @@ def test_module_entry_point(tmp_path):
     # exercised via a real process so the installed entry point stays honest
     proc = subprocess.run(
         [sys.executable, "-m", "exchange_clear", "fixture", "example1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=subprocess_env(),
     )
     assert proc.returncode == 0
     assert '"schema_version": "1"' in proc.stdout

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +28,7 @@ from exchange_clear import (
 from exchange_clear import feasibility
 from exchange_clear.feasibility import (
     DEFAULT_SEARCH_BUDGET,
-    _Search,
+    _search,
     clear_enumeration_cache,
     feasible_with_profiles,
 )
@@ -219,6 +220,12 @@ def test_budget_env_rejects_bad_values(example1, monkeypatch, value, cause):
         enumerate_feasible(example1.market, BUILT_IN_CONSTRAINT_SETS["sir"])
 
 
+@pytest.mark.parametrize("budget", [2.5, True, "40", 0, -3, "abc"])
+def test_explicit_budget_rejects_bad_values(example1, budget):
+    with pytest.raises(ValueError, match=re.escape(f"node budget must be a positive integer, got {budget!r}")):
+        enumerate_feasible(example1.market, BUILT_IN_CONSTRAINT_SETS["sir"], budget=budget)
+
+
 def test_maxcycle_constraint_in_enumeration():
     # three agents, one item each, everyone wants the next agent's item:
     # the only satisfying trade is a 3-cycle, excluded under cap 2
@@ -321,8 +328,7 @@ def test_agentless_market_matches_naive(set_name, items):
 def test_cycle_partition_steps_are_charged(monkeypatch):
     market = generate_instance(GeneratorConfig(seed=3, agents=(4, 4), items_per_agent=(2, 2)))
     cs = BUILT_IN_CONSTRAINT_SETS["maxcycle3"]
-    charged = _Search(market, cs, DEFAULT_SEARCH_BUDGET)
-    expected = charged.run()
+    *expected, charged_nodes = _search(market, cs, DEFAULT_SEARCH_BUDGET)
 
     real = feasibility._partition_into_cycles
     steps = []
@@ -331,14 +337,14 @@ def test_cycle_partition_steps_are_charged(monkeypatch):
         "_partition_into_cycles",
         lambda edges, cap, charge: real(edges, cap, lambda: steps.append(1)),
     )
-    free = _Search(market, cs, DEFAULT_SEARCH_BUDGET)
-    assert free.run() == expected
-    assert steps and free.nodes + len(steps) == charged.nodes
+    *found, free_nodes = _search(market, cs, DEFAULT_SEARCH_BUDGET)
+    assert found == expected
+    assert steps and free_nodes + len(steps) == charged_nodes
     # the assignment search alone fits this budget; the partition steps do not
-    assert _Search(market, cs, free.nodes).run() == expected
+    assert _search(market, cs, free_nodes)[:2] == tuple(expected)
     monkeypatch.undo()
     with pytest.raises(BudgetExceededError):
-        _Search(market, cs, free.nodes).run()
+        _search(market, cs, free_nodes)
 
 
 def test_pairwise_five_agent_ladder_cell_fits_default_budget():

@@ -1,23 +1,18 @@
 """The scripts under `scripts/`, run as a user would run them."""
 
-import os
 import re
 import runpy
 import subprocess
 import sys
-from pathlib import Path
 
+from conftest import ROOT, subprocess_env
 from exchange_clear import auditors, suites
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(*argv):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    env.pop("EXCHANGE_CLEAR_BUDGET", None)
     return subprocess.run(
-        [sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, *argv], cwd=ROOT, capture_output=True, text=True, env=subprocess_env(),
+        timeout=300,
     )
 
 

@@ -18,12 +18,13 @@ from exchange_clear import (
     scripted_misreport,
     serialize,
 )
-from exchange_clear.auditors import _misreport_table
+from exchange_clear import auditors
+from exchange_clear.auditors import _misreport_table, impossibility_runs
 from exchange_clear.feasibility import (
     BUDGET_ENV_VAR,
     DEFAULT_SEARCH_BUDGET,
     _feasible_profiles_cached,
-    _Search,
+    _search,
     clear_enumeration_cache,
     feasible_with_profiles,
 )
@@ -166,12 +167,7 @@ def _replication_search_nodes():
     markets = [fx.market] + [
         apply_misreport(fx.market, scripted_misreport(fx, agent_id)) for agent_id in fx.market.agent_ids
     ]
-    counts = []
-    for market in markets:
-        search = _Search(market, fx.constraints, DEFAULT_SEARCH_BUDGET)
-        search.run()
-        counts.append(search.nodes)
-    return counts
+    return [_search(market, fx.constraints, DEFAULT_SEARCH_BUDGET)[2] for market in markets]
 
 
 @pytest.mark.parametrize("search_budget", [None, *range(1, 1001, 25)])
@@ -187,6 +183,24 @@ def test_replication_matches_naive_at_each_search_node_count():
             failed[search_budget] = _same_replication(search_budget).startswith("BudgetExceededError")
     # the whole replication fits the largest count and no budget below it
     assert not failed[max(counts)] and failed[max(counts) - 1]
+
+
+def test_replication_searches_each_scripted_misreport_when_first_needed(monkeypatch):
+    # the budget gate above cannot see this order, since the true market's
+    # search is the largest; building every agent's rows up front would fail
+    real = auditors._misreport_rows
+    runs = 0
+    built = []
+
+    def rows(market, constraints, agent_id, *rest):
+        built.append((runs + 1, agent_id))
+        return real(market, constraints, agent_id, *rest)
+
+    monkeypatch.setattr(auditors, "_misreport_rows", rows)
+    for _ in impossibility_runs():
+        runs += 1
+    assert runs == 12
+    assert built == [(1, "3"), (2, "2"), (4, "1")]
 
 
 def test_replication_leaves_only_the_true_market_in_the_cache():
