@@ -30,11 +30,13 @@ agent can no longer meet a constraint with the items still unplaced:
   items; components and the cycle partition are decided at the leaves.
 
 Each test is exact once every item is placed, so the pruning never changes
-the returned set.  The search, `_search`, returns the allocations, their
-satisfaction profiles and its node count: the root, every placement that
-survives the tests and every step of the leaves' cycle-partition search.
-Past the node budget it aborts with :class:`BudgetExceededError` (the
-instance is beyond desk scale).
+the returned set.  Within one search each agent's coverage test is memoized
+on the available items it demands, and the trade counters exist only under
+pairwise balance or a cycle cap.  The search, `_search`, returns the
+allocations, their satisfaction profiles and its node count: the root, every
+placement that survives the tests and every step of the leaves' cycle-partition
+search.  Past the node budget it aborts with :class:`BudgetExceededError`
+(the instance is beyond desk scale).
 """
 
 from __future__ import annotations
@@ -326,6 +328,19 @@ def resolve_budget(budget: int | None) -> int:
     return value
 
 
+class _Coverage(dict):
+    """One agent's coverage test, memoized: indexed by a mask of available
+    items within its wanted items, 1 if one of its live `demands` (masks)
+    lies inside, else 0."""
+
+    def __init__(self, demands: list[int]):
+        self.demands = demands
+
+    def __missing__(self, avail: int) -> int:
+        hit = self[avail] = 1 if any(not d & ~avail for d in self.demands) else 0
+        return hit
+
+
 def _search(
     market: Market, constraints: ConstraintSet, budget: int
 ) -> tuple[tuple[Allocation, ...], tuple[tuple[int, ...], ...], int]:
@@ -337,7 +352,10 @@ def _search(
     come out in canonical order.  An item that one watched agent cannot do
     without goes to that agent (two such agents end the branch); every other
     placement is kept only if the receiver, the owner and the trade balances
-    can still meet the constraints with the items not yet placed."""
+    can still meet the constraints with the items not yet placed.  Coverage
+    tests go through a per-agent memo keyed on the available items the agent
+    demands; the trade counters are updated only under pairwise balance
+    (`gave`, `deficit`) or a cycle cap (`bal`)."""
     kinds, pairwise, cycle_cap = _decode(constraints)
     need_sir, need_ir = "sir" in kinds, "ir" in kinds
     agents, item_ids = market.agents, market.item_ids
@@ -378,26 +396,27 @@ def _search(
                 f"raise it via {BUDGET_ENV_VAR} or an explicit budget argument"
             )
 
-    def covers(x: int, avail: int) -> bool:
-        for d in live[x]:
-            if not d & ~avail:
-                return True
-        return False
-
     wanted = [0] * n  # items in some live demand of the agent
     for i in range(n):
         for d in live[i]:
             wanted[i] |= d
-    # per item: who may receive it, and who may be unable to do without
-    # it (under sir its owner and its demanders, under ir the demanders
-    # whose endowment covers a demand)
+    # cover[x][avail & wanted[x]]: 1 if agent x can cover a live demand
+    # from the items `avail`, else 0 (an empty demand is always covered)
+    cover = [_Coverage(ds) for ds in live]
+    rest_after = [full & ~((2 << p) - 1) for p in range(m)]
+    # per item: who may receive it, and who may be unable to do without it
+    # (under sir its owner and its demanders, under ir the demanders whose
+    # endowment covers a demand) as (x, the holding that exempts x: under sir
+    # its own items up to this one, else none, -1; x's wanted items)
     allowed = [tuple(a for a in range(n) if receivable[a] >> p & 1) for p in range(m)]
     if need_sir:
-        watch = [tuple(x for x in range(n) if wanted[x] >> p & 1 or x == owner[p]) for p in range(m)]
+        watch = [
+            tuple((x, endow[x] & ~rest, wanted[x]) for x in range(n) if wanted[x] >> p & 1 or x == owner[p])
+            for p, rest in enumerate(rest_after)
+        ]
     else:
-        bound = [need_ir and covers(x, endow[x]) for x in range(n)]
-        watch = [tuple(x for x in range(n) if wanted[x] >> p & 1 and bound[x]) for p in range(m)]
-    rest_after = [full & ~((2 << p) - 1) for p in range(m)]
+        bound = [wanted[x] if need_ir and cover[x][endow[x] & wanted[x]] else 0 for x in range(n)]
+        watch = [tuple((x, -1, bound[x]) for x in range(n) if bound[x] >> p & 1) for p in range(m)]
     own_left = [[(endow[j] & rest).bit_count() for j in range(n)] for rest in rest_after]
     if cycle_cap:
         endowed = 0
@@ -414,31 +433,15 @@ def _search(
 
     held = [0] * n
     assign = [0] * m
-    gave = [[0] * n for _ in range(n)]  # gave[i][j]: items i owns placed with j
-    deficit = [0] * n  # sum over i of max(0, gave[i][j] - gave[j][i])
-    bal = [0] * n  # items received minus own items given away
+    gave = [[0] * n for _ in range(n)]  # pairwise: gave[i][j] items i owns placed with j
+    deficit = [0] * n  # pairwise: sum over i of max(0, gave[i][j] - gave[j][i])
+    bal = [0] * n  # cycle cap: items received minus own items given away
     # the cached table holds every allocation: share one (item, agent)
     # pair per cell and one tuple per distinct profile between them
     cells = [[(item_id, agent_id) for agent_id in market.agent_ids] for item_id in item_ids]
     interned: dict[tuple[int, ...], tuple[int, ...]] = {}
     allocations: list[Allocation] = []
     profiles: list[tuple[int, ...]] = []
-
-    def admissible(p: int, a: int, o: int) -> bool:
-        rest = rest_after[p]
-        # under sir the receiver of an item not its own must end covered
-        if need_sir and a != o and not covers(a, held[a] | rest):
-            return False
-        if o < 0:
-            return True
-        left = own_left[p]
-        if pairwise and (deficit[a] > left[a] or deficit[o] > left[o]):
-            return False
-        if cycle_cap:
-            for b, lo, hi in zip(bal, bal_floor[p], left):
-                if b < lo or b > hi:
-                    return False
-        return True
 
     def descend(p: int) -> None:
         charge()
@@ -447,49 +450,65 @@ def _search(
                 edge_owner, [assign[q] for q in traded], n, False, cycle_cap, charge
             ):
                 return
-            profile = tuple(1 if covers(i, held[i]) else 0 for i in range(n))
+            profile = tuple([cover[i][held[i] & wanted[i]] for i in range(n)])
             allocations.append(Allocation(tuple(cells[q][a] for q, a in enumerate(assign))))
             profiles.append(interned.setdefault(profile, profile))
             return
-        o = owner[p]
-        bit = 1 << p
         rest = rest_after[p]
-        placed = full ^ rest
         # a watched agent that cannot do without the item must receive it
-        claims = [
-            x for x in watch[p]
-            if not (need_sir and held[x] == endow[x] & placed) and not covers(x, held[x] | rest)
-        ]
-        if not claims:
+        claim = -1
+        for x, kept, want in watch[p]:
+            h = held[x]
+            if h != kept and not cover[x][(h | rest) & want]:
+                if claim >= 0:
+                    return
+                claim = x
+        if claim < 0:
             receivers = allowed[p]
-        elif len(claims) == 1 and claims[0] in allowed[p]:
-            receivers = claims
+        elif claim in allowed[p]:
+            receivers = (claim,)
         else:
             return
+        o = owner[p]
+        bit = 1 << p
+        unplaced = rest | bit
+        left = own_left[p]
         for a in receivers:
-            held[a] |= bit
+            h = held[a]
+            # under sir the receiver of an item not its own must end covered
+            if need_sir and a != o and not cover[a][(h | unplaced) & wanted[a]]:
+                continue
+            held[a] = h | bit
             assign[p] = a
-            trade = o >= 0 and a != o
-            if trade:
-                gave[o][a] += 1
-                repays = gave[o][a] <= gave[a][o]
-                if repays:
-                    deficit[o] -= 1
-                else:
-                    deficit[a] += 1
+            if o < 0 or not (pairwise or cycle_cap):
+                descend(p + 1)
+            elif pairwise:
+                if a != o:
+                    gave[o][a] += 1
+                    repays = gave[o][a] <= gave[a][o]
+                    if repays:
+                        deficit[o] -= 1
+                    else:
+                        deficit[a] += 1
+                if deficit[a] <= left[a] and deficit[o] <= left[o]:
+                    descend(p + 1)
+                if a != o:
+                    gave[o][a] -= 1
+                    if repays:
+                        deficit[o] += 1
+                    else:
+                        deficit[a] -= 1
+            else:
                 bal[a] += 1
                 bal[o] -= 1
-            if admissible(p, a, o):
-                descend(p + 1)
-            held[a] ^= bit
-            if trade:
-                gave[o][a] -= 1
-                if repays:
-                    deficit[o] += 1
+                for b, lo, hi in zip(bal, bal_floor[p], left):
+                    if b < lo or b > hi:
+                        break
                 else:
-                    deficit[a] -= 1
+                    descend(p + 1)
                 bal[a] -= 1
                 bal[o] += 1
+            held[a] = h
 
     try:
         descend(0)

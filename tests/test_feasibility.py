@@ -304,13 +304,16 @@ def test_feasible_with_profiles_matches_naive_property(seed, name):
 
 
 def test_unendowed_item_makes_no_trade_edge():
-    # "z" is endowed by nobody: giving it to either agent trades nothing
+    # "z" is endowed by nobody: giving it to either agent trades nothing, so
+    # only the receiver's own tests (sir, desirable) can turn it away
     market = Market((Agent("1", ["x"]), Agent("2", ["y"])), (Item("x"), Item("y"), Item("z")))
-    for name in ("pairwise", "maxcycle2", "maxcycle3", "unrestricted"):
-        cs = BUILT_IN_CONSTRAINT_SETS[name]
+    for name, cs in BUILT_IN_CONSTRAINT_SETS.items():
         allocs = enumerate_feasible(market, cs)
-        assert allocs == naive_enumerate(market, cs)
-        assert len(allocs) == (8 if name == "unrestricted" else 4)
+        assert allocs == naive_enumerate(market, cs), name
+        if "sir" in name or "desirable" in name:
+            assert allocs == [], name
+        else:
+            assert len(allocs) == (8 if name in ("unrestricted", "ir") else 4), name
 
 
 @pytest.mark.parametrize("set_name", sorted(BUILT_IN_CONSTRAINT_SETS))
@@ -358,3 +361,42 @@ def test_pairwise_four_agent_search_is_propagated():
     # 65,536 of them (73,378 nodes)
     market = generate_instance(GeneratorConfig(seed=3, agents=(4, 4), items_per_agent=(2, 2)))
     assert len(enumerate_feasible(market, BUILT_IN_CONSTRAINT_SETS["pairwise"], budget=5_000)) == 474
+
+
+# `_search`'s exact (nodes, allocations) under the default budget, on the
+# generator-seed-3 ladder with two items per agent and on the clear-cli
+# benchmark's market shape (five agents with three demanded pairs each).
+# The naive oracles check the returned sets; only these pins see a change
+# in how much the search prunes.
+SHAPES = {
+    "ladder": lambda n: GeneratorConfig(seed=3, agents=(n, n), items_per_agent=(2, 2)),
+    "cli": lambda seed: GeneratorConfig(
+        seed=seed, agents=(5, 5), items_per_agent=(2, 2), demands_per_agent=(3, 3), demand_bundle_size=(2, 2)
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "shape, arg, text, nodes, count",
+    [
+        ("ladder", 4, "sir", 496, 110),
+        ("ladder", 4, "sir,maxcycle=3", 263, 16),
+        ("ladder", 4, "pairwise", 1_603, 474),
+        ("ladder", 4, "maxcycle=3", 23_189, 2_082),
+        ("ladder", 4, "pairwise,desirable", 57, 10),
+        ("ladder", 5, "sir", 643, 23),
+        ("ladder", 5, "sir,maxcycle=3", 244, 4),
+        ("ladder", 5, "pairwise", 20_171, 5_850),
+        ("ladder", 6, "sir", 822, 1),
+        ("ladder", 6, "sir,maxcycle=3", 630, 1),
+        ("ladder", 7, "sir,maxcycle=3", 22_617, 17),
+        ("cli", 2, "sir", 22_059, 1),
+        ("cli", 2, "sir,maxcycle=3", 9_471, 1),
+        ("cli", 3, "sir", 14_429, 2),
+        ("cli", 3, "sir,maxcycle=3", 7_728, 2),
+    ],
+)
+def test_search_node_counts_are_pinned(shape, arg, text, nodes, count):
+    market = generate_instance(SHAPES[shape](arg))
+    allocations, _, charged = _search(market, parse_constraints(text), DEFAULT_SEARCH_BUDGET)
+    assert (charged, len(allocations)) == (nodes, count)
