@@ -432,6 +432,13 @@ def _run_consistency_engine(
     mask and returns the index it picks from it; it must be a pure function
     of the mask.  It runs once for the full set, once per leave-one-out and
     sample, and in exhaustive mode once per subset, never once per pair.
+
+    Cost: a (leave-one-out of i, sample) pair's verdict depends on i only
+    through the target profile of the leave-one-out's choice, and on
+    whether the sample lacks i.  So the samples are screened once per
+    distinct target profile (at most 2**agents screens of `samples` each)
+    and only the flagged ones are walked per i; those pairs are counted, not
+    visited.  Only the sample x sample scan stays quadratic, in `samples`.
     """
     count = len(allocations)
     if not count:
@@ -446,54 +453,73 @@ def _run_consistency_engine(
         with_profile[profile] = with_profile.get(profile, 0) | 1 << i
 
     witnesses: list[ConsistencyViolation] = []
-    tested = 0
+
+    def violation(sup_size: int, sup_choice: int, sub_size: int, sub_choice: int, hits: int):
+        """The witness of a failed pair; `hits` masks the subset's holders
+        of the superset choice's profile."""
+        return ConsistencyViolation(
+            superset_size=sup_size,
+            subset_size=sub_size,
+            superset_choice=allocations[sup_choice],
+            subset_choice=allocations[sub_choice],
+            matching_allocation=allocations[(hits & -hits).bit_length() - 1],
+            superset_profile=dict(zip(agent_ids, profiles[sup_choice])),
+            subset_profile=dict(zip(agent_ids, profiles[sub_choice])),
+        )
 
     def test(sup_size: int, sup_choice: int, sub: int, sub_size: int, sub_choice: int) -> None:
-        nonlocal tested
-        tested += 1
         target = profiles[sup_choice]
-        if profiles[sub_choice] == target:
-            return
-        hits = sub & with_profile[target]
-        if hits:
-            witnesses.append(
-                ConsistencyViolation(
-                    superset_size=sup_size,
-                    subset_size=sub_size,
-                    superset_choice=allocations[sup_choice],
-                    subset_choice=allocations[sub_choice],
-                    matching_allocation=allocations[(hits & -hits).bit_length() - 1],
-                    superset_profile=dict(zip(agent_ids, target)),
-                    subset_profile=dict(zip(agent_ids, profiles[sub_choice])),
-                )
-            )
+        if profiles[sub_choice] != target:
+            hits = sub & with_profile[target]
+            if hits:
+                witnesses.append(violation(sup_size, sup_choice, sub_size, sub_choice, hits))
 
     top = choose(full)
     loo_choices = [choose(full ^ 1 << i) for i in loos]
     sampled = [(mask, mask.bit_count(), choose(mask)) for mask in _sample_masks(count, params)]
 
     if exhaustive:
+        tested = 2**count - 1
         for size in range(1, count + 1):
             for combo in itertools.combinations(range(count), size):
                 mask = sum(1 << i for i in combo)
                 test(count, top, mask, size, choose(mask))
     else:
+        tested = len(loos) + len(sampled)
         for i in loos:
             test(count, top, full ^ 1 << i, count - 1, loo_choices[i])
         for mask, size, choice in sampled:
             test(count, top, mask, size, choice)
     family_pairs = tested
 
+    if loos:
+        # every sample lacking i lies under the leave-one-out of i
+        tested += sum(count - size for _, size, _ in sampled)
+    screens: dict[tuple[int, ...], list[tuple[int, int, int, int]]] = {}
     for i in loos:
-        for mask, size, choice in sampled:
+        sup_choice = loo_choices[i]
+        target = profiles[sup_choice]
+        flagged = screens.get(target)
+        if flagged is None:  # the samples that fail against this target if they lack i
+            holders = with_profile[target]
+            flagged = screens[target] = [
+                (mask, size, choice, mask & holders)
+                for mask, size, choice in sampled
+                if profiles[choice] != target and mask & holders
+            ]
+        for mask, size, choice, hits in flagged:
             if not mask >> i & 1:
-                test(count - 1, loo_choices[i], mask, size, choice)
+                witnesses.append(violation(count - 1, sup_choice, size, choice, hits))
+
     for sup, sup_size, sup_choice in sampled:
         if sup == full:
+            tested += len(loos)
             for i in loos:
                 test(count, sup_choice, full ^ 1 << i, count - 1, loo_choices[i])
         for sub, size, choice in sampled:
-            if sub != sup and sub & sup == sub:
+            # samples never repeat, so a strict subset is exactly a smaller subset
+            if size < sup_size and sub & sup == sub:
+                tested += 1
                 test(sup_size, sup_choice, sub, size, choice)
 
     summary = {  # keys in sorted order
@@ -524,8 +550,13 @@ def audit_weak_consistency(
     params = params or ConsistencyParams()
     key = profile_key(market, spec)
     allocations, profiles = feasible_with_profiles(market, spec.constraints, search_budget)
-    # best first: key descending, key ties to the canonically first index
-    order = sorted(range(len(allocations)), key=lambda i: (key(profiles[i]), -i), reverse=True)
+    # best first: key descending, key ties to the canonically first index;
+    # distinct profiles have distinct keys, so each profile's holders form
+    # one run of the order, in canonical order
+    holders: dict[tuple[int, ...], list[int]] = {}
+    for i, profile in enumerate(profiles):
+        holders.setdefault(profile, []).append(i)
+    order = [i for profile in sorted(holders, key=key, reverse=True) for i in holders[profile]]
 
     def choose(mask: int) -> int:
         return next(i for i in order if mask >> i & 1)
@@ -562,12 +593,19 @@ def audit_constrained_pareto(
     """Report every feasible allocation that Pareto-dominates the given one."""
     allocations, profiles = feasible_with_profiles(market, constraints, search_budget)
     target = tuple(satisfaction_profile(market, allocation).values())
+    # under all(p >= t), a profile other than the target has some p > t
+    dominating = {
+        profile
+        for profile in set(profiles)
+        if profile != target and all(p >= t for p, t in zip(profile, target))
+    }
     witnesses = []
-    for alloc, profile in zip(allocations, profiles):
-        if all(p >= t for p, t in zip(profile, target)) and any(
-            p > t for p, t in zip(profile, target)
-        ):
-            witnesses.append(DominationWitness(alloc, dict(zip(market.agent_ids, profile))))
+    if dominating:  # their holders, in canonical order
+        witnesses = [
+            DominationWitness(alloc, dict(zip(market.agent_ids, profile)))
+            for alloc, profile in zip(allocations, profiles)
+            if profile in dominating
+        ]
     return AuditReport(
         kind="constrained-pareto",
         verdict=VERDICT_VIOLATION if witnesses else VERDICT_CLEAN,

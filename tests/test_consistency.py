@@ -52,6 +52,19 @@ def broken_choice(market, constraints):
     return choice
 
 
+def modular_choice(market, constraints):
+    """The candidate at (sum of the candidates' canonical positions) mod
+    their number: a leave-one-out's choice moves with the index it drops,
+    so the leave-one-outs' choices are nearly all distinct."""
+    allocations, _ = feasible_with_profiles(market, constraints)
+    position = {alloc: i for i, alloc in enumerate(allocations)}
+
+    def choice(candidates):
+        return candidates[sum(map(position.__getitem__, candidates)) % len(candidates)]
+
+    return choice
+
+
 def naive_choice_report(market, constraints, choice, params):
     allocations, profiles = feasible_with_profiles(market, constraints)
     position = {alloc: i for i, alloc in enumerate(allocations)}
@@ -67,8 +80,8 @@ def assert_mechanism_matches(market, spec, params):
     assert engine == serialize(naive_mechanism_report(market, spec, params))
 
 
-def assert_choice_matches(market, constraints, params):
-    choice = broken_choice(market, constraints)
+def assert_choice_matches(market, constraints, params, choice=None):
+    choice = choice or broken_choice(market, constraints)
     engine = audit_weak_consistency_choice(market, constraints, choice, params)
     assert serialize(engine) == serialize(naive_choice_report(market, constraints, choice, params))
     return engine
@@ -154,7 +167,7 @@ def pairwise_bench_market(seed, count):
     return market, constraints
 
 
-@pytest.mark.parametrize("seed, count", [(1, 56), (4, 156)])
+@pytest.mark.parametrize("seed, count", [(15, 10), (2, 22), (1, 56), (4, 156)])
 def test_engine_matches_naive_on_bench_size_markets(seed, count):
     market, constraints = pairwise_bench_market(seed, count)
     for kind in ("cp", "cup"):
@@ -167,6 +180,15 @@ def test_broken_chooser_matches_naive_on_a_bench_size_market():
     market, constraints = pairwise_bench_market(1, 56)
     report = assert_choice_matches(market, constraints, ConsistencyParams())
     assert len(report.witnesses) == 719
+    # the leave-one-outs choose 55 distinct allocations holding all 7 of the
+    # market's profiles, where broken_choice's hold one
+    choice = modular_choice(market, constraints)
+    allocations, profiles = feasible_with_profiles(market, constraints)
+    loo_choices = [allocations.index(choice(allocations[:i] + allocations[i + 1:])) for i in range(56)]
+    assert len(set(loo_choices)) == 55
+    assert {profiles[i] for i in loo_choices} == set(profiles)
+    report = assert_choice_matches(market, constraints, ConsistencyParams(), choice)
+    assert len(report.witnesses) == 1_471
 
 
 @pytest.mark.parametrize("exhaustive", [False, True])

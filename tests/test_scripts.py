@@ -1,5 +1,6 @@
 """The scripts under `scripts/`, run as a user would run them."""
 
+import json
 import re
 import runpy
 import subprocess
@@ -61,3 +62,41 @@ def test_run_property_suites_flags():
     assert "weak consistency" not in done.stdout
     audits = len(list(suites.strategyproofness(suites.family(range(7, 10)))))
     assert f"strategyproofness: {audits} audits," in done.stdout
+
+
+def bench_pairs():
+    return runpy.run_path(str(ROOT / "scripts" / "bench_pairs.py"))
+
+
+def test_bench_pairs_summary_reproduces_bench_1():
+    # BENCH_1.json's summaries were computed by hand before the script existed
+    summarize = bench_pairs()["summarize"]
+    doc = json.loads((ROOT / "BENCH_1.json").read_text(encoding="utf-8"))
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    for workload in doc["workloads"].values():
+        for metric in declared:
+            summary = summarize(workload["runs"], metric["name"], metric["better"])
+            assert summary == workload["summary"][metric["name"]]
+
+
+def pairs(parent, change, metric="ops_per_s"):
+    return [{"parent": {metric: p}, "change": {metric: c}} for p, c in zip(parent, change)]
+
+
+def test_bench_pairs_claim_rule_on_fixed_numbers():
+    script = bench_pairs()
+    summarize, claim_met = script["summarize"], script["claim_met"]
+    parent = [100, 102, 104, 106, 108, 110, 112, 114, 116, 118]
+    # one loss in ten still meets the claim; two do not
+    nine = summarize(pairs(parent, [130] * 9 + [90]), "ops_per_s", "higher")
+    assert (nine["change_wins"], nine["change_losses"], nine["parent_iqr"]) == (9, 1, 9.0)
+    assert claim_met(nine, "higher")
+    eight = summarize(pairs(parent, [130] * 8 + [90, 90]), "ops_per_s", "higher")
+    assert eight["change_wins"] == 8 and not claim_met(eight, "higher")
+    # ten wins whose median gap (8) is inside the parent's IQR (9) do not meet it
+    close = summarize(pairs(parent, [p + 8 for p in parent]), "ops_per_s", "higher")
+    assert close["change_wins"] == 10 and not claim_met(close, "higher")
+    # for a lower-is-better metric the direction flips, and ties count neither way
+    lower = summarize(pairs(parent, [50] * 9 + [118], "op_ms_p50"), "op_ms_p50", "lower")
+    assert (lower["change_wins"], lower["change_losses"], lower["median_ratio"]) == (9, 0, 0.4587)
+    assert claim_met(lower, "lower") and not claim_met(lower, "higher")
