@@ -480,9 +480,10 @@ def _run_consistency_engine(
 
     if exhaustive:
         tested = 2**count - 1
+        bits = [1 << i for i in range(count)]
         for size in range(1, count + 1):
-            for combo in itertools.combinations(range(count), size):
-                mask = sum(1 << i for i in combo)
+            for combo in itertools.combinations(bits, size):
+                mask = sum(combo)
                 test(count, top, mask, size, choose(mask))
     else:
         tested = len(loos) + len(sampled)
@@ -550,16 +551,19 @@ def audit_weak_consistency(
     params = params or ConsistencyParams()
     key = profile_key(market, spec)
     allocations, profiles = feasible_with_profiles(market, spec.constraints, search_budget)
-    # best first: key descending, key ties to the canonically first index;
-    # distinct profiles have distinct keys, so each profile's holders form
-    # one run of the order, in canonical order
-    holders: dict[tuple[int, ...], list[int]] = {}
+    # distinct profiles have distinct keys, so a set's choice is the
+    # canonically first holder of the best profile it holds (the engine
+    # never passes an empty set)
+    holders: dict[tuple[int, ...], int] = {}
     for i, profile in enumerate(profiles):
-        holders.setdefault(profile, []).append(i)
-    order = [i for profile in sorted(holders, key=key, reverse=True) for i in holders[profile]]
+        holders[profile] = holders.get(profile, 0) | 1 << i
+    best_first = [holders[profile] for profile in sorted(holders, key=key, reverse=True)]
 
     def choose(mask: int) -> int:
-        return next(i for i in order if mask >> i & 1)
+        for held in best_first:
+            hits = mask & held
+            if hits:
+                return (hits & -hits).bit_length() - 1
 
     return _run_consistency_engine(allocations, profiles, market.agent_ids, choose, params)
 
