@@ -406,6 +406,15 @@ def _sample_masks(count: int, params: ConsistencyParams) -> list[int]:
     return masks
 
 
+def _holder_masks(profiles: Sequence[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
+    """Feasible indices by profile: one bitmask per distinct profile (at
+    most 2**agents), bit i standing for index i."""
+    masks: dict[tuple[int, ...], int] = {}
+    for i, profile in enumerate(profiles):
+        masks[profile] = masks.get(profile, 0) | 1 << i
+    return masks
+
+
 def _run_consistency_engine(
     allocations: Sequence[Allocation],
     profiles: Sequence[tuple[int, ...]],
@@ -447,10 +456,7 @@ def _run_consistency_engine(
     exhaustive = count <= params.exhaustive_limit
     loos = range(count) if count > 1 else range(0)
 
-    # indices by profile, one mask per distinct profile (at most 2**agents)
-    with_profile: dict[tuple[int, ...], int] = {}
-    for i, profile in enumerate(profiles):
-        with_profile[profile] = with_profile.get(profile, 0) | 1 << i
+    with_profile = _holder_masks(profiles)
 
     witnesses: list[ConsistencyViolation] = []
 
@@ -554,9 +560,7 @@ def audit_weak_consistency(
     # distinct profiles have distinct keys, so a set's choice is the
     # canonically first holder of the best profile it holds (the engine
     # never passes an empty set)
-    holders: dict[tuple[int, ...], int] = {}
-    for i, profile in enumerate(profiles):
-        holders[profile] = holders.get(profile, 0) | 1 << i
+    holders = _holder_masks(profiles)
     best_first = [holders[profile] for profile in sorted(holders, key=key, reverse=True)]
 
     def choose(mask: int) -> int:
