@@ -8,10 +8,11 @@
 PARENT and CHANGE are commits.  Each is exported with `git archive` into a
 fresh directory, and every pair runs
 
-    python3 bench/run.py --workload W --seed S --seconds 36 --trace 0
+    python3 bench/run.py --workload W --seed S --trace 0
 
-once in each export, under PYTHONHASHSEED=0, one process at a time.  The
-side that runs first alternates from pair to pair, starting with the
+once in each export, under PYTHONHASHSEED=0, one process at a time.
+bench/run.py then runs for the `run_seconds` that BENCHMARK.json sets.
+The side that runs first alternates from pair to pair, starting with the
 parent.  The output file is rewritten after every pair, so an interrupted
 run keeps the pairs it finished.
 
@@ -98,10 +99,9 @@ def export(commit: str, into: Path) -> str:
 
 
 def bench_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
-    """One timed run: (the end-to-end metrics with `attempted` and `failed`,
-    the run's environment line)."""
-    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+    """One timed run, `seconds` long as BENCHMARK.json sets: (the end-to-end
+    metrics with `attempted` and `failed`, the run's environment line)."""
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--trace", "0"]
     env = {**os.environ, "PYTHONHASHSEED": "0"}
     done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True,
                           timeout=seconds + 600)
@@ -127,7 +127,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", nargs="+", required=True, metavar="WORKLOAD=FIRST-LAST",
                         help="a workload and its inclusive seed range, one pair per seed")
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC", help="the claimed gain, judged by the rule")
-    parser.add_argument("--seconds", type=float, default=36)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--note", default="", help="what the change does, for the file's `change` field")
     args = parser.parse_args(argv)
@@ -135,6 +134,7 @@ def main(argv=None) -> int:
     plan = [(name, seed_range(seeds)) for name, _, seeds in (p.partition("=") for p in args.pairs)]
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
+    seconds = declared["run_seconds"]
     workdir = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         checkouts = {side: workdir / side for side in SIDES}
@@ -144,9 +144,9 @@ def main(argv=None) -> int:
             "change": args.note,
             "commits": commits,
             "method": {
-                "command": f"python3 bench/run.py --workload <name> --seed <seed> --seconds {args.seconds:g} "
-                           "--trace 0, PYTHONHASHSEED=0, run in a `git archive` export of each commit",
-                "seconds": args.seconds,
+                "command": "python3 bench/run.py --workload <name> --seed <seed> --trace 0, "
+                           "PYTHONHASHSEED=0, run in a `git archive` export of each commit",
+                "seconds": seconds,
                 "pairing": "one parent and one change run per seed, alternating which side runs first "
                            "(`first`); one process at a time",
                 "metrics_note": "times are bench/run.py's host-speed-scaled values; "
@@ -164,7 +164,7 @@ def main(argv=None) -> int:
                 order = SIDES if first == "parent" else SIDES[::-1]
                 run = {"seed": seed, "first": first}
                 for side in order:
-                    run[side], doc["env"][side] = bench_once(checkouts[side], workload, seed, args.seconds)
+                    run[side], doc["env"][side] = bench_once(checkouts[side], workload, seed, seconds)
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{side} {run[side]['ops_per_s']} ops/s" for side in SIDES), flush=True)
                 entry["seeds"].append(seed)

@@ -607,13 +607,11 @@ def audit_constrained_pareto(
         for profile in set(profiles)
         if profile != target and all(p >= t for p, t in zip(profile, target))
     }
-    witnesses = []
-    if dominating:  # their holders, in canonical order
-        witnesses = [
-            DominationWitness(alloc, dict(zip(market.agent_ids, profile)))
-            for alloc, profile in zip(allocations, profiles)
-            if profile in dominating
-        ]
+    witnesses = [  # their holders, in canonical order
+        DominationWitness(alloc, dict(zip(market.agent_ids, profile)))
+        for alloc, profile in zip(allocations, profiles)
+        if profile in dominating
+    ]
     return AuditReport(
         kind="constrained-pareto",
         verdict=VERDICT_VIOLATION if witnesses else VERDICT_CLEAN,

@@ -20,17 +20,21 @@ from exchange_clear import (
     MechanismSpec,
     audit_weak_consistency,
     audit_weak_consistency_choice,
+    auditors,
     choose_from,
     serialize,
 )
 from exchange_clear.auditors import _run_consistency_engine, _sample_masks
 from exchange_clear.feasibility import feasible_with_profiles
 from exchange_clear.instances import GeneratorConfig, generate_instance
+from exchange_clear.mechanisms import chosen_index, profile_key
 
 from oracles import key_chooser, naive_consistency_pairs, naive_weak_consistency, tiny_random_market
 
 CONSTRAINT_NAMES = ("sir", "pairwise", "unrestricted", "sir+maxcycle3")
 PARAMS = (ConsistencyParams(), ConsistencyParams(seed=7, samples=16, exhaustive_limit=3))
+# (generator seed, pairwise feasible count) of the benchmark's consistency markets
+BENCH_SHAPES = [(15, 10), (2, 22), (1, 56), (4, 156)]
 
 
 def naive_mechanism_report(market, spec, params):
@@ -167,13 +171,41 @@ def pairwise_bench_market(seed, count):
     return market, constraints
 
 
-@pytest.mark.parametrize("seed, count", [(15, 10), (2, 22), (1, 56), (4, 156)])
+@pytest.mark.parametrize("seed, count", BENCH_SHAPES)
 def test_engine_matches_naive_on_bench_size_markets(seed, count):
     market, constraints = pairwise_bench_market(seed, count)
     for kind in ("cp", "cup"):
         for priority in (market.agent_ids, market.agent_ids[::-1]):
             spec = MechanismSpec(kind, priority, constraints)
             assert_mechanism_matches(market, spec, ConsistencyParams())
+
+
+@pytest.mark.parametrize("seed, count", BENCH_SHAPES)
+def test_mechanism_chooser_is_the_mechanisms_choice_on_every_audited_set(monkeypatch, seed, count):
+    # the naive oracle ranks with the same key, so any chooser that ranks by
+    # profile passes it; pin the chooser itself against `chosen_index` on
+    # each set the engine asks about
+    market, constraints = pairwise_bench_market(seed, count)
+    _, profiles = feasible_with_profiles(market, constraints)
+    params = ConsistencyParams()
+    full = (1 << count) - 1
+    if count <= params.exhaustive_limit:
+        masks = range(1, full + 1)
+    else:
+        masks = [full, *(full ^ 1 << i for i in range(count)), *_sample_masks(count, params)]
+    engine = auditors._run_consistency_engine
+    chooser = []
+    monkeypatch.setattr(
+        auditors, "_run_consistency_engine", lambda *args: chooser.append(args[3]) or engine(*args)
+    )
+    for kind in ("cp", "cup"):
+        for priority in (market.agent_ids, market.agent_ids[::-1]):
+            spec = MechanismSpec(kind, priority, constraints)
+            audit_weak_consistency(market, spec, params)
+            choose, key = chooser.pop(), profile_key(market, spec)
+            for mask in masks:
+                indices = [i for i in range(count) if mask >> i & 1]
+                assert choose(mask) == indices[chosen_index([profiles[i] for i in indices], key)]
 
 
 def test_broken_chooser_matches_naive_on_a_bench_size_market():
