@@ -22,6 +22,13 @@ won and lost in the metric's better direction, the median ratio and the
 parent's interquartile range.  A claimed gain is met when the change wins
 at least 9 of every 10 pairs and the medians differ, in the better
 direction, by more than the parent's interquartile range.
+
+Every metric is also judged for regression: `within_bound` is true when
+the change's median is worse than the parent's by at most the metric's
+`bound` in BENCHMARK.json (a fraction of the parent's median), false when
+it is worse by more, and "unresolved" when the parent's interquartile range
+is wider than the bound and the two sides' runs overlap.  The script exits
+1 when a claim is not met or a metric is out of its bound.
 """
 
 from __future__ import annotations
@@ -38,6 +45,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RULE = "change wins >= 9 of 10 pairs and the medians differ by more than the parent's interquartile range"
+BOUND_RULE = (
+    "within_bound: the change's median is worse than the parent's by at most the bound, as a fraction "
+    "of the parent's median; unresolved when the parent's IQR exceeds the bound and the sides overlap"
+)
 SIDES = ("parent", "change")
 
 
@@ -71,6 +82,20 @@ def claim_met(summary: dict, better: str) -> bool:
     if better == "lower":
         gap = -gap
     return 10 * summary["change_wins"] >= 9 * summary["pairs"] and gap > summary["parent_iqr"]
+
+
+def within_bound(runs: list[dict], metric: str, better: str, bound: float) -> bool | str:
+    """The no-regression rule on one metric over a workload's pairs: True or
+    False, or "unresolved" when the parent's own spread is wider than
+    `bound` and the sides' runs overlap, so the spread may decide it."""
+    parent = [run["parent"][metric] for run in runs]
+    change = [run["change"][metric] for run in runs]
+    base, moved = quartiles(parent), quartiles(change)["median"]
+    overlap = min(change) <= max(parent) and min(parent) <= max(change)
+    if overlap and base["q3"] - base["q1"] > bound * base["median"]:
+        return "unresolved"
+    worse = moved - base["median"] if better == "lower" else base["median"] - moved
+    return worse <= bound * base["median"]
 
 
 def judge(workloads: dict, claim: str, better: dict) -> dict | None:
@@ -134,6 +159,7 @@ def main(argv=None) -> int:
     plan = [(name, seed_range(seeds)) for name, _, seeds in (p.partition("=") for p in args.pairs)]
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
+    bound = {metric["name"]: metric["bound"] for metric in declared["end_to_end"]}
     seconds = declared["run_seconds"]
     workdir = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
@@ -151,6 +177,7 @@ def main(argv=None) -> int:
                            "(`first`); one process at a time",
                 "metrics_note": "times are bench/run.py's host-speed-scaled values; "
                                 "the five end-to-end metrics of BENCHMARK.json",
+                "regression": BOUND_RULE,
             },
             "env": {},
             "claim": None,
@@ -169,14 +196,21 @@ def main(argv=None) -> int:
                     f"{side} {run[side]['ops_per_s']} ops/s" for side in SIDES), flush=True)
                 entry["seeds"].append(seed)
                 entry["runs"].append({key: run[key] for key in ("seed", "first", *SIDES)})
-                entry["summary"] = {m: summarize(entry["runs"], m, better[m]) for m in better}
+                entry["summary"] = {
+                    m: {**summarize(entry["runs"], m, better[m]),
+                        "within_bound": within_bound(entry["runs"], m, better[m], bound[m])}
+                    for m in better
+                }
                 pair += 1
                 if args.claim:
                     doc["claim"] = judge(doc["workloads"], args.claim, better)
                 args.out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
-    return 0 if doc["claim"] is None or doc["claim"]["met"] else 1
+    regressed = any(
+        s["within_bound"] is False for entry in doc["workloads"].values() for s in entry["summary"].values()
+    )
+    return 1 if regressed or (doc["claim"] and not doc["claim"]["met"]) else 0
 
 
 if __name__ == "__main__":

@@ -15,21 +15,13 @@ from exchange_clear import (
     impossibility_report,
     impossibility_runs,
     satisfaction_profile,
-    serialize,
 )
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--json", action="store_true", help="print the raw report instead")
-    args = parser.parse_args()
-
+    argparse.ArgumentParser(description=__doc__).parse_args()
     runs = list(impossibility_runs())
     report = impossibility_report(runs)
-    if args.json:
-        sys.stdout.write(serialize(report))
-        return 2 if report.violation_found else 0
-
     fx = fixture("theorem5")
     market = fx.market
     print(f"instance: {fx.name}  items={len(market.items)}  feasibility=pairwise+desirable")

@@ -16,11 +16,12 @@ misreport table that holds, per scenario, the distinct satisfaction profiles
 with their first holders and whether that holder's realized bundle covers
 the agent's true demands.  Every mechanism spec over that market and
 constraint set is then judged by an argmax over the table.  The tables live
-in a 16-entry memo (the agents of the last few markets), so a caller should
-audit one market and constraint set back to back, as ``suites`` does.  The
-impossibility replication judges the fixture's scripted misreports with the
-same rows and argmax, so misreported markets never enter the enumeration
-cache.  ``feasibility.clear_enumeration_cache`` empties both.
+and die with the true market's enumeration cache entry, so specs may be
+audited in any order: each table is built once while that entry stays
+cached.  The impossibility replication judges the fixture's scripted
+misreports with the same rows and argmax, so misreported markets never
+enter the enumeration cache.  ``feasibility.clear_enumeration_cache``
+empties the cache and the tables with it.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .core import (
 from .feasibility import (
     BUILT_IN_CONSTRAINT_SETS,
     ConstraintSet,
-    enumeration_memo,
+    derived_tables,
     enumerate_feasible,
     feasible_with_profiles,
     resolve_budget,
@@ -177,19 +178,10 @@ class CounterexampleFixture:
     scripted_misreports: dict[str, Bundle]
 
 
-def _subsets_desc(sorted_elems: Sequence) -> list[tuple]:
-    """All subsets, largest first, lexicographic within a size."""
-    out = []
-    for size in range(len(sorted_elems), -1, -1):
-        out.extend(itertools.combinations(sorted_elems, size))
-    return out
-
-
-def _nonempty_subsets_asc(sorted_elems: Sequence) -> list[tuple]:
-    out = []
-    for size in range(1, len(sorted_elems) + 1):
-        out.extend(itertools.combinations(sorted_elems, size))
-    return out
+def _subsets(sorted_elems: Sequence, sizes: range) -> list[tuple]:
+    """The subsets of each size in `sizes`, in that order, lexicographic
+    within a size."""
+    return [combo for size in sizes for combo in itertools.combinations(sorted_elems, size)]
 
 
 def _misreport_stream(market: Market, agent_id: str, budget: MisreportBudget):
@@ -197,8 +189,10 @@ def _misreport_stream(market: Market, agent_id: str, budget: MisreportBudget):
     subset misreports (full participation first), then single-bundle probes
     by ascending bundle size so a larger bundle cap only appends scenarios."""
     agent = market.agent(agent_id)
-    endow_subsets = _subsets_desc(sorted(agent.endowment))
-    demand_subsets = _nonempty_subsets_asc(sorted(agent.demands, key=bundle_sort_key))
+    endowment = sorted(agent.endowment)
+    demands = sorted(agent.demands, key=bundle_sort_key)
+    endow_subsets = _subsets(endowment, range(len(endowment), -1, -1))
+    demand_subsets = _subsets(demands, range(1, len(demands) + 1))
     seen: set[tuple[Bundle, frozenset[Bundle]]] = set()
 
     def make(reported_endowment, reported_demands) -> MisreportScenario | None:
@@ -334,7 +328,6 @@ def _manipulations(
     return witnesses
 
 
-@enumeration_memo(16)
 def _misreport_table(
     market: Market, constraints: ConstraintSet, agent_id: str, budget: MisreportBudget, search_budget: int
 ) -> tuple[tuple, tuple, int, bool]:
@@ -369,10 +362,13 @@ def audit_strategyproofness(
 
     witnesses = []
     examined = truncated_agents = 0
+    tables = derived_tables(market, spec.constraints, search_budget)
     for agent_id in unsatisfied:
-        profiles, rows, scenarios, truncated = _misreport_table(
-            market, spec.constraints, agent_id, budget, search_budget
-        )
+        if (agent_id, budget) not in tables:  # a search over budget raises here, storing nothing
+            tables[agent_id, budget] = _misreport_table(
+                market, spec.constraints, agent_id, budget, search_budget
+            )
+        profiles, rows, scenarios, truncated = tables[agent_id, budget]
         examined += scenarios
         truncated_agents += int(truncated)
         witnesses.extend(_manipulations(profiles, rows, key, truthful))

@@ -22,13 +22,7 @@ from .auditors import (
     replicate_impossibility,
 )
 from .core import Market, satisfaction_profile, validate_market
-from .feasibility import (
-    BudgetExceededError,
-    ConstraintSet,
-    enumerate_feasible,
-    format_constraints,
-    parse_constraints,
-)
+from .feasibility import BudgetExceededError, enumerate_feasible, format_constraints, parse_constraints
 from .instances import (
     SCHEMA_VERSION,
     GeneratorConfig,
@@ -90,13 +84,6 @@ def _params_from_flags(cls, args, *names: str):
     return cls(**fields)
 
 
-def _parse_constraint_flag(text: str) -> ConstraintSet:
-    try:
-        return parse_constraints(text)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-
-
 def _parse_range(text: str, flag: str) -> tuple[int, int]:
     parts = text.split(":")
     try:
@@ -110,18 +97,24 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
     raise CliError(f"{flag} expects 'N' or 'LO:HI', got {text!r}")
 
 
-def _cmd_solve(args) -> int:
+def _load_spec(args) -> tuple[Market, MechanismSpec]:
+    """The market of --instance and the spec of --mechanism, --constraints
+    and --priority, read in that order."""
     market = _load_market(args.instance)
-    constraints = _parse_constraint_flag(args.constraints)
+    constraints = parse_constraints(args.constraints)
     priority = _parse_priority(market, args.priority)
-    spec = MechanismSpec(args.mechanism, priority, constraints)
+    return market, MechanismSpec(args.mechanism, priority, constraints)
+
+
+def _cmd_solve(args) -> int:
+    market, spec = _load_spec(args)
     allocation = run_mechanism(market, spec)
     profile = satisfaction_profile(market, allocation)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "mechanism": args.mechanism,
-        "priority": list(priority),
-        "constraints": format_constraints(constraints),
+        "priority": list(spec.priority),
+        "constraints": format_constraints(spec.constraints),
         "allocation": dict(allocation.assignment),
         "satisfaction": profile,
         "satisfied_count": sum(profile.values()),
@@ -132,7 +125,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     market = _load_market(args.instance)
-    constraints = _parse_constraint_flag(args.constraints)
+    constraints = parse_constraints(args.constraints)
     allocations = enumerate_feasible(market, constraints)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -153,10 +146,7 @@ def _audit_exit(report) -> int:
 
 
 def _cmd_audit_sp(args) -> int:
-    market = _load_market(args.instance)
-    constraints = _parse_constraint_flag(args.constraints)
-    priority = _parse_priority(market, args.priority)
-    spec = MechanismSpec(args.mechanism, priority, constraints)
+    market, spec = _load_spec(args)
     budget = _params_from_flags(MisreportBudget, args, "bundle_cap", "max_scenarios")
     report = audit_strategyproofness(market, spec, budget)
     sys.stdout.write(serialize(report))
@@ -164,10 +154,7 @@ def _cmd_audit_sp(args) -> int:
 
 
 def _cmd_audit_consistency(args) -> int:
-    market = _load_market(args.instance)
-    constraints = _parse_constraint_flag(args.constraints)
-    priority = _parse_priority(market, args.priority)
-    spec = MechanismSpec(args.mechanism, priority, constraints)
+    market, spec = _load_spec(args)
     params = _params_from_flags(ConsistencyParams, args, "seed", "samples")
     report = audit_weak_consistency(market, spec, params)
     sys.stdout.write(serialize(report))
@@ -176,7 +163,7 @@ def _cmd_audit_consistency(args) -> int:
 
 def _cmd_audit_pareto(args) -> int:
     market = _load_market(args.instance)
-    constraints = _parse_constraint_flag(args.constraints)
+    constraints = parse_constraints(args.constraints)
     allocation = parse_allocation(_read_text(args.allocation))
     assigned = {item_id for item_id, _ in allocation.assignment}
     if assigned != set(market.item_ids):
@@ -225,42 +212,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def add_mechanism_flags(p, priority_required=False):
+    def add_mechanism_flags(p):
         p.add_argument("--mechanism", required=True, choices=("cp", "cup"))
-        p.add_argument("--priority", required=priority_required, default=None,
+        p.add_argument("--priority", default=None,
                        help="comma-separated agent ids (default: canonical id order)")
+
+    def add_market_flags(p):
+        p.add_argument("--constraints", required=True)
+        p.add_argument("--instance", required=True)
 
     solve = sub.add_parser("solve", help="run a mechanism and print its allocation")
     add_mechanism_flags(solve)
-    solve.add_argument("--constraints", required=True)
-    solve.add_argument("--instance", required=True)
+    add_market_flags(solve)
     solve.set_defaults(handler=_cmd_solve)
 
     enum = sub.add_parser("enumerate", help="enumerate the feasible allocation set")
-    enum.add_argument("--constraints", required=True)
-    enum.add_argument("--instance", required=True)
+    add_market_flags(enum)
     enum.add_argument("--full", action="store_true", help="print every allocation")
     enum.set_defaults(handler=_cmd_enumerate)
 
     sp = sub.add_parser("audit-sp", help="search for profitable misreports")
     add_mechanism_flags(sp)
-    sp.add_argument("--constraints", required=True)
-    sp.add_argument("--instance", required=True)
+    add_market_flags(sp)
     sp.add_argument("--bundle-cap", type=int, default=MisreportBudget.bundle_cap)
     sp.add_argument("--max-scenarios", type=int, default=MisreportBudget.max_scenarios)
     sp.set_defaults(handler=_cmd_audit_sp)
 
     wc = sub.add_parser("audit-consistency", help="audit choice consistency under set contraction")
     add_mechanism_flags(wc)
-    wc.add_argument("--constraints", required=True)
-    wc.add_argument("--instance", required=True)
+    add_market_flags(wc)
     wc.add_argument("--seed", type=int, default=ConsistencyParams.seed)
     wc.add_argument("--samples", type=int, default=ConsistencyParams.samples)
     wc.set_defaults(handler=_cmd_audit_consistency)
 
     pareto = sub.add_parser("audit-pareto", help="check an allocation for feasible dominators")
-    pareto.add_argument("--constraints", required=True)
-    pareto.add_argument("--instance", required=True)
+    add_market_flags(pareto)
     pareto.add_argument("--allocation", required=True)
     pareto.set_defaults(handler=_cmd_audit_pareto)
 

@@ -80,6 +80,7 @@ SIR = Constraint("sir")
 IR = Constraint("ir")
 PAIRWISE_ONLY = Constraint("pairwise")
 DESIRABLE_ONLY = Constraint("desirable")
+_BARE_KINDS = {c.kind: c for c in (UNRESTRICTED, SIR, IR, PAIRWISE_ONLY, DESIRABLE_ONLY)}
 
 
 def max_cycle_agents(limit: int) -> Constraint:
@@ -112,16 +113,8 @@ def parse_constraints(text: str) -> ConstraintSet:
         token = token.strip()
         if not token:
             continue
-        if token == "unrestricted":
-            out.append(UNRESTRICTED)
-        elif token == "sir":
-            out.append(SIR)
-        elif token == "ir":
-            out.append(IR)
-        elif token == "pairwise":
-            out.append(PAIRWISE_ONLY)
-        elif token == "desirable":
-            out.append(DESIRABLE_ONLY)
+        if token in _BARE_KINDS:
+            out.append(_BARE_KINDS[token])
         elif token.startswith("maxcycle="):
             try:
                 out.append(max_cycle_agents(int(token.split("=", 1)[1])))
@@ -239,15 +232,14 @@ def _trade_ok(
     item the index of the agent that owns it and of the agent it goes to
     (agents are 0 .. n-1).  Each item that changes hands is an edge
     owner -> assignee.  `pairwise` and `cycle_cap` are as :func:`_decode`
-    returns them.  `charge` is called per step of the cycle-partition search."""
+    returns them; both callers pass a cap unless `pairwise`.  `charge` is
+    called per step of the cycle-partition search."""
     counts: dict[tuple[int, int], int] = {}
     for edge in zip(owner, assignee):
         if edge[0] != edge[1]:
             counts[edge] = counts.get(edge, 0) + 1
     if pairwise:
         return all(counts.get((dst, src), 0) == k for (src, dst), k in counts.items())
-    if cycle_cap is None:
-        return True
     delta = [0] * n
     for (src, dst), k in counts.items():
         delta[src] += k
@@ -463,12 +455,9 @@ def _search(
                 if claim >= 0:
                     return
                 claim = x
-        if claim < 0:
-            receivers = allowed[p]
-        elif claim in allowed[p]:
-            receivers = (claim,)
-        else:
-            return
+        # a claimant may always receive the item: it is the owner, or the
+        # item lies in one of its live demands and so among its desirable items
+        receivers = allowed[p] if claim < 0 else (claim,)
         o = owner[p]
         bit = 1 << p
         unplaced = rest | bit
@@ -517,21 +506,6 @@ def _search(
     return tuple(allocations), tuple(profiles), nodes
 
 
-_memos: list = []
-
-
-def enumeration_memo(maxsize: int):
-    """An `lru_cache` of `maxsize` entries that :func:`clear_enumeration_cache`
-    also empties; for memos whose entries are built from feasible sets."""
-
-    def decorate(fn):
-        memo = lru_cache(maxsize=maxsize)(fn)
-        _memos.append(memo)
-        return memo
-
-    return decorate
-
-
 def search_feasible(
     market: Market, constraints: ConstraintSet, budget: int
 ) -> tuple[tuple[Allocation, ...], tuple[tuple[int, ...], ...]]:
@@ -543,7 +517,13 @@ def search_feasible(
     return allocations, profiles
 
 
-_feasible_profiles_cached = enumeration_memo(4096)(search_feasible)
+@lru_cache(maxsize=4096)
+def _feasible_profiles_cached(
+    market: Market, constraints: ConstraintSet, budget: int
+) -> tuple[tuple[Allocation, ...], tuple[tuple[int, ...], ...], dict]:
+    """The enumeration cache: :func:`search_feasible`'s result plus an empty
+    dict for the tables derived from it (see :func:`derived_tables`)."""
+    return (*search_feasible(market, constraints, budget), {})
 
 
 def feasible_with_profiles(
@@ -553,7 +533,16 @@ def feasible_with_profiles(
     (0/1 per agent, canonical agent order).  Cached; shared by the mechanisms
     and the auditors so repeated runs over one instance pay for the search once.
     """
-    return _feasible_profiles_cached(market, constraints, resolve_budget(budget))
+    allocations, profiles, _ = _feasible_profiles_cached(market, constraints, resolve_budget(budget))
+    return allocations, profiles
+
+
+def derived_tables(market: Market, constraints: ConstraintSet, budget: int) -> dict:
+    """The dict of tables derived from the feasible table of (market,
+    constraints) under node budget `budget` (see :func:`resolve_budget`),
+    such as the strategyproofness audit's misreport tables.  It lives in that
+    table's enumeration cache entry, so its tables leave the cache with it."""
+    return _feasible_profiles_cached(market, constraints, budget)[2]
 
 
 def enumerate_feasible(
@@ -572,7 +561,6 @@ def enumerate_feasible(
 
 
 def clear_enumeration_cache() -> None:
-    """Empty the enumeration cache and every memo built on feasible sets
-    (the strategyproofness audit's misreport tables)."""
-    for memo in _memos:
-        memo.cache_clear()
+    """Empty the enumeration cache, and with it the tables derived from its
+    entries (the strategyproofness audit's misreport tables)."""
+    _feasible_profiles_cached.cache_clear()

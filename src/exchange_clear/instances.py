@@ -52,23 +52,19 @@ def _allocation_document(allocation: Allocation) -> dict:
     return {"schema_version": SCHEMA_VERSION, "assignment": dict(allocation.assignment)}
 
 
-def _bundle_list(bundle: Bundle) -> list[str]:
-    return sorted(bundle)
-
-
 def _witness_document(witness) -> dict:
     if isinstance(witness, ManipulationWitness):
         scenario = witness.scenario
         return {
             "agent": scenario.agent,
-            "reported_endowment": _bundle_list(scenario.reported_endowment),
+            "reported_endowment": sorted(scenario.reported_endowment),
             "reported_demands": [
                 sorted(d) for d in sorted(scenario.reported_demands, key=bundle_sort_key)
             ],
-            "withheld": _bundle_list(scenario.withheld),
+            "withheld": sorted(scenario.withheld),
             "truthful_outcome": dict(witness.truthful_outcome.assignment),
             "misreport_outcome": dict(witness.misreport_outcome.assignment),
-            "realized_bundle": _bundle_list(witness.realized_bundle),
+            "realized_bundle": sorted(witness.realized_bundle),
         }
     if isinstance(witness, DominationWitness):
         return {"dominating": dict(witness.dominating.assignment), "profile": witness.profile}

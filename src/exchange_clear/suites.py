@@ -3,8 +3,9 @@
 and constrained Pareto optimal.  Each generator runs one check for both
 mechanisms under every built-in set containing `sir` and yields the results
 for the caller to judge.  All are market-major, with the specs of one
-(market, constraint set) back to back: the strategyproofness audit's
-16-entry misreport-table memo needs that to build each table once.
+(market, constraint set) back to back.  The strategyproofness audit's
+misreport tables live in the true market's enumeration cache entry, so
+each is built once in any order while that entry stays cached.
 """
 
 from __future__ import annotations

@@ -37,8 +37,11 @@ from exchange_clear import (
     serialize,
     suites,
 )
-from exchange_clear.auditors import _misreport_table
-from exchange_clear.feasibility import clear_enumeration_cache, feasible_with_profiles
+from exchange_clear.feasibility import (
+    _feasible_profiles_cached,
+    clear_enumeration_cache,
+    feasible_with_profiles,
+)
 from exchange_clear.cli import cli_dispatch
 
 from oracles import greedy_cp, key_chooser, naive_weak_consistency, two_agent_partner_market
@@ -185,7 +188,8 @@ def test_criterion_8_engineering_determinism(family, two_agent_family, tmp_path,
         fx = fixture("theorem5")
         spec = MechanismSpec("cp", fx.market.agent_ids, fx.constraints)
         clear_enumeration_cache()
-        assert _misreport_table.cache_info().currsize == 0  # no misreport table survives
+        # no misreport table survives: they live in the cache's entries
+        assert _feasible_profiles_cached.cache_info().currsize == 0
         cold = serialize(audit_strategyproofness(fx.market, spec))
         assert cold == serialize(audit_strategyproofness(fx.market, spec))
         allocations, profiles = feasible_with_profiles(fx.market, fx.constraints)

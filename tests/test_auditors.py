@@ -127,6 +127,11 @@ def test_apply_misreport_rejects_bad_scenarios(theorem5):
         apply_misreport(market, MisreportScenario("1", frozenset({"b1"}), frozenset(), frozenset()))
     with pytest.raises(KeyError):
         apply_misreport(market, MisreportScenario("9", frozenset(), frozenset(), frozenset()))
+    endowment = market.agent("1").endowment
+    with pytest.raises(ValueError, match="^withheld items do not match endowment minus report$"):
+        apply_misreport(market, MisreportScenario("1", frozenset({"a1"}), frozenset(), frozenset()))
+    with pytest.raises(ValueError, match="^reported demand references unknown item 'zz'$"):
+        apply_misreport(market, MisreportScenario("1", endowment, {frozenset({"zz"})}, frozenset()))
 
 
 def test_realized_bundle():

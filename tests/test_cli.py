@@ -152,6 +152,12 @@ def test_generate_deterministic_stdout(capsys):
     assert out1 == out2
 
 
+def test_generate_single_agent_count(capsys):
+    status, out, err = run_cli(capsys, "generate", "--seed", "1", "--agents", "3")
+    assert (status, err) == (0, "")
+    assert [agent["id"] for agent in json.loads(out)["agents"]] == ["1", "2", "3"]
+
+
 def test_generate_bad_range(capsys):
     status, _, err = run_cli(capsys, "generate", "--seed", "1", "--agents", "4:x")
     assert status == 1
@@ -227,6 +233,17 @@ def test_bad_priority_exits_one_naming_the_flag(capsys, example1_path):
     assert out == ""
     assert err.startswith("error: --priority '1,2': ")
     assert "not a permutation" in err
+
+
+@pytest.mark.parametrize("token, message", [
+    ("bogus", "unknown constraint token 'bogus'"),
+    ("maxcycle=1", "bad constraint token 'maxcycle=1': maxcycle limit must be an integer >= 2"),
+])
+def test_bad_constraint_token_exits_one_naming_it(capsys, example1_path, token, message):
+    status, out, err = run_cli(
+        capsys, "solve", "--mechanism", "cp", "--constraints", token, "--instance", example1_path,
+    )
+    assert (status, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("flag", ["--max-scenarios", "--bundle-cap"])

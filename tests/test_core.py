@@ -52,6 +52,18 @@ def test_validate_unendowed_item():
     assert any("endowed by no agent" in v for v in validate_market(market))
 
 
+def test_validate_duplicate_ids_and_unknown_endowment():
+    # parse_instance turns duplicates away before validating, so build directly
+    market = Market(
+        agents=(Agent("1", ["c1"]), Agent("1", ["c2"]), Agent("2", ["zzz"])),
+        items=(Item("c1"), Item("c1"), Item("c2")),
+    )
+    violations = validate_market(market)
+    assert "duplicate item id 'c1'" in violations
+    assert "duplicate agent id '1'" in violations
+    assert "agent '2' endows unknown item 'zzz'" in violations
+
+
 def test_satisfies_example1(example1, example1_all_satisfying):
     assert satisfies(example1.market, example1_all_satisfying, "3")
     assert example1_all_satisfying.bundle_of("3") == {"c4"}

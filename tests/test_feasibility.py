@@ -122,6 +122,9 @@ def test_constraint_validation():
 def test_parse_and_format_constraints():
     cs = parse_constraints("sir,pairwise,maxcycle=3")
     assert format_constraints(cs) == ["sir", "pairwise", "maxcycle=3"]
+    cs = parse_constraints(" unrestricted,ir,desirable ")
+    assert format_constraints(cs) == ["unrestricted", "ir", "desirable"]
+    assert parse_constraints("sir,,ir") == parse_constraints("sir,ir")
     with pytest.raises(ValueError):
         parse_constraints("bogus")
     with pytest.raises(ValueError):
@@ -287,11 +290,17 @@ def _naive_with_profiles(market, cs):
     return tuple(allocs), profiles
 
 
+# the desirable filter with the sets whose agents may claim an item: a
+# claimant can always receive it (kept out of CHECK_SETS, which the slower
+# strategyproofness gate also runs)
+CLAIM_SETS = {text: parse_constraints(text) for text in ("sir,desirable", "ir,desirable")}
+
+
 @pytest.mark.parametrize("seed", range(1, 41))
 def test_feasible_with_profiles_matches_naive(seed):
     # four agents reach balanced trades that a cap of 2 or 3 rejects
     market = tiny_random_market(seed, max_agents=4, max_items=5)
-    for name, cs in CHECK_SETS.items():
+    for name, cs in {**CHECK_SETS, **CLAIM_SETS}.items():
         assert feasible_with_profiles(market, cs) == _naive_with_profiles(market, cs), (seed, name)
 
 

@@ -17,14 +17,6 @@ def run(*argv):
     )
 
 
-def test_replicate_theorem5_json_equals_the_cli():
-    script = run("scripts/replicate_theorem5.py", "--json")
-    cli = run("-m", "exchange_clear", "replicate-theorem5")
-    assert (script.returncode, cli.returncode) == (2, 2), script.stderr + cli.stderr
-    assert script.stdout == cli.stdout
-    assert '"verdict": "violation"' in script.stdout
-
-
 def test_replicate_theorem5_narrates_every_run():
     done = run("scripts/replicate_theorem5.py")
     assert done.returncode == 2, done.stderr
@@ -100,3 +92,19 @@ def test_bench_pairs_claim_rule_on_fixed_numbers():
     lower = summarize(pairs(parent, [50] * 9 + [118], "op_ms_p50"), "op_ms_p50", "lower")
     assert (lower["change_wins"], lower["change_losses"], lower["median_ratio"]) == (9, 0, 0.4587)
     assert claim_met(lower, "lower") and not claim_met(lower, "higher")
+
+
+def test_bench_pairs_within_bound_on_fixed_numbers():
+    within_bound = bench_pairs()["within_bound"]
+    parent = [100, 101, 102, 103, 104]  # IQR 2, well inside a 0.25 bound
+    assert within_bound(pairs(parent, [80, 81, 82, 83, 84]), "ops_per_s", "higher", 0.25) is True
+    assert within_bound(pairs(parent, [70, 71, 72, 73, 74]), "ops_per_s", "higher", 0.25) is False
+    # the direction flips for a lower-is-better metric
+    assert within_bound(pairs(parent, [120] * 5, "peak_rss_mb"), "peak_rss_mb", "lower", 0.25) is True
+    assert within_bound(pairs(parent, [130] * 5, "peak_rss_mb"), "peak_rss_mb", "lower", 0.25) is False
+    # a parent spread (IQR 40) wider than the bound leaves overlapping sides unresolved
+    wide = [60, 80, 100, 120, 140]
+    assert within_bound(pairs(wide, [40, 60, 70, 90, 110]), "ops_per_s", "higher", 0.25) == "unresolved"
+    # unless the sides do not overlap: then the medians decide
+    assert within_bound(pairs(wide, [150, 160, 170, 180, 190]), "ops_per_s", "higher", 0.25) is True
+    assert within_bound(pairs(wide, [20, 30, 40, 50, 55]), "ops_per_s", "higher", 0.25) is False

@@ -1,6 +1,6 @@
 """The strategyproofness audit and the impossibility replication against
 their per-(spec, scenario) references, and the lifecycle of the audit's
-memo of misreport tables."""
+misreport tables in the enumeration cache."""
 
 import itertools
 
@@ -15,18 +15,22 @@ from exchange_clear import (
     audit_strategyproofness,
     fixture,
     replicate_impossibility,
+    run_mechanism,
+    satisfaction_profile,
     scripted_misreport,
     serialize,
 )
 from exchange_clear import auditors
-from exchange_clear.auditors import _misreport_table, impossibility_runs
+from exchange_clear.auditors import impossibility_runs
 from exchange_clear.feasibility import (
     BUDGET_ENV_VAR,
     DEFAULT_SEARCH_BUDGET,
     _feasible_profiles_cached,
     _search,
     clear_enumeration_cache,
+    derived_tables,
     feasible_with_profiles,
+    resolve_budget,
 )
 
 from oracles import (
@@ -37,7 +41,6 @@ from oracles import (
 from test_feasibility import CHECK_SETS
 
 TRUNCATING = MisreportBudget(bundle_cap=1, max_scenarios=5)
-MEMO_SIZE = _misreport_table.cache_info().maxsize
 
 
 def _priorities(market):
@@ -47,15 +50,17 @@ def _priorities(market):
 
 
 def _interleaved(markets, cs):
-    """Every spec of every market, one spec per market in turn: each table
-    is built cold, found warm by the market's next spec and, when the group
-    probes more agents than the memo holds, rebuilt after eviction."""
+    """Every spec of every market, one spec per market in turn, so the
+    audits of one market never run back to back."""
     per_market = [
         [(market, MechanismSpec(kind, priority, cs)) for kind in ("cp", "cup") for priority in _priorities(market)]
         for market in markets
     ]
     for batch in itertools.zip_longest(*per_market):
         yield from (case for case in batch if case is not None)
+
+
+TINY_MARKETS = [tiny_random_market(seed, max_agents=4, max_items=5) for seed in range(1, 41)]
 
 
 def _same_bytes(market, spec, budget=None, search_budget=None):
@@ -68,15 +73,36 @@ def _same_bytes(market, spec, budget=None, search_budget=None):
 @pytest.mark.parametrize("set_name", sorted(CHECK_SETS))
 def test_sp_audit_matches_naive_on_tiny_markets(set_name):
     cs = CHECK_SETS[set_name]
-    markets = [tiny_random_market(seed, max_agents=4, max_items=5) for seed in range(1, 41)]
-    before = _misreport_table.cache_info()
-    for start in range(0, len(markets), 5):
-        for market, spec in _interleaved(markets[start : start + 5], cs):
+    for start in range(0, len(TINY_MARKETS), 5):
+        for market, spec in _interleaved(TINY_MARKETS[start : start + 5], cs):
             for budget in (None, TRUNCATING):
                 _same_bytes(market, spec, budget)
-    after = _misreport_table.cache_info()
-    assert after.hits > before.hits
-    assert after.misses - before.misses > MEMO_SIZE
+
+
+@pytest.mark.parametrize("set_name", ["unrestricted", "sir"])
+def test_interleaved_audits_build_each_misreport_table_once(monkeypatch, set_name):
+    # the gate's order, without the reference: every (market, agent,
+    # misreport budget) table of the set is built on its first lookup only
+    cs = CHECK_SETS[set_name]
+    real = auditors._misreports_with_truncation
+    built = []
+
+    def scenarios(market, agent_id, budget):
+        built.append((market, agent_id, budget))
+        return real(market, agent_id, budget)
+
+    monkeypatch.setattr(auditors, "_misreports_with_truncation", scenarios)
+    clear_enumeration_cache()
+    probed = set()
+    for start in range(0, len(TINY_MARKETS), 5):
+        for market, spec in _interleaved(TINY_MARKETS[start : start + 5], cs):
+            for budget in (None, TRUNCATING):
+                audit_strategyproofness(market, spec, budget)
+                profile = satisfaction_profile(market, run_mechanism(market, spec))
+                probed.update((market, a, budget or MisreportBudget()) for a, sat in profile.items() if not sat)
+    assert len(built) == len(set(built))
+    assert set(built) == probed
+    assert len(probed) > 100
 
 
 def test_sp_audit_matches_naive_on_theorem5(theorem5):
@@ -89,7 +115,7 @@ def test_sp_audit_matches_naive_on_theorem5(theorem5):
     assert violations.count(True) == 12 + 12 + 4
 
 
-# ----------------------------------------------------------- memo lifecycle
+# ---------------------------------------------------------- table lifecycle
 
 # generator seed 27 under sir: 4 agents, 5 items; the canonical cp audit
 # probes agents 1, 2 and 4.  The true market's search takes 20 nodes, and
@@ -103,10 +129,10 @@ TIGHT = 20
 def test_clear_enumeration_cache_empties_misreport_tables(theorem5):
     spec = MechanismSpec("cp", theorem5.market.agent_ids, theorem5.constraints)
     audit_strategyproofness(theorem5.market, spec)
-    assert _misreport_table.cache_info().currsize > 0
+    assert derived_tables(theorem5.market, theorem5.constraints, resolve_budget(None))
     clear_enumeration_cache()
-    assert _misreport_table.cache_info().currsize == 0
     assert _feasible_profiles_cached.cache_info().currsize == 0
+    assert derived_tables(theorem5.market, theorem5.constraints, resolve_budget(None)) == {}
 
 
 def test_budget_exceeded_while_building_stores_no_table():
@@ -114,7 +140,7 @@ def test_budget_exceeded_while_building_stores_no_table():
     feasible_with_profiles(SEED27, SIR, TIGHT)  # the true market fits
     with pytest.raises(BudgetExceededError):
         audit_strategyproofness(SEED27, SEED27_SPEC, search_budget=TIGHT)
-    assert _misreport_table.cache_info().currsize == 0
+    assert derived_tables(SEED27, SIR, TIGHT) == {}
     with pytest.raises(BudgetExceededError):  # and again: nothing half-built is found
         audit_strategyproofness(SEED27, SEED27_SPEC, search_budget=TIGHT)
     after_failure = _same_bytes(SEED27, SEED27_SPEC, search_budget=TIGHT * 100)
