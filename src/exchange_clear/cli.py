@@ -8,6 +8,7 @@ means any error.  Identical invocations produce byte-identical stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -205,7 +206,10 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing does not
+    change it)."""
     parser = argparse.ArgumentParser(
         prog="exchange-clear",
         description="Clearing engine and axiom auditor for multi-item exchange markets.",

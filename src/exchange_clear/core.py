@@ -19,10 +19,6 @@ from typing import Iterable, Mapping
 Bundle = frozenset[str]
 
 
-def bundle(items: Iterable[str] = ()) -> Bundle:
-    return frozenset(items)
-
-
 def bundle_sort_key(b: Bundle) -> tuple[int, tuple[str, ...]]:
     """Canonical ordering of bundles: by size, then by sorted item ids."""
     return (len(b), tuple(sorted(b)))

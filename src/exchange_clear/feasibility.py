@@ -29,10 +29,25 @@ agent can no longer meet a constraint with the items still unplaced:
   between minus the unplaced items of the others and its own unplaced
   items; components and the cycle partition are decided at the leaves.
 
+Under sir the agents are also tested jointly, after each placement that
+trades its item (to an agent other than its owner, or an item nobody owns)
+while items remain unplaced.  Each agent has options, each reserving some
+unplaced items: keeping its endowment, allowed while it holds exactly its own
+placed items, reserves its own unplaced items; covering a live demand d that
+lies within its holding plus the unplaced items reserves the unplaced items
+of d.  An agent with an option that reserves nothing is left out, and the
+branch ends when the others cannot take one option each with pairwise
+disjoint reservations.  This is sound: in any feasible completion every
+agent ends with its endowment or covers a demand, which is taking an option,
+and every item goes to one agent, so those options' reservations are
+disjoint.  The per-agent tests see one agent at a time and miss two agents
+that need the same unplaced item.
+
 Each test is exact once every item is placed, so the pruning never changes
 the returned set.  Within one search each agent's coverage test is memoized
-on the available items it demands, and the trade counters exist only under
-pairwise balance or a cycle cap.  The search, `_search`, returns the
+on the available items it demands, the joint test's verdict on the sorted
+options, and the trade counters exist only under pairwise balance or a cycle
+cap.  The search, `_search`, returns the
 allocations, their satisfaction profiles and its node count: the root, every
 placement that survives the tests and every step of the leaves' cycle-partition
 search.  Past the node budget it aborts with :class:`BudgetExceededError`
@@ -344,10 +359,13 @@ def _search(
     come out in canonical order.  An item that one watched agent cannot do
     without goes to that agent (two such agents end the branch); every other
     placement is kept only if the receiver, the owner and the trade balances
-    can still meet the constraints with the items not yet placed.  Coverage
-    tests go through a per-agent memo keyed on the available items the agent
-    demands; the trade counters are updated only under pairwise balance
-    (`gave`, `deficit`) or a cycle cap (`bal`)."""
+    can still meet the constraints with the items not yet placed, and, under
+    sir after a trade, if every agent can still reserve the unplaced items it
+    needs without two agents reserving the same item (`reservable`).
+    Coverage tests go through a per-agent memo keyed on the available items
+    the agent demands, packing verdicts through `packs`; the trade counters
+    are updated only under pairwise balance (`gave`, `deficit`) or a cycle
+    cap (`bal`)."""
     kinds, pairwise, cycle_cap = _decode(constraints)
     need_sir, need_ir = "sir" in kinds, "ir" in kinds
     agents, item_ids = market.agents, market.item_ids
@@ -434,6 +452,46 @@ def _search(
     interned: dict[tuple[int, ...], tuple[int, ...]] = {}
     allocations: list[Allocation] = []
     profiles: list[tuple[int, ...]] = []
+    packs: dict[tuple[int | tuple[int, ...], ...], bool] = {}
+
+    def reservable(p: int) -> bool:
+        """Under sir, after item p is placed: whether every agent can still
+        take one option (keep its endowment, or cover a live demand) so that
+        the unplaced items the options reserve are pairwise disjoint.  An
+        agent with an option that reserves nothing is left out."""
+        rest = rest_after[p]
+        options = []
+        taken = 0  # reserved by agents with a single option: they have no choice
+        for h, mine, demands in zip(held, endow, live):
+            lacking = ~(h | rest)
+            # keeping the endowment: the agent holds exactly its own placed items
+            reserves = [mine & rest] if h == mine & ~rest else []
+            for d in demands:
+                if not d & lacking:
+                    reserves.append(d & rest)
+            if len(reserves) == 1:
+                r = reserves[0]
+                if r & taken:
+                    return False
+                taken |= r
+            elif not reserves:
+                return False
+            elif 0 not in reserves:
+                options.append(tuple(reserves))
+        if not options:
+            return True
+        key = (taken, *sorted(options))
+        verdict = packs.get(key)
+        if verdict is None:
+            verdict = packs[key] = pack(options, 0, taken)
+        return verdict
+
+    def pack(options: list[tuple[int, ...]], i: int, taken: int) -> bool:
+        """Whether options[i:] admit one reservation each, pairwise disjoint
+        and disjoint from `taken`."""
+        if i == len(options):
+            return True
+        return any(not r & taken and pack(options, i + 1, taken | r) for r in options[i])
 
     def descend(p: int) -> None:
         charge()
@@ -468,6 +526,11 @@ def _search(
             if need_sir and a != o and not cover[a][(h | unplaced) & wanted[a]]:
                 continue
             held[a] = h | bit
+            # a traded item may leave two agents needing the same unplaced
+            # item (once none is left, the tests above are exact)
+            if need_sir and a != o and rest and not reservable(p):
+                held[a] = h
+                continue
             assign[p] = a
             if o < 0 or not (pairwise or cycle_cap):
                 descend(p + 1)
@@ -502,7 +565,7 @@ def _search(
     try:
         descend(0)
     finally:
-        descend = None  # break the closure's reference cycle
+        descend = pack = None  # break the closures' reference cycles
     return tuple(allocations), tuple(profiles), nodes
 
 

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from conftest import subprocess_env
-from exchange_clear import fixture, serialize
+from exchange_clear import Allocation, fixture, serialize
 from exchange_clear.cli import cli_dispatch
 
 
@@ -126,6 +126,24 @@ def test_audit_pareto_mismatched_allocation(capsys, tmp_path, example1_path):
     )
     assert status == 1
     assert "error:" in err
+
+
+def test_audit_pareto_unknown_agent(capsys, tmp_path, example1_path):
+    market = fixture("example1").market
+    alloc_path = tmp_path / "stranger.json"
+    alloc_path.write_text(serialize(Allocation({item_id: "9" for item_id in market.item_ids})))
+    status, _, err = run_cli(
+        capsys, "audit-pareto", "--constraints", "sir",
+        "--instance", example1_path, "--allocation", str(alloc_path),
+    )
+    assert (status, err) == (1, "error: allocation names unknown agents: ['9']\n")
+
+
+def test_unwritable_out_exits_one_naming_the_path(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "fx.json"
+    status, _, err = run_cli(capsys, "fixture", "theorem5", "--out", str(out_path))
+    assert status == 1
+    assert err.startswith(f"error: cannot write {out_path}: ")
 
 
 def test_fixture_writes_instance(capsys, tmp_path):

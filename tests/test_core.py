@@ -84,6 +84,11 @@ def test_satisfies_unknown_agent(example1):
         satisfies(example1.market, endowment_allocation(example1.market), "nope")
 
 
+def test_agent_of_unknown_item_names_it(example1):
+    with pytest.raises(KeyError, match="item 'ghost' not present in allocation"):
+        endowment_allocation(example1.market).agent_of("ghost")
+
+
 def test_utility_example1(example1, example1_all_satisfying):
     market = example1.market
     assert utility(market, example1_all_satisfying, "1") == 1

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from exchange_clear import (
     Agent,
+    AuditReport,
     GeneratorConfig,
     InstanceFormatError,
     Item,
@@ -129,6 +130,12 @@ def test_parse_unknown_field():
         parse_instance(text)
 
 
+def test_parse_unknown_agent_field():
+    text = '{"schema_version": "1", "items": [], "agents": [{"id": "1", "endowment": [], "demands": [], "age": 3}]}'
+    with pytest.raises(InstanceFormatError, match="agents\\[0\\]: unknown field 'age'"):
+        parse_instance(text)
+
+
 def test_parse_rejects_invalid_market():
     text = (
         '{"schema_version": "1", "items": [{"id": "x"}],'
@@ -190,6 +197,12 @@ def test_generator_infeasible_config():
 def test_serialize_rejects_unknown_type():
     with pytest.raises(TypeError):
         serialize(42)
+
+
+def test_serialize_rejects_unknown_witness_type():
+    report = AuditReport("strategyproofness", "violation", witnesses=(42,))
+    with pytest.raises(TypeError, match="cannot serialize witness of type int"):
+        serialize(report)
 
 
 def test_allocation_document_shape(example1):

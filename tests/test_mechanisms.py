@@ -175,3 +175,8 @@ def test_priority_must_be_permutation(example1):
         run_cp(example1.market, ("1", "2"), example1.constraints)
     with pytest.raises(ValueError):
         run_cp(example1.market, ("1", "2", "2"), example1.constraints)
+
+
+def test_unknown_mechanism_kind_is_rejected(example1):
+    with pytest.raises(ValueError, match="unknown mechanism kind 'rsd'"):
+        MechanismSpec("rsd", example1.market.agent_ids, example1.constraints)

@@ -13,6 +13,7 @@ from exchange_clear import (
     MisreportBudget,
     apply_misreport,
     audit_strategyproofness,
+    enumerate_misreports,
     fixture,
     replicate_impossibility,
     run_mechanism,
@@ -118,12 +119,31 @@ def test_sp_audit_matches_naive_on_theorem5(theorem5):
 # ---------------------------------------------------------- table lifecycle
 
 # generator seed 27 under sir: 4 agents, 5 items; the canonical cp audit
-# probes agents 1, 2 and 4.  The true market's search takes 20 nodes, and
-# some misreported markets' searches of each probed agent take more.
+# probes agents 1, 2 and 4.  TIGHT is the node count of the true market's
+# search, so the true market fits it; the budget tests below rest on some
+# misreport search of the first probed agent not fitting it, and on every
+# misreport search fitting TIGHT * 100 (both checked by the premise test).
 SEED27 = tiny_random_market(27, max_agents=4, max_items=5)
 SIR = BUILT_IN_CONSTRAINT_SETS["sir"]
 SEED27_SPEC = MechanismSpec("cp", SEED27.agent_ids, SIR)
-TIGHT = 20
+TIGHT = _search(SEED27, SIR, DEFAULT_SEARCH_BUDGET)[2]
+
+
+def test_seed27_tight_budget_premise():
+    clear_enumeration_cache()
+    feasible_with_profiles(SEED27, SIR, TIGHT)  # the true market fits
+    truthful = satisfaction_profile(SEED27, run_mechanism(SEED27, SEED27_SPEC))
+    probed = [agent_id for agent_id, sat in truthful.items() if not sat]
+    assert probed == ["1", "2", "4"]
+    nodes = {
+        agent_id: [
+            _search(apply_misreport(SEED27, scenario), SIR, DEFAULT_SEARCH_BUDGET)[2]
+            for scenario in enumerate_misreports(SEED27, agent_id)
+        ]
+        for agent_id in probed
+    }
+    assert max(nodes[probed[0]]) > TIGHT
+    assert max(map(max, nodes.values())) <= TIGHT * 100
 
 
 def test_clear_enumeration_cache_empties_misreport_tables(theorem5):
