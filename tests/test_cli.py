@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from conftest import subprocess_env
-from exchange_clear import Allocation, fixture, serialize
+from exchange_clear import Agent, Allocation, Item, Market, cli, fixture, serialize
 from exchange_clear.cli import cli_dispatch
 
 
@@ -174,6 +174,14 @@ def test_generate_single_agent_count(capsys):
     status, out, err = run_cli(capsys, "generate", "--seed", "1", "--agents", "3")
     assert (status, err) == (0, "")
     assert [agent["id"] for agent in json.loads(out)["agents"]] == ["1", "2", "3"]
+
+
+def test_generate_refuses_to_write_an_invalid_market(capsys, monkeypatch):
+    overlapping = Market((Agent("1", ["x"]), Agent("2", ["x"])), (Item("x"),))
+    monkeypatch.setattr(cli, "generate_instance", lambda config: overlapping)
+    status, out, err = run_cli(capsys, "generate", "--seed", "1")
+    assert (status, out) == (1, "")
+    assert err.startswith("error: generated market failed validation: ")
 
 
 def test_generate_bad_range(capsys):
