@@ -411,27 +411,44 @@ SHAPES = {
 @pytest.mark.parametrize(
     "shape, arg, text, nodes, count",
     [
-        ("ladder", 4, "sir", 337, 110),
-        ("ladder", 4, "sir,maxcycle=3", 186, 16),
+        ("ladder", 4, "sir", 381, 110),
+        ("ladder", 4, "sir,maxcycle=3", 228, 16),
         ("ladder", 4, "pairwise", 1_603, 474),
         ("ladder", 4, "maxcycle=3", 23_189, 2_082),
         ("ladder", 4, "pairwise,desirable", 57, 10),
-        ("ladder", 5, "sir", 78, 23),
-        ("ladder", 5, "sir,maxcycle=3", 56, 4),
+        ("ladder", 5, "sir", 96, 23),
+        ("ladder", 5, "sir,maxcycle=3", 74, 4),
         ("ladder", 5, "pairwise", 20_171, 5_850),
-        ("ladder", 6, "sir", 13, 1),
-        ("ladder", 6, "sir,maxcycle=3", 13, 1),
-        ("ladder", 7, "sir,maxcycle=3", 693, 17),
-        ("ladder", 8, "sir,pairwise", 2_000, 15),
-        ("ladder", 9, "sir", 2_849, 972),
-        ("ladder", 9, "sir,maxcycle=3", 833, 20),
-        ("cli", 2, "sir", 11, 1),
-        ("cli", 2, "sir,maxcycle=3", 11, 1),
-        ("cli", 3, "sir", 36, 2),
-        ("cli", 3, "sir,maxcycle=3", 38, 2),
+        ("ladder", 6, "sir", 56, 1),
+        ("ladder", 6, "sir,maxcycle=3", 56, 1),
+        ("ladder", 7, "sir,maxcycle=3", 1_150, 17),
+        ("ladder", 8, "sir,pairwise", 19_736, 15),
+        ("ladder", 9, "sir", 3_946, 972),
+        ("ladder", 9, "sir,maxcycle=3", 1_920, 20),
+        ("cli", 2, "sir", 159, 1),
+        ("cli", 2, "sir,maxcycle=3", 159, 1),
+        ("cli", 3, "sir", 340, 2),
+        ("cli", 3, "sir,maxcycle=3", 337, 2),
     ],
 )
 def test_search_node_counts_are_pinned(shape, arg, text, nodes, count):
     market = generate_instance(SHAPES[shape](arg))
     allocations, _, charged = _search(market, parse_constraints(text), DEFAULT_SEARCH_BUDGET)
     assert (charged, len(allocations)) == (nodes, count)
+
+
+def test_sir_reservation_packing_is_charged():
+    # a0..a6 each own one item and want any one of b's six items; b wants
+    # all seven.  Once a0 gives p0 to b, b claims p1..p6 and seven agents
+    # need six items: the joint test's packing fails after about e*6!
+    # steps, each a node (2,013 in all; the root and the placements are 14)
+    k = 6
+    agents = tuple(Agent(f"a{i}", [f"p{i}"], [{f"u{j}"} for j in range(k)]) for i in range(k + 1))
+    agents += (Agent("b", [f"u{j}" for j in range(k)], [{f"p{i}" for i in range(k + 1)}]),)
+    items = tuple(Item(f"p{i}") for i in range(k + 1)) + tuple(Item(f"u{j}") for j in range(k))
+    market = Market(agents, items)
+    sir = parse_constraints("sir")
+    allocations, _, nodes = _search(market, sir, DEFAULT_SEARCH_BUDGET)
+    assert (nodes, allocations) == (2_013, (endowment_allocation(market),))
+    with pytest.raises(BudgetExceededError):
+        _search(market, sir, 1_000)
