@@ -27,8 +27,11 @@ Every metric is also judged for regression: `within_bound` is true when
 the change's median is worse than the parent's by at most the metric's
 `bound` in BENCHMARK.json (a fraction of the parent's median), false when
 it is worse by more, and "unresolved" when the parent's interquartile range
-is wider than the bound and the two sides' runs overlap.  The script exits
-1 when a claim is not met or a metric is out of its bound.
+is wider than the bound and the two sides' runs overlap.  Per workload,
+`failures` holds each side's share of failed ops over all its runs (failed
+over attempted) and `no_worse`, false when the change's share exceeds the
+parent's.  The script exits 1 when a claim is not met, a metric is out of
+its bound or a workload's failed share grew.
 """
 
 from __future__ import annotations
@@ -96,6 +99,19 @@ def within_bound(runs: list[dict], metric: str, better: str, bound: float) -> bo
         return "unresolved"
     worse = moved - base["median"] if better == "lower" else base["median"] - moved
     return worse <= bound * base["median"]
+
+
+def failures(runs: list[dict]) -> dict:
+    """Each side's share of failed ops over a workload's runs, and whether
+    the change's share is no larger than the parent's."""
+    shares = {}
+    for side in SIDES:
+        attempted = sum(run[side]["attempted"] for run in runs)
+        shares[side] = sum(run[side]["failed"] for run in runs) / attempted if attempted else 0.0
+    return {
+        **{f"{side}_share": round(share, 6) for side, share in shares.items()},
+        "no_worse": shares["change"] <= shares["parent"],
+    }
 
 
 def judge(workloads: dict, claim: str, better: dict) -> dict | None:
@@ -201,6 +217,7 @@ def main(argv=None) -> int:
                         "within_bound": within_bound(entry["runs"], m, better[m], bound[m])}
                     for m in better
                 }
+                entry["failures"] = failures(entry["runs"])
                 pair += 1
                 if args.claim:
                     doc["claim"] = judge(doc["workloads"], args.claim, better)
@@ -209,7 +226,7 @@ def main(argv=None) -> int:
         shutil.rmtree(workdir, ignore_errors=True)
     regressed = any(
         s["within_bound"] is False for entry in doc["workloads"].values() for s in entry["summary"].values()
-    )
+    ) or any(not entry["failures"]["no_worse"] for entry in doc["workloads"].values())
     return 1 if regressed or (doc["claim"] and not doc["claim"]["met"]) else 0
 
 

@@ -193,15 +193,15 @@ def _misreport_stream(market: Market, agent_id: str, budget: MisreportBudget):
     demands = sorted(agent.demands, key=bundle_sort_key)
     endow_subsets = _subsets(endowment, range(len(endowment), -1, -1))
     demand_subsets = _subsets(demands, range(1, len(demands) + 1))
-    seen: set[tuple[Bundle, frozenset[Bundle]]] = set()
+    seen: set[MisreportScenario] = set()
 
     def make(reported_endowment, reported_demands) -> MisreportScenario | None:
-        endowment = frozenset(reported_endowment)
-        demands = frozenset(frozenset(d) for d in reported_demands)
-        if (endowment, demands) in seen:
+        withheld = agent.endowment - frozenset(reported_endowment)
+        scenario = MisreportScenario(agent_id, reported_endowment, reported_demands, withheld)
+        if scenario in seen:
             return None
-        seen.add((endowment, demands))
-        return MisreportScenario(agent_id, endowment, demands, agent.endowment - endowment)
+        seen.add(scenario)
+        return scenario
 
     yield make(agent.endowment, agent.demands)
     for reported_endowment in endow_subsets:
@@ -296,7 +296,7 @@ def _misreport_rows(
     profile_ids: dict[tuple[int, ...], int] = {}
     rows = []
     for scenario in scenarios:
-        allocations, profiles = search_feasible(
+        allocations, profiles, _ = search_feasible(
             apply_misreport(market, scenario), constraints, search_budget
         )
         ids = []
@@ -328,16 +328,6 @@ def _manipulations(
     return witnesses
 
 
-def _misreport_table(
-    market: Market, constraints: ConstraintSet, agent_id: str, budget: MisreportBudget, search_budget: int
-) -> tuple[tuple, tuple, int, bool]:
-    """(profiles, rows) of the agent's budgeted misreport space, its size and
-    whether it was truncated."""
-    scenarios, truncated = _misreports_with_truncation(market, agent_id, budget)
-    profiles, rows = _misreport_rows(market, constraints, agent_id, scenarios, search_budget)
-    return profiles, rows, len(scenarios), truncated
-
-
 def audit_strategyproofness(
     market: Market,
     spec: MechanismSpec,
@@ -365,9 +355,9 @@ def audit_strategyproofness(
     tables = derived_tables(market, spec.constraints, search_budget)
     for agent_id in unsatisfied:
         if (agent_id, budget) not in tables:  # a search over budget raises here, storing nothing
-            tables[agent_id, budget] = _misreport_table(
-                market, spec.constraints, agent_id, budget, search_budget
-            )
+            misreports, truncated = _misreports_with_truncation(market, agent_id, budget)
+            profiles, rows = _misreport_rows(market, spec.constraints, agent_id, misreports, search_budget)
+            tables[agent_id, budget] = profiles, rows, len(misreports), truncated
         profiles, rows, scenarios, truncated = tables[agent_id, budget]
         examined += scenarios
         truncated_agents += int(truncated)

@@ -48,7 +48,7 @@ class CliError(Exception):
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
 
 
@@ -287,7 +287,8 @@ def cli_dispatch(argv: list[str]) -> int:
     try:
         return args.handler(args)
     except (CliError, InstanceFormatError, BudgetExceededError, ValueError, KeyError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
+        # a KeyError's str() is the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return EXIT_ERROR
 

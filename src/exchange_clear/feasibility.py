@@ -48,12 +48,11 @@ branch exponentially, so each of its steps that fails is charged as a node.
 Each test is exact once every item is placed, so the pruning never changes
 the returned set.  Within one search each agent's coverage test is memoized
 on the available items it demands, and the trade counters exist only under
-pairwise balance or a cycle cap.  The search, `_search`, returns the
-allocations, their satisfaction profiles and its node count: the root, every
-placement that survives the tests, every failed step of the joint test's
-packing and every step of the leaves' cycle-partition search.  Past the node
-budget it aborts with :class:`BudgetExceededError` (the instance is beyond
-desk scale).
+pairwise balance or a cycle cap.  The search returns the allocations, their
+satisfaction profiles and its node count: the root, every placement that
+survives the tests, every failed step of the joint test's packing and every
+step of the leaves' cycle-partition search.  Past the node budget it aborts
+with :class:`BudgetExceededError` (the instance is beyond desk scale).
 """
 
 from __future__ import annotations
@@ -350,12 +349,15 @@ class _Coverage(dict):
         return hit
 
 
-def _search(
+def search_feasible(
     market: Market, constraints: ConstraintSet, budget: int
 ) -> tuple[tuple[Allocation, ...], tuple[tuple[int, ...], ...], int]:
-    """Depth-first search of one (market, constraint set).  Returns the
-    feasible allocations in canonical order, their satisfaction profiles and
-    the number of nodes charged against `budget`; no state outlives the call.
+    """Depth-first search of one (market, constraint set), uncached: markets
+    searched once, such as the strategyproofness audit's misreported ones,
+    call it directly.  Returns the feasible allocations in canonical order,
+    their satisfaction profiles and the number of nodes charged against
+    `budget`, the node budget itself (see :func:`resolve_budget`); no state
+    outlives the call.
 
     Items are assigned in id order, each to the agents in id order, so leaves
     come out in canonical order.  An item that one watched agent cannot do
@@ -571,24 +573,15 @@ def _search(
     return tuple(allocations), tuple(profiles), nodes
 
 
-def search_feasible(
-    market: Market, constraints: ConstraintSet, budget: int
-) -> tuple[tuple[Allocation, ...], tuple[tuple[int, ...], ...]]:
-    """What :func:`feasible_with_profiles` returns, searched afresh on every
-    call and never cached: for markets that are searched once, such as the
-    strategyproofness audit's misreported ones.  `budget` is the node
-    budget itself (see :func:`resolve_budget`)."""
-    allocations, profiles, _ = _search(market, constraints, budget)
-    return allocations, profiles
-
-
 @lru_cache(maxsize=4096)
 def _feasible_profiles_cached(
     market: Market, constraints: ConstraintSet, budget: int
 ) -> tuple[tuple[Allocation, ...], tuple[tuple[int, ...], ...], dict]:
-    """The enumeration cache: :func:`search_feasible`'s result plus an empty
-    dict for the tables derived from it (see :func:`derived_tables`)."""
-    return (*search_feasible(market, constraints, budget), {})
+    """The enumeration cache: :func:`search_feasible`'s allocations and
+    profiles plus an empty dict for the tables derived from them (see
+    :func:`derived_tables`)."""
+    allocations, profiles, _ = search_feasible(market, constraints, budget)
+    return allocations, profiles, {}
 
 
 def feasible_with_profiles(

@@ -4,8 +4,7 @@ Documents are JSON with a "schema_version" field (currently "1") and a fully
 canonical layout: fixed key order, agents and items sorted by id, bundles
 sorted item-by-item, demand sets sorted by size then contents, two-space
 indentation, UTF-8, newline-terminated.  Serializing the same value twice is
-byte-identical, which is what makes golden-file and cross-thread-count
-regression tests possible.
+byte-identical, which is what makes golden-file regression tests possible.
 """
 
 from __future__ import annotations
@@ -137,7 +136,6 @@ def parse_instance(text: str) -> Market:
     _require(isinstance(data.get("agents"), list), "field 'agents' must be a list")
 
     items = []
-    seen_items: set[str] = set()
     for pos, entry in enumerate(data["items"]):
         _require(isinstance(entry, dict), f"items[{pos}] must be an object")
         unknown = set(entry) - {"id", "null"}
@@ -145,14 +143,11 @@ def parse_instance(text: str) -> Market:
             raise InstanceFormatError(f"items[{pos}]: unknown field {sorted(unknown)[0]!r}")
         item_id = entry.get("id")
         _require(isinstance(item_id, str), f"items[{pos}]: field 'id' must be a string")
-        _require(item_id not in seen_items, f"duplicate item id {item_id!r}")
-        seen_items.add(item_id)
         is_null = entry.get("null", False)
         _require(isinstance(is_null, bool), f"items[{pos}]: field 'null' must be a boolean")
         items.append(Item(item_id, is_null))
 
     agents = []
-    seen_agents: set[str] = set()
     for pos, entry in enumerate(data["agents"]):
         _require(isinstance(entry, dict), f"agents[{pos}] must be an object")
         unknown = set(entry) - {"id", "endowment", "demands"}
@@ -160,8 +155,6 @@ def parse_instance(text: str) -> Market:
             raise InstanceFormatError(f"agents[{pos}]: unknown field {sorted(unknown)[0]!r}")
         agent_id = entry.get("id")
         _require(isinstance(agent_id, str), f"agents[{pos}]: field 'id' must be a string")
-        _require(agent_id not in seen_agents, f"duplicate agent id {agent_id!r}")
-        seen_agents.add(agent_id)
         endowment = entry.get("endowment")
         _require(
             isinstance(endowment, list) and all(isinstance(x, str) for x in endowment),

@@ -256,6 +256,57 @@ def tiny_random_market(seed, max_agents=3, max_items=4):
     return Market(tuple(agents), tuple(Item(x) for x in item_ids))
 
 
+# ABO blood types: the draw weights, and the patient types each donor type
+# may give to
+ABO_WEIGHTS = {"O": 48, "A": 34, "B": 14, "AB": 4}
+ABO_GIVES_TO = {"O": {"O", "A", "B", "AB"}, "A": {"A", "AB"}, "B": {"B", "AB"}, "AB": {"AB"}}
+
+
+def one_donor_market(seed, n):
+    """A seeded kidney-exchange market of `n` patient-donor pairs: agent
+    a<i> owns its donor's item d<i> and demands, one bundle each, every
+    other donor whose blood type may give to its patient's.  Returns the
+    market and its compatibility matrix: compat[i][j] is 1 iff agent i
+    demands donor j."""
+    rng = random.Random(seed)
+    types, weights = list(ABO_WEIGHTS), list(ABO_WEIGHTS.values())
+    patient = rng.choices(types, weights, k=n)
+    donor = rng.choices(types, weights, k=n)
+    compat = [[int(j != i and patient[i] in ABO_GIVES_TO[donor[j]]) for j in range(n)] for i in range(n)]
+    agents = tuple(
+        Agent(f"a{i:02d}", [f"d{i:02d}"], [{f"d{j:02d}"} for j in range(n) if compat[i][j]]) for i in range(n)
+    )
+    return Market(agents, tuple(Item(f"d{i:02d}") for i in range(n))), compat
+
+
+def permanent(matrix):
+    """Ryser's formula: (-1)^n times the sum over column sets S of
+    (-1)^|S| times the product of the row sums over S."""
+    n = len(matrix)
+    total = 0
+    for columns in range(1 << n):
+        product = 1
+        for row in matrix:
+            product *= sum(row[j] for j in range(n) if columns >> j & 1)
+        total += (-1) ** columns.bit_count() * product
+    return (-1) ** n * total
+
+
+def involutions(compat):
+    """The permutations of order at most 2 whose 2-cycles join mutually
+    compatible agents, i.e. the matchings of that graph, the empty one
+    included."""
+
+    def count(free):
+        if not free:
+            return 1
+        i, rest = free[0], free[1:]
+        paired = sum(count(tuple(k for k in rest if k != j)) for j in rest if compat[i][j] and compat[j][i])
+        return count(rest) + paired
+
+    return count(tuple(range(len(compat))))
+
+
 def naive_consistency_pairs(count, params):
     """Build the (superset, subset) index pairs to test.
 

@@ -305,6 +305,31 @@ def test_deeply_nested_instance_exits_one(capsys, tmp_path):
     assert err == "error: malformed document: nested too deeply\n"
 
 
+def test_undecodable_instance_exits_one_naming_the_path(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"schema_version": "1", "items": [{"id": "\xe9"}]}')
+    status, out, err = run_cli(capsys, "enumerate", "--constraints", "sir", "--instance", str(path))
+    assert status == 1
+    assert out == ""
+    assert err == (
+        f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xe9 in position 42: "
+        "invalid continuation byte\n"
+    )
+
+
+def test_unencodable_stdout_exits_one_naming_the_codec(tmp_path):
+    path = tmp_path / "accented.json"
+    market = Market((Agent("é", ["x"], [{"x"}]),), (Item("x"),))
+    path.write_text(serialize(market), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "exchange_clear", "enumerate", "--constraints", "sir", "--instance", str(path)],
+        capture_output=True, text=True, env=subprocess_env(PYTHONIOENCODING="ascii"), timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: 'ascii' codec can't encode character '\\xe9' in position "), proc.stderr
+
+
 def test_cli_determinism_byte_identical(capsys, theorem5_path):
     args = ("enumerate", "--constraints", "pairwise,desirable", "--instance", theorem5_path)
     _, out1, _ = run_cli(capsys, *args)

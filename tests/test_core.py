@@ -53,7 +53,6 @@ def test_validate_unendowed_item():
 
 
 def test_validate_duplicate_ids_and_unknown_endowment():
-    # parse_instance turns duplicates away before validating, so build directly
     market = Market(
         agents=(Agent("1", ["c1"]), Agent("1", ["c2"]), Agent("2", ["zzz"])),
         items=(Item("c1"), Item("c1"), Item("c2")),

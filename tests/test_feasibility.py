@@ -28,16 +28,19 @@ from exchange_clear import (
 from exchange_clear import feasibility
 from exchange_clear.feasibility import (
     DEFAULT_SEARCH_BUDGET,
-    _search,
     clear_enumeration_cache,
     feasible_with_profiles,
+    search_feasible,
 )
 
 from oracles import (
     TradeGraph,
     find_cycle_decomposition,
+    involutions,
     naive_enumerate,
     naive_satisfies_constraints,
+    one_donor_market,
+    permanent,
     tiny_random_market,
     trade_graph,
 )
@@ -363,7 +366,7 @@ def test_agentless_market_matches_naive(set_name, items):
 def test_cycle_partition_steps_are_charged(monkeypatch):
     market = generate_instance(GeneratorConfig(seed=3, agents=(4, 4), items_per_agent=(2, 2)))
     cs = BUILT_IN_CONSTRAINT_SETS["maxcycle3"]
-    *expected, charged_nodes = _search(market, cs, DEFAULT_SEARCH_BUDGET)
+    *expected, charged_nodes = search_feasible(market, cs, DEFAULT_SEARCH_BUDGET)
 
     real = feasibility._partition_into_cycles
     steps = []
@@ -372,14 +375,14 @@ def test_cycle_partition_steps_are_charged(monkeypatch):
         "_partition_into_cycles",
         lambda edges, cap, charge: real(edges, cap, lambda: steps.append(1)),
     )
-    *found, free_nodes = _search(market, cs, DEFAULT_SEARCH_BUDGET)
+    *found, free_nodes = search_feasible(market, cs, DEFAULT_SEARCH_BUDGET)
     assert found == expected
     assert steps and free_nodes + len(steps) == charged_nodes
     # the assignment search alone fits this budget; the partition steps do not
-    assert _search(market, cs, free_nodes)[:2] == tuple(expected)
+    assert search_feasible(market, cs, free_nodes)[:2] == tuple(expected)
     monkeypatch.undo()
     with pytest.raises(BudgetExceededError):
-        _search(market, cs, free_nodes)
+        search_feasible(market, cs, free_nodes)
 
 
 def test_pairwise_five_agent_ladder_cell_fits_default_budget():
@@ -395,7 +398,7 @@ def test_pairwise_four_agent_search_is_propagated():
     assert len(enumerate_feasible(market, BUILT_IN_CONSTRAINT_SETS["pairwise"], budget=5_000)) == 474
 
 
-# `_search`'s exact (nodes, allocations) under the default budget, on the
+# The search's exact (nodes, allocations) under the default budget, on the
 # generator-seed-3 ladder with two items per agent and on the clear-cli
 # benchmark's market shape (five agents with three demanded pairs each).
 # The naive oracles check the returned sets; only these pins see a change
@@ -433,7 +436,7 @@ SHAPES = {
 )
 def test_search_node_counts_are_pinned(shape, arg, text, nodes, count):
     market = generate_instance(SHAPES[shape](arg))
-    allocations, _, charged = _search(market, parse_constraints(text), DEFAULT_SEARCH_BUDGET)
+    allocations, _, charged = search_feasible(market, parse_constraints(text), DEFAULT_SEARCH_BUDGET)
     assert (charged, len(allocations)) == (nodes, count)
 
 
@@ -448,7 +451,22 @@ def test_sir_reservation_packing_is_charged():
     items = tuple(Item(f"p{i}") for i in range(k + 1)) + tuple(Item(f"u{j}") for j in range(k))
     market = Market(agents, items)
     sir = parse_constraints("sir")
-    allocations, _, nodes = _search(market, sir, DEFAULT_SEARCH_BUDGET)
+    allocations, _, nodes = search_feasible(market, sir, DEFAULT_SEARCH_BUDGET)
     assert (nodes, allocations) == (2_013, (endowment_allocation(market),))
     with pytest.raises(BudgetExceededError):
-        _search(market, sir, 1_000)
+        search_feasible(market, sir, 1_000)
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_one_donor_counts_match_exact_oracles(seed, n):
+    # one item per agent and single-item demands: under sir every agent ends
+    # with exactly one item, its own or a compatible donor's, so the
+    # allocations are the permutations inside compat + I; pairwise balance
+    # leaves their involutions.  These counts lie past naive_enumerate's
+    # n^n assignments.
+    market, compat = one_donor_market(seed, n)
+    with_identity = [[int(i == j) | c for j, c in enumerate(row)] for i, row in enumerate(compat)]
+    sir, _, _ = search_feasible(market, parse_constraints("sir"), DEFAULT_SEARCH_BUDGET)
+    pairwise, _, _ = search_feasible(market, parse_constraints("sir,pairwise"), DEFAULT_SEARCH_BUDGET)
+    assert (len(sir), len(pairwise)) == (permanent(with_identity), involutions(compat))

@@ -51,6 +51,18 @@ def test_parse_duplicate_item_id():
         parse_instance(text)
 
 
+def test_parse_duplicate_ids_are_reported_with_every_violation():
+    items = '[{"id": "x"}, {"id": "x"}, {"id": "y"}]'
+    agents = '[{"id": "1", "endowment": ["x"], "demands": [["y"]]}, {"id": "1", "endowment": ["y"], "demands": [["z"]]}]'
+    text = f'{{"schema_version": "1", "items": {items}, "agents": {agents}}}'
+    with pytest.raises(InstanceFormatError) as info:
+        parse_instance(text)
+    assert str(info.value) == (
+        "invalid market: duplicate item id 'x'; duplicate agent id '1'; "
+        "unknown item in demand: agent '1' demands 'z'"
+    )
+
+
 def test_parse_empty_agents():
     text = '{"schema_version": "1", "items": [], "agents": []}'
     with pytest.raises(InstanceFormatError, match="at least one agent"):

@@ -108,3 +108,22 @@ def test_bench_pairs_within_bound_on_fixed_numbers():
     # unless the sides do not overlap: then the medians decide
     assert within_bound(pairs(wide, [150, 160, 170, 180, 190]), "ops_per_s", "higher", 0.25) is True
     assert within_bound(pairs(wide, [20, 30, 40, 50, 55]), "ops_per_s", "higher", 0.25) is False
+
+
+def runs(parent, change):
+    """Pairs of runs from each side's (attempted, failed) ops."""
+    keys = ("attempted", "failed")
+    return [{"parent": dict(zip(keys, p)), "change": dict(zip(keys, c))} for p, c in zip(parent, change)]
+
+
+def test_bench_pairs_failed_share_on_fixed_numbers():
+    failures = bench_pairs()["failures"]
+
+    # shares pool every run of a side: 2 of 200 against 1 of 100
+    same = failures(runs([(100, 0), (100, 2)], [(50, 1), (50, 0)]))
+    assert same == {"parent_share": 0.01, "change_share": 0.01, "no_worse": True}
+    assert failures(runs([(100, 0)] * 3, [(100, 0)] * 3))["no_worse"] is True
+    grown = failures(runs([(100, 1), (100, 1)], [(100, 1), (100, 2)]))
+    assert grown == {"parent_share": 0.01, "change_share": 0.015, "no_worse": False}
+    # a side that attempted nothing failed nothing
+    assert failures(runs([(0, 0)], [(10, 1)])) == {"parent_share": 0.0, "change_share": 0.1, "no_worse": False}

@@ -1,6 +1,7 @@
 """The strategyproofness audit and the impossibility replication against
-their per-(spec, scenario) references, and the lifecycle of the audit's
-misreport tables in the enumeration cache."""
+their per-(spec, scenario) references, the lifecycle of the audit's
+misreport tables in the enumeration cache, and a weakly consistent chooser
+outside `cp`/`cup` that a misreport manipulates."""
 
 import itertools
 
@@ -11,10 +12,15 @@ from exchange_clear import (
     BudgetExceededError,
     MechanismSpec,
     MisreportBudget,
+    MisreportScenario,
     apply_misreport,
     audit_strategyproofness,
+    audit_weak_consistency_choice,
+    covers,
+    enumerate_feasible,
     enumerate_misreports,
     fixture,
+    realized_bundle,
     replicate_impossibility,
     run_mechanism,
     satisfaction_profile,
@@ -23,15 +29,16 @@ from exchange_clear import (
 )
 from exchange_clear import auditors
 from exchange_clear.auditors import impossibility_runs
+from exchange_clear.suites import family
 from exchange_clear.feasibility import (
     BUDGET_ENV_VAR,
     DEFAULT_SEARCH_BUDGET,
     _feasible_profiles_cached,
-    _search,
     clear_enumeration_cache,
     derived_tables,
     feasible_with_profiles,
     resolve_budget,
+    search_feasible,
 )
 
 from oracles import (
@@ -126,7 +133,7 @@ def test_sp_audit_matches_naive_on_theorem5(theorem5):
 SEED27 = tiny_random_market(27, max_agents=4, max_items=5)
 SIR = BUILT_IN_CONSTRAINT_SETS["sir"]
 SEED27_SPEC = MechanismSpec("cp", SEED27.agent_ids, SIR)
-TIGHT = _search(SEED27, SIR, DEFAULT_SEARCH_BUDGET)[2]
+TIGHT = search_feasible(SEED27, SIR, DEFAULT_SEARCH_BUDGET)[2]
 
 
 def test_seed27_tight_budget_premise():
@@ -137,7 +144,7 @@ def test_seed27_tight_budget_premise():
     assert probed == ["1", "2", "4"]
     nodes = {
         agent_id: [
-            _search(apply_misreport(SEED27, scenario), SIR, DEFAULT_SEARCH_BUDGET)[2]
+            search_feasible(apply_misreport(SEED27, scenario), SIR, DEFAULT_SEARCH_BUDGET)[2]
             for scenario in enumerate_misreports(SEED27, agent_id)
         ]
         for agent_id in probed
@@ -213,7 +220,7 @@ def _replication_search_nodes():
     markets = [fx.market] + [
         apply_misreport(fx.market, scripted_misreport(fx, agent_id)) for agent_id in fx.market.agent_ids
     ]
-    return [_search(market, fx.constraints, DEFAULT_SEARCH_BUDGET)[2] for market in markets]
+    return [search_feasible(market, fx.constraints, DEFAULT_SEARCH_BUDGET)[2] for market in markets]
 
 
 @pytest.mark.parametrize("search_budget", [None, *range(1, 1001, 25)])
@@ -270,3 +277,40 @@ def test_misreport_budget_zero_scenarios_examines_nothing(theorem5):
     assert report.summary["scenarios_examined"] == 0
     assert report.summary["truncated_agents"] == report.summary["agents_probed"] == 1
     assert not report.violation_found
+
+
+# ------------------------------------------- beyond the cp/cup mechanisms
+
+# a fixed strict order of the profiles of family seed 3's two agents that
+# ranks nobody satisfied first; the chooser takes the canonically first
+# holder of the best-ranked profile present
+FIXED_ORDER = {(0, 0): 0, (0, 1): 1, (1, 1): 2, (1, 0): 3}
+
+
+def _fixed_order_choice(market, allocations):
+    return min(allocations, key=lambda a: FIXED_ORDER[tuple(satisfaction_profile(market, a).values())])
+
+
+def test_fixed_order_chooser_is_weakly_consistent_yet_manipulable():
+    # the suites cover cp and cup only: passing the weak-consistency audit
+    # does not make this chooser strategyproof under sir
+    market = family([3])[0]
+    sir = BUILT_IN_CONSTRAINT_SETS["sir"]
+    truthful = _fixed_order_choice(market, enumerate_feasible(market, sir))
+    witnesses = []
+    for agent_id, sat in satisfaction_profile(market, truthful).items():
+        if sat:
+            continue
+        true_demands = market.agent(agent_id).demands
+        for scenario in enumerate_misreports(market, agent_id):
+            reported = apply_misreport(market, scenario)
+            outcome = _fixed_order_choice(reported, enumerate_feasible(reported, sir))
+            held = realized_bundle(outcome.bundle_of(agent_id), scenario.withheld)
+            if covers(held, true_demands):
+                witnesses.append((scenario, held))
+    assert witnesses == [
+        (MisreportScenario("1", {"o01"}, {frozenset()}, frozenset()), frozenset({"o03"}))
+    ]
+    assert {"o03"} in market.agent("1").demands
+    report = audit_weak_consistency_choice(market, sir, lambda allocs: _fixed_order_choice(market, allocs))
+    assert report.verdict == "no violation found"
