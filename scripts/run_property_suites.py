@@ -2,8 +2,10 @@
 """Run the seeded random-instance property suites and print per-suite stats.
 
 Covers the strategyproofness, weak-consistency, Pareto-optimality, and
-oracle-agreement checks over a configurable number of generated markets.
-Useful for longer soak runs than the frozen acceptance family.
+oracle-agreement checks over a configurable number of generated markets,
+and checks that the one-shot `solve` (a Pareto-frontier search) picks what
+`run_mechanism` picks from the full feasible table.  Useful for longer soak
+runs than the frozen acceptance family.
 """
 
 import argparse
@@ -11,6 +13,7 @@ import sys
 import time
 
 from exchange_clear import satisfaction_profile, suites
+from exchange_clear.mechanisms import solve
 
 
 def main() -> int:
@@ -36,16 +39,18 @@ def main() -> int:
               f"[{time.monotonic() - tick:.0f}s]")
 
     tick = time.monotonic()
-    runs = dominated = oracle_mismatches = 0
+    runs = dominated = oracle_mismatches = solve_mismatches = 0
     for market, spec, outcome, pareto, oracle in suites.outcomes(markets):
         runs += 1
         dominated += pareto.violation_found
         if spec.kind == "cup":
             oracle_mismatches += sum(satisfaction_profile(market, outcome).values()) != oracle
+        solve_mismatches += solve(market, spec) != outcome
     print(f"pareto + oracle: {runs} runs, {dominated} dominated outputs, "
-          f"{oracle_mismatches} oracle mismatches [{time.monotonic() - tick:.0f}s]")
+          f"{oracle_mismatches} oracle mismatches, {solve_mismatches} solve mismatches "
+          f"[{time.monotonic() - tick:.0f}s]")
 
-    failed = sum(sp) or sum(wc) or dominated or oracle_mismatches
+    failed = sum(sp) or sum(wc) or dominated or oracle_mismatches or solve_mismatches
     print("RESULT:", "FAIL" if failed else "PASS",
           f"(total {time.monotonic() - started:.0f}s)")
     return 1 if failed else 0

@@ -114,10 +114,28 @@ def _require(condition: bool, message: str) -> None:
         raise InstanceFormatError(message)
 
 
+def _require_distinct(values: list, message: str) -> None:
+    """Raise InstanceFormatError, `message` followed by the first entry that
+    repeats an earlier one, unless the entries of `values` are distinct."""
+    if len(set(values)) < len(values):
+        repeated = next(v for i, v in enumerate(values) if v in values[:i])
+        raise InstanceFormatError(f"{message} {repeated!r}")
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """One JSON object's members as a dict.  A repeated key raises: JSON
+    keeps its last value, so the document would say something else than
+    it spells."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        _require_distinct([key for key, _ in pairs], "repeated key")
+    return out
+
+
 def _decode_document(text: str) -> dict:
     try:
-        data = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # JSONDecodeError, a repeated key, or an integer literal too long to convert
         raise InstanceFormatError(f"malformed document: {exc}") from None
     except RecursionError:
         raise InstanceFormatError("malformed document: nested too deeply") from None
@@ -160,14 +178,21 @@ def parse_instance(text: str) -> Market:
             isinstance(endowment, list) and all(isinstance(x, str) for x in endowment),
             f"agents[{pos}]: field 'endowment' must be a list of item ids",
         )
+        _require_distinct(endowment, f"agents[{pos}]: field 'endowment' repeats item id")
         demands = entry.get("demands")
         _require(isinstance(demands, list), f"agents[{pos}]: field 'demands' must be a list")
+        bundles: dict[frozenset, int] = {}
         for dpos, d in enumerate(demands):
             _require(
                 isinstance(d, list) and all(isinstance(x, str) for x in d),
                 f"agents[{pos}].demands[{dpos}] must be a list of item ids",
             )
-        agents.append(Agent(agent_id, endowment, [frozenset(d) for d in demands]))
+            _require_distinct(d, f"agents[{pos}].demands[{dpos}] repeats item id")
+            bundle = frozenset(d)
+            if bundle in bundles:
+                raise InstanceFormatError(f"agents[{pos}].demands[{dpos}] repeats demands[{bundles[bundle]}]")
+            bundles[bundle] = dpos
+        agents.append(Agent(agent_id, endowment, tuple(bundles)))
 
     market = Market(tuple(agents), tuple(items))
     violations = validate_market(market)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .core import Allocation, Market, PriorityOrder, satisfaction_profile
-from .feasibility import ConstraintSet, feasible_with_profiles
+from .feasibility import ConstraintSet, feasible_with_profiles, resolve_budget, search_feasible
 
 MECHANISM_KINDS = ("cp", "cup")
 
@@ -84,9 +84,25 @@ def chosen_index(
 
 
 def run_mechanism(market: Market, spec: MechanismSpec, budget: int | None = None) -> Allocation:
-    """Run the mechanism over the full feasible set of its constraint set."""
+    """Run the mechanism over the full feasible set of its constraint set,
+    read from the enumeration cache: callers that run many specs on one
+    market, or audit the same table, pay for the search once."""
     key = profile_key(market, spec)
     allocations, profiles = feasible_with_profiles(market, spec.constraints, budget)
+    return allocations[chosen_index(profiles, key)]
+
+
+def solve(market: Market, spec: MechanismSpec, budget: int | None = None) -> Allocation:
+    """The allocation :func:`run_mechanism` returns, from one uncached
+    search of the Pareto frontier of the feasible profiles, for a caller
+    that runs one spec once.  Every key ranks a profile above each profile
+    it contains, so the chosen profile lies on the frontier, and the
+    frontier search keeps its first holder.  That search charges fewer
+    nodes than the full one, so `budget` is reached later."""
+    key = profile_key(market, spec)
+    allocations, profiles, _ = search_feasible(
+        market, spec.constraints, resolve_budget(budget), frontier=True
+    )
     return allocations[chosen_index(profiles, key)]
 
 

@@ -5,7 +5,20 @@ import sys
 import pytest
 
 from conftest import subprocess_env
-from exchange_clear import Agent, Allocation, Item, Market, cli, fixture, serialize
+from exchange_clear import (
+    BUILT_IN_CONSTRAINT_SETS,
+    Agent,
+    Allocation,
+    GeneratorConfig,
+    Item,
+    Market,
+    cli,
+    fixture,
+    format_constraints,
+    generate_instance,
+    max_satisfied_oracle,
+    serialize,
+)
 from exchange_clear.cli import cli_dispatch
 
 
@@ -60,6 +73,21 @@ def test_enumerate_theorem5(capsys, theorem5_path):
     assert doc["feasible_count"] == 192
     assert doc["max_satisfaction"] == 2
     assert "allocations" not in doc
+
+
+@pytest.mark.parametrize("set_name", sorted(BUILT_IN_CONSTRAINT_SETS))
+def test_enumerate_max_satisfaction_matches_oracle(capsys, tmp_path, set_name):
+    cs = BUILT_IN_CONSTRAINT_SETS[set_name]
+    markets = [fixture("example1").market, fixture("theorem5").market]
+    markets += [generate_instance(GeneratorConfig(seed=seed, agents=(2, 3))) for seed in range(1, 9)]
+    for pos, market in enumerate(markets):
+        path = tmp_path / f"m{pos}.json"
+        path.write_text(serialize(market))
+        status, out, _ = run_cli(
+            capsys, "enumerate", "--constraints", ",".join(format_constraints(cs)), "--instance", str(path),
+        )
+        assert status == 0
+        assert json.loads(out)["max_satisfaction"] == max_satisfied_oracle(market, cs), pos
 
 
 def test_enumerate_full(capsys, example1_path):

@@ -40,6 +40,7 @@ from oracles import (
     naive_enumerate,
     naive_satisfies_constraints,
     one_donor_market,
+    pareto_frontier,
     permanent,
     tiny_random_market,
     trade_graph,
@@ -338,6 +339,26 @@ def test_feasible_with_profiles_matches_naive_property(seed, name):
     assert feasible_with_profiles(market, cs) == _naive_with_profiles(market, cs)
 
 
+def _frontier(market, cs):
+    allocations, profiles, _ = search_feasible(market, cs, DEFAULT_SEARCH_BUDGET, frontier=True)
+    return tuple(zip(allocations, profiles))
+
+
+@pytest.mark.parametrize("seed", range(1, 41))
+def test_frontier_search_keeps_first_holders_of_maximal_profiles(seed):
+    market = tiny_random_market(seed, max_agents=4, max_items=5)
+    for name, cs in {**CHECK_SETS, **CLAIM_SETS}.items():
+        assert _frontier(market, cs) == pareto_frontier(*feasible_with_profiles(market, cs)), (seed, name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(CHECK_SETS)))
+def test_frontier_search_keeps_first_holders_of_maximal_profiles_property(seed, name):
+    market = tiny_random_market(seed, max_agents=4, max_items=5)
+    cs = CHECK_SETS[name]
+    assert _frontier(market, cs) == pareto_frontier(*_naive_with_profiles(market, cs))
+
+
 def test_unendowed_item_makes_no_trade_edge():
     # "z" is endowed by nobody: giving it to either agent trades nothing, so
     # only the receiver's own tests (sir, desirable) can turn it away
@@ -455,6 +476,29 @@ def test_sir_reservation_packing_is_charged():
     assert (nodes, allocations) == (2_013, (endowment_allocation(market),))
     with pytest.raises(BudgetExceededError):
         search_feasible(market, sir, 1_000)
+
+
+# The frontier search's exact (nodes, frontier profiles) on the ladder cells
+# where it saves the most: the full search charges 1,603, 20,171, 300,355,
+# 1,233,843, 352,913 and 19,736 nodes on them.  Dropping the node prune
+# moves the node counts; dropping the leaf eviction moves the profile counts.
+@pytest.mark.parametrize(
+    "n, text, nodes, count",
+    [
+        (4, "pairwise", 801, 3),
+        (5, "pairwise", 4_505, 2),
+        (6, "pairwise", 35_906, 2),
+        (5, "maxcycle=3", 20_777, 1),
+        (8, "sir", 48_613, 1),
+        (8, "sir,pairwise", 19_665, 2),
+    ],
+)
+def test_frontier_search_node_counts_are_pinned(n, text, nodes, count):
+    market = generate_instance(SHAPES["ladder"](n))
+    allocations, _, charged = search_feasible(
+        market, parse_constraints(text), DEFAULT_SEARCH_BUDGET, frontier=True
+    )
+    assert (charged, len(allocations)) == (nodes, count)
 
 
 @pytest.mark.parametrize("n", range(5, 9))

@@ -63,6 +63,36 @@ def test_parse_duplicate_ids_are_reported_with_every_violation():
     )
 
 
+def _one_agent(endowment: str, demands: str) -> str:
+    items = '[{"id": "x"}, {"id": "y"}]'
+    agents = f'[{{"id": "1", "endowment": {endowment}, "demands": {demands}}}]'
+    return f'{{"schema_version": "1", "items": {items}, "agents": {agents}}}'
+
+
+# JSON keeps the last value of a repeated key and the frozensets drop
+# repeated ids, so each of these would parse as something it does not spell
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_allocation, '{"schema_version": "1", "assignment": {"c1": "1", "c1": "2"}}',
+         "malformed document: repeated key 'c1'"),
+        (parse_allocation, '{"schema_version": "1", "schema_version": "1", "assignment": {}}',
+         "malformed document: repeated key 'schema_version'"),
+        (parse_instance, '{"schema_version": "1", "items": [{"id": "x", "id": "y"}], "agents": []}',
+         "malformed document: repeated key 'id'"),
+        (parse_instance, _one_agent('["x", "y", "x"]', "[]"), "agents[0]: field 'endowment' repeats item id 'x'"),
+        (parse_instance, _one_agent('["x", "y"]', '[["y"], ["x", "x"]]'), "agents[0].demands[1] repeats item id 'x'"),
+        (parse_instance, _one_agent('["x", "y"]', '[["x", "y"], ["y"], ["y", "x"]]'),
+         "agents[0].demands[2] repeats demands[0]"),
+    ],
+    ids=["assignment-key", "top-level-key", "item-key", "endowment", "bundle", "demands"],
+)
+def test_parse_rejects_repeated_keys_and_ids(parse, text, message):
+    with pytest.raises(InstanceFormatError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
 def test_parse_empty_agents():
     text = '{"schema_version": "1", "items": [], "agents": []}'
     with pytest.raises(InstanceFormatError, match="at least one agent"):

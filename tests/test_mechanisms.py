@@ -5,6 +5,7 @@ import pytest
 from exchange_clear import (
     Agent,
     BUILT_IN_CONSTRAINT_SETS,
+    BudgetExceededError,
     Item,
     Market,
     MechanismSpec,
@@ -20,8 +21,10 @@ from exchange_clear import (
 )
 
 from exchange_clear.feasibility import feasible_with_profiles
+from exchange_clear.mechanisms import MECHANISM_KINDS, solve
 
 from oracles import greedy_cp, key_chooser, tiny_random_market
+from test_feasibility import CHECK_SETS
 
 
 def test_lex_key_cup_example1(example1, example1_all_satisfying):
@@ -154,6 +157,27 @@ def test_run_mechanism_matches_key_chooser(seed):
                 expected = allocations[key_chooser(market, spec, profiles)(everything)]
                 assert run_mechanism(market, spec) == expected
                 assert choose_from(market, spec, reversed(allocations)) == expected
+
+
+@pytest.mark.parametrize("seed", range(1, 41))
+def test_solve_matches_run_mechanism(seed):
+    # four agents reach balanced trades that a cap of 2 or 3 rejects, and
+    # frontiers of several profiles where cp and cup differ
+    market = tiny_random_market(seed, max_agents=4, max_items=5)
+    for name, cs in CHECK_SETS.items():
+        for kind in MECHANISM_KINDS:
+            for priority in itertools.permutations(market.agent_ids):
+                spec = MechanismSpec(kind, priority, cs)
+                assert solve(market, spec) == run_mechanism(market, spec), (name, spec)
+
+
+def test_solve_checks_priority_and_budget(example1):
+    with pytest.raises(ValueError, match="not a permutation"):
+        solve(example1.market, MechanismSpec("cp", ("1", "2"), example1.constraints))
+    spec = MechanismSpec("cup", example1.market.agent_ids, example1.constraints)
+    with pytest.raises(BudgetExceededError):
+        solve(example1.market, spec, budget=5)
+    assert solve(example1.market, spec) == run_mechanism(example1.market, spec)
 
 
 def test_argmax_invariance(example1):

@@ -12,6 +12,7 @@ from exchange_clear import (
     GeneratorConfig,
     Item,
     Market,
+    MechanismSpec,
     MisreportBudget,
     endowment_allocation,
     enumerate_feasible,
@@ -24,6 +25,7 @@ from exchange_clear import (
     parse_instance,
     run_cp,
     run_cup,
+    run_mechanism,
     satisfaction_profile,
     satisfies,
     satisfies_constraints,
@@ -31,6 +33,8 @@ from exchange_clear import (
     utility,
     weakly_prefers,
 )
+
+from exchange_clear.mechanisms import solve
 
 from oracles import find_cycle_decomposition, trade_graph
 
@@ -178,6 +182,15 @@ def test_mechanism_outputs_feasible_and_deterministic(market):
     assert sum(satisfaction_profile(market, cup).values()) >= sum(
         satisfaction_profile(market, cp_one).values()
     )
+
+
+@SETTINGS
+@given(markets(max_agents=4), st.sampled_from(sorted(BUILT_IN_CONSTRAINT_SETS)), st.data())
+def test_solve_matches_run_mechanism(market, set_name, data):
+    cs = BUILT_IN_CONSTRAINT_SETS[set_name]
+    for kind in ("cp", "cup"):
+        spec = MechanismSpec(kind, data.draw(st.permutations(market.agent_ids)), cs)
+        assert solve(market, spec) == run_mechanism(market, spec)
 
 
 @SETTINGS

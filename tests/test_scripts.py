@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 from conftest import ROOT, subprocess_env
-from exchange_clear import auditors, suites
+from exchange_clear import auditors, endowment_allocation, mechanisms, suites
 
 
 def run(*argv):
@@ -44,6 +44,21 @@ def test_run_property_suites_passes():
     done = run("scripts/run_property_suites.py", "--instances", "3")
     assert done.returncode == 0, done.stdout + done.stderr
     assert "RESULT: PASS" in done.stdout
+    runs = sum(1 for _ in suites.outcomes(suites.family(range(1, 4))))
+    assert re.search(
+        rf"pareto \+ oracle: {runs} runs, 0 dominated outputs, 0 oracle mismatches, 0 solve mismatches ",
+        done.stdout,
+    ), done.stdout
+
+
+def test_run_property_suites_fails_on_a_solve_mismatch(monkeypatch, capsys):
+    monkeypatch.setattr(mechanisms, "solve", lambda market, spec: endowment_allocation(market))
+    monkeypatch.setattr(sys, "argv", ["run_property_suites.py", "--instances", "3", "--skip-consistency"])
+    main = runpy.run_path(str(ROOT / "scripts" / "run_property_suites.py"))["main"]
+    assert main() == 1
+    out = capsys.readouterr().out
+    assert "RESULT: FAIL" in out
+    assert re.search(r"0 oracle mismatches, [1-9]\d* solve mismatches", out), out
 
 
 def test_run_property_suites_flags():
