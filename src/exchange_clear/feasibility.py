@@ -477,9 +477,8 @@ def search_feasible(
     profiles: list[tuple[int, ...]] = []
     # frontier mode: the profiles found so far that no other found profile
     # contains, as agent bitmasks, each with its first holder, in the order
-    # found; and per depth p the items p.. still unplaced
+    # found
     found: dict[int, Allocation] = {}
-    unplaced_from = [full >> p << p for p in range(m + 1)]
 
     def reservable(p: int) -> bool:
         """Under sir, after item p is placed: whether every agent can still
@@ -529,7 +528,7 @@ def search_feasible(
             # profile): a subtree whose bound a found profile contains
             # holds no new frontier profile (before the first leaf no
             # profile is found, so the bound is not needed)
-            unplaced = unplaced_from[p]
+            unplaced = full >> p << p  # items p.. are unplaced
             reach = 0
             for i in range(n):
                 if cover[i][(held[i] | unplaced) & wanted[i]]:
