@@ -26,6 +26,7 @@ empties the cache and the tables with it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -151,6 +152,11 @@ class AuditReport:
         return self.verdict == VERDICT_VIOLATION
 
 
+MAX_SAMPLES = 4_096
+MAX_EXHAUSTIVE_LIMIT = 16  # 2**16 - 1 = 65,535 subsets
+FAMILY_MEMO_SIZE = 16
+
+
 @dataclass(frozen=True)
 class ConsistencyParams:
     """Subset-sampling knobs for the weak-consistency audit.
@@ -158,8 +164,16 @@ class ConsistencyParams:
     Exhaustive over all non-empty subsets while the feasible set has at most
     `exhaustive_limit` allocations; otherwise all leave-one-out subsets plus
     `samples` seeded uniform draws.  The seed lands in the report summary.
-    Outside exhaustive mode the audit's memory is linear in the feasible
-    count: leave-one-outs are never materialized.
+    `exhaustive_limit` is at most 16 (65,535 subsets) and `samples` at most
+    4,096, so one audit makes a bounded number of chooser calls.
+
+    Memory per audit is linear in the feasible count: leave-one-outs are
+    never materialized, and neither are subsets outside the family below.
+    The family itself (the draws, their nesting and, in exhaustive mode, the
+    subsets) is memoized per (feasible count, params) in
+    `_contraction_family`, whose `FAMILY_MEMO_SIZE` entries each hold
+    `samples` masks of feasible-count bits plus their nesting, or the
+    2**count - 1 subset masks of an exhaustive count.
     """
 
     seed: int = 0
@@ -168,6 +182,10 @@ class ConsistencyParams:
 
     def __post_init__(self):
         _check_int_fields(self, "seed")
+        for name, bound in (("samples", MAX_SAMPLES), ("exhaustive_limit", MAX_EXHAUSTIVE_LIMIT)):
+            value = getattr(self, name)
+            if value > bound:
+                raise ValueError(f"{name} must be at most {bound}, got {value!r}")
 
 
 @dataclass
@@ -392,6 +410,40 @@ def _sample_masks(count: int, params: ConsistencyParams) -> list[int]:
     return masks
 
 
+@functools.lru_cache(maxsize=FAMILY_MEMO_SIZE)
+def _contraction_family(count: int, params: ConsistencyParams) -> tuple[tuple, tuple, tuple]:
+    """The contraction family of a feasible set of `count` allocations: it
+    depends on nothing else, so audits of any market or spec share it.
+
+    Returns (samples, inside, subsets), ints and tuples only.  `samples`
+    holds (mask, size) per draw of `_sample_masks`, in draw order.  Position
+    k of the leave-one-outs-then-samples list stands for the leave-one-out
+    of k when k < loos (count leave-one-outs, none when count is 1) and for
+    sample k - loos otherwise.  `inside[j]` lists, ascending, the positions
+    of the members strictly inside sample j: the leave-one-outs when the
+    sample is the full set, then the smaller samples it contains.  In
+    exhaustive mode `subsets[size - 1]` holds every subset mask of that size
+    in `itertools.combinations` order; otherwise `subsets` is empty.
+    """
+    full = (1 << count) - 1
+    loos = count if count > 1 else 0
+    samples = tuple((mask, mask.bit_count()) for mask in _sample_masks(count, params))
+    inside = []
+    for sup, sup_size in samples:
+        # samples never repeat, so a strict subset is exactly a smaller subset
+        nested = [loos + k for k, (sub, size) in enumerate(samples) if size < sup_size and sub & sup == sub]
+        if sup == full:  # a leave-one-out lies under a sample only when it is the full set
+            nested[:0] = range(loos)
+        inside.append(tuple(nested))
+    subsets = ()
+    if count <= params.exhaustive_limit:
+        bits = [1 << i for i in range(count)]
+        subsets = tuple(
+            tuple(map(sum, itertools.combinations(bits, size))) for size in range(1, count + 1)
+        )
+    return samples, tuple(inside), subsets
+
+
 def _holder_masks(profiles: Sequence[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
     """Feasible indices by profile: one bitmask per distinct profile (at
     most 2**agents), bit i standing for index i."""
@@ -407,6 +459,7 @@ def _run_consistency_engine(
     agent_ids: tuple[str, ...],
     choose: Callable[[int], int],
     params: ConsistencyParams,
+    with_profile: dict[tuple[int, ...], int] | None = None,
 ) -> AuditReport:
     """Test (superset, subset) contractions of the feasible set, in order.
 
@@ -416,33 +469,36 @@ def _run_consistency_engine(
     samples, superset position major, so contractions of already-contracted
     sets get exercised too.  A pair is a violation when the subset holds an
     allocation with the superset choice's profile but its own choice has
-    another profile.
+    another profile.  `with_profile` is `_holder_masks(profiles)`, built
+    here when the caller has not built it already.
 
     Sets are bitmasks over feasible indices, bit i standing for
-    `allocations[i]`, and nothing else holds them, so memory is linear in
-    the feasible count.  Nested pairs follow from the family's structure: a
-    sample lies under the leave-one-out of i exactly when it lacks i, a
-    leave-one-out lies under a sample only when that sample is the full
-    set, and only sample pairs need a subset test.  `choose` takes such a
-    mask and returns the index it picks from it; it must be a pure function
-    of the mask.  It runs once for the full set, once per leave-one-out and
-    sample, and in exhaustive mode once per subset, never once per pair.
+    `allocations[i]`.  The family (`_contraction_family`) depends only on
+    the feasible count and `params` and is memoized on them, so a call
+    draws no samples and scans no sample pairs for nesting when an audit
+    of the same count ran before; besides that memo, which is bounded by
+    its size, a call's memory is linear in the feasible count.  `choose`
+    takes a mask and returns the index it picks from it; it must be a pure
+    function of the mask.  It runs once for the full set, once per
+    leave-one-out and sample, and in exhaustive mode once per subset, never
+    once per pair.
 
     Cost: a (leave-one-out of i, sample) pair's verdict depends on i only
     through the target profile of the leave-one-out's choice, and on
     whether the sample lacks i.  So the samples are screened once per
     distinct target profile (at most 2**agents screens of `samples` each)
     and only the flagged ones are walked per i; those pairs are counted, not
-    visited.  Only the sample x sample scan stays quadratic, in `samples`.
+    visited.  A sample's nested pairs are read off the family, so only the
+    pairs that exist are tested.
     """
     count = len(allocations)
     if not count:
         raise ValueError("empty candidate list")
     full = (1 << count) - 1
-    exhaustive = count <= params.exhaustive_limit
+    samples, inside, subsets = _contraction_family(count, params)
     loos = range(count) if count > 1 else range(0)
-
-    with_profile = _holder_masks(profiles)
+    if with_profile is None:
+        with_profile = _holder_masks(profiles)
 
     witnesses: list[ConsistencyViolation] = []
 
@@ -467,21 +523,19 @@ def _run_consistency_engine(
                 witnesses.append(violation(sup_size, sup_choice, sub_size, sub_choice, hits))
 
     top = choose(full)
-    loo_choices = [choose(full ^ 1 << i) for i in loos]
-    sampled = [(mask, mask.bit_count(), choose(mask)) for mask in _sample_masks(count, params)]
+    # the leave-one-outs then the samples, as (mask, size, choice), by family position
+    members = [(full ^ 1 << i, count - 1, choose(full ^ 1 << i)) for i in loos]
+    members += [(mask, size, choose(mask)) for mask, size in samples]
+    sampled = members[len(loos):]
 
-    if exhaustive:
+    if subsets:
         tested = 2**count - 1
-        bits = [1 << i for i in range(count)]
-        for size in range(1, count + 1):
-            for combo in itertools.combinations(bits, size):
-                mask = sum(combo)
+        for size, masks in enumerate(subsets, 1):
+            for mask in masks:
                 test(count, top, mask, size, choose(mask))
     else:
-        tested = len(loos) + len(sampled)
-        for i in loos:
-            test(count, top, full ^ 1 << i, count - 1, loo_choices[i])
-        for mask, size, choice in sampled:
+        tested = len(members)
+        for mask, size, choice in members:
             test(count, top, mask, size, choice)
     family_pairs = tested
 
@@ -490,7 +544,7 @@ def _run_consistency_engine(
         tested += sum(count - size for _, size, _ in sampled)
     screens: dict[tuple[int, ...], list[tuple[int, int, int, int]]] = {}
     for i in loos:
-        sup_choice = loo_choices[i]
+        sup_choice = members[i][2]
         target = profiles[sup_choice]
         flagged = screens.get(target)
         if flagged is None:  # the samples that fail against this target if they lack i
@@ -504,19 +558,14 @@ def _run_consistency_engine(
             if not mask >> i & 1:
                 witnesses.append(violation(count - 1, sup_choice, size, choice, hits))
 
-    for sup, sup_size, sup_choice in sampled:
-        if sup == full:
-            tested += len(loos)
-            for i in loos:
-                test(count, sup_choice, full ^ 1 << i, count - 1, loo_choices[i])
-        for sub, size, choice in sampled:
-            # samples never repeat, so a strict subset is exactly a smaller subset
-            if size < sup_size and sub & sup == sub:
-                tested += 1
-                test(sup_size, sup_choice, sub, size, choice)
+    for (_, sup_size, sup_choice), nested in zip(sampled, inside):
+        tested += len(nested)
+        for k in nested:
+            sub, size, choice = members[k]
+            test(sup_size, sup_choice, sub, size, choice)
 
     summary = {  # keys in sorted order
-        "exhaustive": int(exhaustive),
+        "exhaustive": int(bool(subsets)),
         "feasible_count": count,
         "nested_pairs_tested": tested - family_pairs,
         "pairs_tested": tested,
@@ -555,7 +604,7 @@ def audit_weak_consistency(
             if hits:
                 return (hits & -hits).bit_length() - 1
 
-    return _run_consistency_engine(allocations, profiles, market.agent_ids, choose, params)
+    return _run_consistency_engine(allocations, profiles, market.agent_ids, choose, params, holders)
 
 
 def audit_weak_consistency_choice(

@@ -322,6 +322,16 @@ def test_negative_samples_exit_one_naming_the_flag(capsys, example1_path):
     assert err == "error: --samples -5: samples must be a non-negative integer, got -5\n"
 
 
+def test_samples_above_the_bound_exit_one_naming_the_bound(capsys, example1_path):
+    status, out, err = run_cli(
+        capsys, "audit-consistency", "--mechanism", "cp", "--constraints", "sir",
+        "--instance", example1_path, "--samples", "100000000",
+    )
+    assert status == 1
+    assert out == ""
+    assert err == "error: --samples 100000000: samples must be at most 4096, got 100000000\n"
+
+
 def test_deeply_nested_instance_exits_one(capsys, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000)

@@ -24,7 +24,7 @@ from exchange_clear import (
     choose_from,
     serialize,
 )
-from exchange_clear.auditors import _run_consistency_engine, _sample_masks
+from exchange_clear.auditors import _contraction_family, _run_consistency_engine, _sample_masks
 from exchange_clear.feasibility import feasible_with_profiles
 from exchange_clear.instances import GeneratorConfig, generate_instance
 from exchange_clear.mechanisms import chosen_index, profile_key
@@ -291,6 +291,78 @@ def test_engine_memory_is_linear_in_feasible_count():
     assert peak < 2_000_000, peak
 
 
+def brute_force_family(count, params):
+    """What `_contraction_family` must return, from `_sample_masks` and a
+    scan of every (sample, member) pair."""
+    full = (1 << count) - 1
+    masks = _sample_masks(count, params)
+    loos = [full ^ 1 << i for i in range(count)] if count > 1 else []
+    members = loos + masks
+    inside = tuple(
+        tuple(k for k, sub in enumerate(members) if sub != sup and sub & sup == sub) for sup in masks
+    )
+    subsets = ()
+    if count <= params.exhaustive_limit:
+        by_size = [[] for _ in range(count)]
+        for combo in (c for size in range(1, count + 1) for c in itertools.combinations(range(count), size)):
+            by_size[len(combo) - 1].append(sum(1 << i for i in combo))
+        subsets = tuple(map(tuple, by_size))
+    return tuple((mask, mask.bit_count()) for mask in masks), inside, subsets
+
+
+def test_family_matches_a_brute_force_scan_of_the_draws():
+    full_drawn = 0
+    for count in (*range(1, 15), 22, 56, 156):
+        params_list = [
+            ConsistencyParams(),
+            ConsistencyParams(seed=count, samples=16, exhaustive_limit=min(count, 16)),
+            ConsistencyParams(seed=count, samples=16, exhaustive_limit=min(count - 1, 16)),
+            ConsistencyParams(seed=1, samples=400, exhaustive_limit=0),
+        ]
+        for params in params_list:
+            family = _contraction_family(count, params)
+            assert family == brute_force_family(count, params), (count, params)
+            assert bool(family[2]) == (count <= params.exhaustive_limit)
+            full_drawn += (1 << count) - 1 in (mask for mask, _ in family[0])
+    # seed 1 draws the full set for counts 1-7, so the leave-one-outs' branch ran
+    assert full_drawn >= 7
+
+
+def test_audits_of_one_feasible_count_share_one_family():
+    (first, constraints), (second, _) = pairwise_bench_market(2, 22), pairwise_bench_market(7, 22)
+    assert first != second
+    params = ConsistencyParams(seed=11, samples=48)
+    _contraction_family.cache_clear()
+    audit_weak_consistency(first, MechanismSpec("cp", first.agent_ids, constraints), params)
+    cold = _contraction_family.cache_info()
+    audit_weak_consistency(second, MechanismSpec("cup", second.agent_ids[::-1], constraints), params)
+    audit_weak_consistency_choice(second, constraints, broken_choice(second, constraints), params)
+    warm = _contraction_family.cache_info()
+    assert (cold.misses, cold.hits, cold.currsize) == (1, 0, 1)
+    assert (warm.misses, warm.hits, warm.currsize) == (1, 2, 1)
+
+
+@pytest.mark.parametrize("market_seed, name", [(9, "sir"), (1, "pairwise")])
+def test_warm_family_gives_the_bytes_of_a_cold_one(market_seed, name):
+    constraints = BUILT_IN_CONSTRAINT_SETS[name]
+    if name == "pairwise":
+        market, _ = pairwise_bench_market(market_seed, 56)
+    else:
+        market = tiny_random_market(market_seed)
+    spec = MechanismSpec("cup", market.agent_ids[::-1], constraints)
+    choice = broken_choice(market, constraints)
+    audits = (
+        lambda params: audit_weak_consistency(market, spec, params),
+        lambda params: audit_weak_consistency_choice(market, constraints, choice, params),
+    )
+    for params in (ConsistencyParams(), ConsistencyParams(seed=1, samples=400, exhaustive_limit=0)):
+        for audit in audits:
+            _contraction_family.cache_clear()
+            cold = serialize(audit(params))
+            assert serialize(audit(params)) == cold
+            assert _contraction_family.cache_info().hits == 1
+
+
 def test_empty_feasible_set_raises_a_named_error():
     # an item that nobody owns and no agent may receive under sir leaves
     # nothing feasible; sampling zero indices would never draw a set
@@ -307,11 +379,21 @@ def test_empty_feasible_set_raises_a_named_error():
 @pytest.mark.parametrize(
     "field, value",
     [("seed", 1.5), ("seed", "x"), ("samples", -5), ("samples", "x"),
-     ("samples", True), ("exhaustive_limit", -1), ("exhaustive_limit", 2.0)],
+     ("samples", True), ("exhaustive_limit", -1), ("exhaustive_limit", 2.0),
+     ("samples", 4_097), ("samples", 100_000_000), ("exhaustive_limit", 17), ("exhaustive_limit", 40)],
 )
 def test_consistency_params_reject_bad_fields_naming_the_field(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be a"):
         ConsistencyParams(**{field: value})
+
+
+def test_consistency_params_name_the_bound_they_exceed():
+    with pytest.raises(ValueError, match="^samples must be at most 4096, got 4097$"):
+        ConsistencyParams(samples=4_097)
+    with pytest.raises(ValueError, match="^exhaustive_limit must be at most 16, got 17$"):
+        ConsistencyParams(exhaustive_limit=17)
+    params = ConsistencyParams(samples=auditors.MAX_SAMPLES, exhaustive_limit=auditors.MAX_EXHAUSTIVE_LIMIT)
+    assert (params.samples, params.exhaustive_limit) == (4_096, 16)
 
 
 def test_consistency_params_accept_a_negative_seed():
