@@ -142,3 +142,15 @@ def test_bench_pairs_failed_share_on_fixed_numbers():
     assert grown == {"parent_share": 0.01, "change_share": 0.015, "no_worse": False}
     # a side that attempted nothing failed nothing
     assert failures(runs([(0, 0)], [(10, 1)])) == {"parent_share": 0.0, "change_share": 0.1, "no_worse": False}
+
+
+def test_mutants_snippets_each_occur_exactly_once():
+    script = runpy.run_path(str(ROOT / "scripts" / "mutants.py"))
+    mutants = script["MUTANTS"]
+    assert len({m.name for m in mutants}) == len(mutants) == 6
+    for mutant in mutants:
+        assert script["occurrences"](mutant) == 1, mutant.name
+        assert mutant.replacement != mutant.snippet, mutant.name
+        assert all((ROOT / test).is_file() for test in mutant.tests), mutant.name
+    done = run("scripts/mutants.py", "--check")
+    assert done.returncode == 0, done.stderr
