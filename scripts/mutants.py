@@ -42,6 +42,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 AUDITORS = "src/exchange_clear/auditors.py"
 FEASIBILITY = "src/exchange_clear/feasibility.py"
+MECHANISMS = "src/exchange_clear/mechanisms.py"
 
 
 class Mutant(NamedTuple):
@@ -95,6 +96,34 @@ MUTANTS = (
         "if deficit[a] <= left[a] and deficit[o] <= left[o]:",
         "if deficit[a] < left[a] and deficit[o] <= left[o]:",
         ("tests/test_feasibility.py",),
+    ),
+    Mutant(
+        "patch-keeps-misreporter-coverage-memo",
+        FEASIBILITY,
+        "        cover=_swap(base.cover, agent, _Coverage(live)),\n",
+        "        cover=base.cover,\n",
+        ("tests/test_strategyproofness.py",),
+    ),
+    Mutant(
+        "patch-watch-not-rebuilt",
+        FEASIBILITY,
+        "        _fill_watch(c, _bits(before[0] | after[0]))\n",
+        "        pass\n",
+        ("tests/test_strategyproofness.py",),
+    ),
+    Mutant(
+        "misreport-base-from-true-market",
+        AUDITORS,
+        "_compile(apply_misreport(market, scenario), constraints)",
+        "_compile(apply_misreport(market, scenario) and market, constraints)",
+        ("tests/test_strategyproofness.py",),
+    ),
+    Mutant(
+        "cup-key-without-satisfied-count",
+        MECHANISMS,
+        "return lambda profile: (sum(profile),) + tuple(profile[i] for i in order)",
+        "return lambda profile: tuple(profile[i] for i in order)",
+        ("tests/test_mechanisms.py",),
     ),
 )
 

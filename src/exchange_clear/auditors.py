@@ -11,7 +11,9 @@ mechanism that is Pareto-optimal within the pairwise/desirable feasible set
 can be manipulated by a scripted demand restriction.
 
 The strategyproofness audit's unit of work is one (market, constraint set,
-probed agent): its misreported markets are built and searched once, into a
+probed agent).  Per withheld set of that agent, one misreported market is
+built and compiled into a search base, and each demand report with that
+withheld set is searched once, as a patch of the base.  The searches fill a
 misreport table that holds, per scenario, the distinct satisfaction profiles
 with their first holders and whether that holder's realized bundle covers
 the agent's true demands.  Every mechanism spec over that market and
@@ -47,11 +49,13 @@ from .core import (
 from .feasibility import (
     BUILT_IN_CONSTRAINT_SETS,
     ConstraintSet,
+    _compile,
+    _search,
+    _with_demands,
     derived_tables,
     enumerate_feasible,
     feasible_with_profiles,
     resolve_budget,
-    search_feasible,
 )
 from .mechanisms import MechanismSpec, chosen_index, profile_key, run_mechanism
 
@@ -302,6 +306,13 @@ def _misreport_rows(
     """Misreports of one agent, each searched once (never through the
     enumeration cache), ready to be judged under any mechanism spec.
 
+    Scenarios with one withheld set differ only in the agent's demand
+    report.  So the first of them is built (`apply_misreport`, which
+    validates it) and compiled into a base, and each of them is searched as
+    a patch of that base that swaps in its demand report.  The scenarios
+    are those of the canonical misreport stream or a fixture's script, so
+    every report with that withheld set keeps the same endowment.
+
     Returns (profiles, rows).  `profiles` holds each distinct satisfaction
     profile of the misreported markets once.  A row is (scenario, ids,
     covering): `ids` are the indices into `profiles` of the scenario's
@@ -311,11 +322,16 @@ def _misreport_rows(
     and get no row.
     """
     true_demands = market.agent(agent_id).demands
+    agent = market.agent_ids.index(agent_id)
+    bases = {}
     profile_ids: dict[tuple[int, ...], int] = {}
     rows = []
     for scenario in scenarios:
-        allocations, profiles, _ = search_feasible(
-            apply_misreport(market, scenario), constraints, search_budget
+        base = bases.get(scenario.withheld)
+        if base is None:
+            base = bases[scenario.withheld] = _compile(apply_misreport(market, scenario), constraints)
+        allocations, profiles, _ = _search(
+            _with_demands(base, agent, scenario.reported_demands), search_budget
         )
         ids = []
         covering = {}
@@ -442,6 +458,11 @@ def _contraction_family(count: int, params: ConsistencyParams) -> tuple[tuple, t
             tuple(map(sum, itertools.combinations(bits, size))) for size in range(1, count + 1)
         )
     return samples, tuple(inside), subsets
+
+
+# the key of the holder masks among a feasible table's derived tables,
+# beside the strategyproofness audit's (agent, MisreportBudget) keys
+_HOLDER_MASKS = "holder masks"
 
 
 def _holder_masks(profiles: Sequence[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
@@ -591,11 +612,17 @@ def audit_weak_consistency(
     from the contracted set matches it too."""
     params = params or ConsistencyParams()
     key = profile_key(market, spec)
+    search_budget = resolve_budget(search_budget)
     allocations, profiles = feasible_with_profiles(market, spec.constraints, search_budget)
+    # the holder masks depend only on the table, so they are built once
+    # and leave the cache with it
+    tables = derived_tables(market, spec.constraints, search_budget)
+    holders = tables.get(_HOLDER_MASKS)
+    if holders is None:
+        holders = tables[_HOLDER_MASKS] = _holder_masks(profiles)
     # distinct profiles have distinct keys, so a set's choice is the
     # canonically first holder of the best profile it holds (the engine
     # never passes an empty set)
-    holders = _holder_masks(profiles)
     best_first = [holders[profile] for profile in sorted(holders, key=key, reverse=True)]
 
     def choose(mask: int) -> int:

@@ -54,6 +54,18 @@ survives the tests, every failed step of the joint test's packing and every
 step of the leaves' cycle-partition search.  Past the node budget it aborts
 with :class:`BudgetExceededError` (the instance is beyond desk scale).
 
+A search is two steps.  `_compile` turns (market, constraint set) into the
+value the depth-first search reads: item bits, endowment masks, owners,
+each agent's live demands, wanted items and coverage memo, who may receive
+each item, the watch lists and the trade-balance bounds.  `_search` runs
+over that value and only reads it; `search_feasible` is the two in turn.
+The strategyproofness audit searches many reports of one agent that differ
+only in its demands, so `_with_demands` derives the value for another
+demand report from a compiled base: it replaces that agent's demands,
+wanted items and coverage memo, rebuilds only the watch lists and (under
+desirable) the receiver lists that read them, and shares every other field,
+the other agents' memos included.
+
 The frontier mode serves a caller that runs one mechanism spec once (the
 command line's `solve`).  Both mechanisms rank a satisfaction profile above
 every profile it contains, so their choice is the first holder of a profile
@@ -78,7 +90,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import Allocation, Market, is_ir, is_sir
 
@@ -357,7 +369,8 @@ def resolve_budget(budget: int | None) -> int:
 class _Coverage(dict):
     """One agent's coverage test, memoized: indexed by a mask of available
     items within its wanted items, 1 if one of its live `demands` (masks)
-    lies inside, else 0."""
+    lies inside, else 0.  It is a pure function of `demands`, so compiled
+    values that share an agent's demands share its memo."""
 
     def __init__(self, demands: list[int]):
         self.demands = demands
@@ -367,17 +380,222 @@ class _Coverage(dict):
         return hit
 
 
+class _Compiled(NamedTuple):
+    """One (market, constraint set) as the search reads it: items are the
+    bits 0 .. m-1 in id order, agents the indices 0 .. n-1 in id order.
+    :func:`_compile` builds it from a market, :func:`_with_demands` derives
+    it for another demand report of one agent.  The search only reads it,
+    so derived values share every field they do not replace."""
+
+    pos: dict[str, int]  # item id -> bit
+    null: int  # the null items
+    desirable: bool
+    need_sir: bool
+    need_ir: bool
+    pairwise: bool
+    cycle_cap: int | None
+    endow: list[int]
+    owner: list[int]  # an item that no agent endows has owner -1 and makes no trade edge
+    live: list[list[int]]  # per agent, its demands that lie within the market
+    wanted: list[int]  # per agent, the items in some live demand
+    # cover[x][avail & wanted[x]]: 1 if agent x can cover a live demand
+    # from the items `avail`, else 0 (an empty demand is always covered)
+    cover: list[_Coverage]
+    receivable: list[int]  # per agent, the items it may receive
+    rest_after: list[int]  # per item p, the items after p
+    allowed: list[tuple[int, ...]]  # per item, the agents that may receive it
+    watch: list[tuple[tuple[int, int, int], ...]]  # see _fill_watch
+    own_left: list[list[int]]  # per item p and agent j, j's own items after p
+    # cycle cap: the balance in - out of agent j after item p can still
+    # reach 0 iff it lies in [bal_floor[p][j], own_left[p][j]]
+    bal_floor: list[list[int]] | None
+    traded: list[int]  # the endowed items
+    edge_owner: list[int]  # their owners
+    # the cached table holds every allocation: they share one (item, agent)
+    # pair per cell
+    cells: list[list[tuple[str, str]]]
+
+
+def _mask(pos: dict[str, int], ids) -> int:
+    out = 0
+    for item_id in ids:
+        out |= 1 << pos[item_id]
+    return out
+
+
+def _bits(mask: int):
+    """The positions of the set bits of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _live(pos: dict[str, int], demands) -> list[int]:
+    """The masks of the demands all of whose items are in the market; the
+    others can never be covered."""
+    return sorted({_mask(pos, d) for d in demands if all(x in pos for x in d)})
+
+
+def _union(masks: list[int]) -> int:
+    out = 0
+    for bits in masks:
+        out |= bits
+    return out
+
+
+def _receivable(pos: dict[str, int], null: int, endow: int, demands) -> int:
+    """Under desirable, what an agent with endowment `endow` and demand
+    bundles `demands` may receive: its own items, the `null` items and the
+    items of its bundles as written, coverable or not."""
+    return endow | null | _mask(pos, (x for d in demands for x in d if x in pos))
+
+
+def _fill_allowed(c: _Compiled, positions) -> None:
+    """Set `c.allowed[p]`, the agents that may receive item p, for each p in
+    `positions`."""
+    for p in positions:
+        c.allowed[p] = tuple([a for a, bits in enumerate(c.receivable) if bits >> p & 1])
+
+
+def _watched(c: _Compiled, x: int) -> tuple[int, int]:
+    """What agent x's entries in the watch lists depend on: the items whose
+    lists may hold x, and the items its entries carry."""
+    if c.need_sir:
+        return c.wanted[x] | c.endow[x], c.wanted[x]
+    bound = c.wanted[x] if c.need_ir and c.cover[x][c.endow[x] & c.wanted[x]] else 0
+    return bound, bound
+
+
+def _fill_watch(c: _Compiled, positions) -> None:
+    """Set `c.watch[p]` for each item p in `positions`: who may be unable to
+    do without item p (under sir its owner and its demanders, under ir the
+    demanders whose endowment covers a demand), as (x, the holding that
+    exempts x: under sir its own items up to p, else none, -1; x's wanted
+    items)."""
+    agents, endow, wanted = range(len(c.endow)), c.endow, c.wanted
+    if c.need_sir:
+        for p in positions:
+            rest, o = c.rest_after[p], c.owner[p]
+            c.watch[p] = tuple(
+                [(x, endow[x] & ~rest, wanted[x]) for x in agents if wanted[x] >> p & 1 or x == o]
+            )
+        return
+    bound = [_watched(c, x)[1] for x in agents]
+    for p in positions:
+        c.watch[p] = tuple([(x, -1, bound[x]) for x in agents if bound[x] >> p & 1])
+
+
+def _compile(market: Market, constraints: ConstraintSet) -> _Compiled:
+    """Everything the search reads of (market, constraints), built once."""
+    kinds, pairwise, cycle_cap = _decode(constraints)
+    agents, item_ids = market.agents, market.item_ids
+    n, m = len(agents), len(item_ids)
+    pos = {item_id: p for p, item_id in enumerate(item_ids)}
+    full = (1 << m) - 1
+    endow = [_mask(pos, ag.endowment) for ag in agents]
+    owner = [-1] * m
+    for i, ag in enumerate(agents):
+        for item_id in ag.endowment:
+            owner[pos[item_id]] = i
+    live = [_live(pos, ag.demands) for ag in agents]
+    rest_after = [full & ~((2 << p) - 1) for p in range(m)]
+    own_left = [[(endow[j] & rest).bit_count() for j in range(n)] for rest in rest_after]
+    bal_floor = None
+    if cycle_cap:
+        endowed = _union(endow)
+        bal_floor = [
+            [k - (endowed & rest).bit_count() for k in left]
+            for rest, left in zip(rest_after, own_left)
+        ]
+    traded = [p for p in range(m) if owner[p] >= 0]
+    null = _mask(pos, market.null_item_ids)
+    desirable = "desirable" in kinds
+    if desirable:
+        receivable = [_receivable(pos, null, endow[i], ag.demands) for i, ag in enumerate(agents)]
+    else:
+        receivable = [full] * n
+    c = _Compiled(
+        pos=pos,
+        null=null,
+        desirable=desirable,
+        need_sir="sir" in kinds,
+        need_ir="ir" in kinds,
+        pairwise=pairwise,
+        cycle_cap=cycle_cap,
+        endow=endow,
+        owner=owner,
+        live=live,
+        wanted=[_union(ds) for ds in live],
+        cover=[_Coverage(ds) for ds in live],
+        receivable=receivable,
+        rest_after=rest_after,
+        allowed=[()] * m,
+        watch=[()] * m,
+        own_left=own_left,
+        bal_floor=bal_floor,
+        traded=traded,
+        edge_owner=[owner[p] for p in traded],
+        cells=[[(item_id, agent_id) for agent_id in market.agent_ids] for item_id in item_ids],
+    )
+    _fill_allowed(c, range(m))
+    _fill_watch(c, range(m))
+    return c
+
+
+def _with_demands(base: _Compiled, agent: int, demands) -> _Compiled:
+    """`base` with agent index `agent` reporting the demand bundles
+    `demands` (item ids; a bundle with an id outside the market can never be
+    covered): what :func:`_compile` builds for the market with that report.
+    The agent's demands, wanted items and coverage memo are replaced; the
+    watch lists that hold the agent and, under desirable, the receivers of
+    the items it may now or may no longer receive are rebuilt in copies."""
+    live = _live(base.pos, demands)
+    receivable, allowed = base.receivable, base.allowed
+    if base.desirable:
+        receivable = _swap(receivable, agent, _receivable(base.pos, base.null, base.endow[agent], demands))
+        allowed = list(allowed)
+    c = base._replace(
+        live=_swap(base.live, agent, live),
+        wanted=_swap(base.wanted, agent, _union(live)),
+        cover=_swap(base.cover, agent, _Coverage(live)),
+        receivable=receivable,
+        allowed=allowed,
+        watch=list(base.watch),
+    )
+    before, after = _watched(base, agent), _watched(c, agent)
+    if before != after:
+        _fill_watch(c, _bits(before[0] | after[0]))
+    if base.desirable:
+        _fill_allowed(c, _bits(receivable[agent] ^ base.receivable[agent]))
+    return c
+
+
+def _swap(values: list, index: int, value) -> list:
+    """A copy of `values` with `value` at `index`."""
+    out = list(values)
+    out[index] = value
+    return out
+
+
 def search_feasible(
     market: Market, constraints: ConstraintSet, budget: int, frontier: bool = False
 ) -> tuple[tuple[Allocation, ...], tuple[tuple[int, ...], ...], int]:
     """Depth-first search of one (market, constraint set), uncached: markets
-    searched once, such as the strategyproofness audit's misreported ones,
-    call it directly.  Returns the feasible allocations in canonical order,
-    their satisfaction profiles and the number of nodes charged against
-    `budget`, the node budget itself (see :func:`resolve_budget`); no state
-    outlives the call.  With `frontier` it returns only the first holder of
-    each profile on the Pareto frontier of the feasible profiles, in
-    canonical order (see the module docstring).
+    searched once call it directly.  Returns the feasible allocations in
+    canonical order, their satisfaction profiles and the number of nodes
+    charged against `budget`, the node budget itself (see
+    :func:`resolve_budget`); no state outlives the call.  With `frontier` it
+    returns only the first holder of each profile on the Pareto frontier of
+    the feasible profiles, in canonical order (see the module docstring).
+    It is :func:`_search` of :func:`_compile`."""
+    return _search(_compile(market, constraints), budget, frontier)
+
+
+def _search(
+    c: _Compiled, budget: int, frontier: bool = False
+) -> tuple[tuple[Allocation, ...], tuple[tuple[int, ...], ...], int]:
+    """:func:`search_feasible` over a compiled market.
 
     Items are assigned in id order, each to the agents in id order, so leaves
     come out in canonical order.  An item that one watched agent cannot do
@@ -389,35 +607,13 @@ def search_feasible(
     Coverage tests go through a per-agent memo keyed on the available items
     the agent demands; the trade counters are updated only under pairwise
     balance (`gave`, `deficit`) or a cycle cap (`bal`)."""
-    kinds, pairwise, cycle_cap = _decode(constraints)
-    need_sir, need_ir = "sir" in kinds, "ir" in kinds
-    agents, item_ids = market.agents, market.item_ids
-    n, m = len(agents), len(item_ids)
-    pos = {item_id: p for p, item_id in enumerate(item_ids)}
+    need_sir, pairwise, cycle_cap = c.need_sir, c.pairwise, c.cycle_cap
+    endow, owner, live, wanted, cover = c.endow, c.owner, c.live, c.wanted, c.cover
+    rest_after, allowed, watch = c.rest_after, c.allowed, c.watch
+    own_left, bal_floor = c.own_left, c.bal_floor
+    traded, edge_owner, cells = c.traded, c.edge_owner, c.cells
+    n, m = len(endow), len(cells)
     full = (1 << m) - 1
-
-    def mask(ids) -> int:
-        out = 0
-        for item_id in ids:
-            out |= 1 << pos[item_id]
-        return out
-
-    endow = [mask(ag.endowment) for ag in agents]
-    # an item that no agent endows has owner -1 and makes no trade edge
-    owner = [-1] * m
-    for i, ag in enumerate(agents):
-        for item_id in ag.endowment:
-            owner[pos[item_id]] = i
-    # demands with items absent from the market can never be covered;
-    # desirability still derives from demand bundles as written
-    live = [sorted({mask(d) for d in ag.demands if all(x in pos for x in d)}) for ag in agents]
-    if "desirable" in kinds:
-        null = mask(market.null_item_ids)
-        receivable = [
-            endow[i] | null | mask(x for x in ag.desirable if x in pos) for i, ag in enumerate(agents)
-        ]
-    else:
-        receivable = [full] * n
     nodes = 0
 
     def charge() -> None:
@@ -429,49 +625,12 @@ def search_feasible(
                 f"raise it via {BUDGET_ENV_VAR} or an explicit budget argument"
             )
 
-    wanted = [0] * n  # items in some live demand of the agent
-    for i in range(n):
-        for d in live[i]:
-            wanted[i] |= d
-    # cover[x][avail & wanted[x]]: 1 if agent x can cover a live demand
-    # from the items `avail`, else 0 (an empty demand is always covered)
-    cover = [_Coverage(ds) for ds in live]
-    rest_after = [full & ~((2 << p) - 1) for p in range(m)]
-    # per item: who may receive it, and who may be unable to do without it
-    # (under sir its owner and its demanders, under ir the demanders whose
-    # endowment covers a demand) as (x, the holding that exempts x: under sir
-    # its own items up to this one, else none, -1; x's wanted items)
-    allowed = [tuple(a for a in range(n) if receivable[a] >> p & 1) for p in range(m)]
-    if need_sir:
-        watch = [
-            tuple((x, endow[x] & ~rest, wanted[x]) for x in range(n) if wanted[x] >> p & 1 or x == owner[p])
-            for p, rest in enumerate(rest_after)
-        ]
-    else:
-        bound = [wanted[x] if need_ir and cover[x][endow[x] & wanted[x]] else 0 for x in range(n)]
-        watch = [tuple((x, -1, bound[x]) for x in range(n) if bound[x] >> p & 1) for p in range(m)]
-    own_left = [[(endow[j] & rest).bit_count() for j in range(n)] for rest in rest_after]
-    if cycle_cap:
-        endowed = 0
-        for bits in endow:
-            endowed |= bits
-        # the balance in - out of agent j can still reach 0 iff it lies
-        # in [-(others' items unplaced), own items unplaced]
-        bal_floor = [
-            [k - (endowed & rest).bit_count() for k in left]
-            for rest, left in zip(rest_after, own_left)
-        ]
-    traded = [p for p in range(m) if owner[p] >= 0]
-    edge_owner = [owner[p] for p in traded]
-
     held = [0] * n
     assign = [0] * m
     gave = [[0] * n for _ in range(n)]  # pairwise: gave[i][j] items i owns placed with j
     deficit = [0] * n  # pairwise: sum over i of max(0, gave[i][j] - gave[j][i])
     bal = [0] * n  # cycle cap: items received minus own items given away
-    # the cached table holds every allocation: share one (item, agent)
-    # pair per cell and one tuple per distinct profile between them
-    cells = [[(item_id, agent_id) for agent_id in market.agent_ids] for item_id in item_ids]
+    # one tuple per distinct profile between the allocations
     interned: dict[tuple[int, ...], tuple[int, ...]] = {}
     allocations: list[Allocation] = []
     profiles: list[tuple[int, ...]] = []
@@ -643,8 +802,9 @@ def feasible_with_profiles(
 def derived_tables(market: Market, constraints: ConstraintSet, budget: int) -> dict:
     """The dict of tables derived from the feasible table of (market,
     constraints) under node budget `budget` (see :func:`resolve_budget`),
-    such as the strategyproofness audit's misreport tables.  It lives in that
-    table's enumeration cache entry, so its tables leave the cache with it."""
+    such as the strategyproofness audit's misreport tables and the
+    weak-consistency audit's holder masks.  It lives in that table's
+    enumeration cache entry, so its tables leave the cache with it."""
     return _feasible_profiles_cached(market, constraints, budget)[2]
 
 

@@ -25,7 +25,7 @@ from exchange_clear import (
     serialize,
 )
 from exchange_clear.auditors import _contraction_family, _run_consistency_engine, _sample_masks
-from exchange_clear.feasibility import feasible_with_profiles
+from exchange_clear.feasibility import clear_enumeration_cache, feasible_with_profiles
 from exchange_clear.instances import GeneratorConfig, generate_instance
 from exchange_clear.mechanisms import chosen_index, profile_key
 
@@ -206,6 +206,26 @@ def test_mechanism_chooser_is_the_mechanisms_choice_on_every_audited_set(monkeyp
             for mask in masks:
                 indices = [i for i in range(count) if mask >> i & 1]
                 assert choose(mask) == indices[chosen_index([profiles[i] for i in indices], key)]
+
+
+def test_holder_masks_are_built_once_per_feasible_table(monkeypatch):
+    # they live beside the table in its enumeration cache entry, so they
+    # are rebuilt only after the entry is emptied
+    market, constraints = pairwise_bench_market(2, 22)
+    real = auditors._holder_masks
+    built = []
+    monkeypatch.setattr(auditors, "_holder_masks", lambda profiles: built.append(profiles) or real(profiles))
+    specs = [
+        MechanismSpec(kind, priority, constraints)
+        for kind in ("cp", "cup")
+        for priority in (market.agent_ids, market.agent_ids[::-1])
+    ]
+    clear_enumeration_cache()
+    first = [serialize(audit_weak_consistency(market, spec)) for spec in specs]
+    assert len(built) == 1
+    clear_enumeration_cache()
+    assert [serialize(audit_weak_consistency(market, spec)) for spec in specs] == first
+    assert len(built) == 2
 
 
 def test_broken_chooser_matches_naive_on_a_bench_size_market():

@@ -196,6 +196,27 @@ def test_enumerate_matches_naive(seed, set_name):
     assert enumerate_feasible(market, cs) == naive_enumerate(market, cs)
 
 
+# seeded generator markets whose endowments are padded with null items,
+# which the desirable filter lets every agent receive (at most 7 items, so
+# the naive enumerator stays quick)
+NULL_MARKETS = [
+    market
+    for market in (
+        generate_instance(GeneratorConfig(seed=seed, agents=(2, 3), items_per_agent=(1, 2), null_padding=True))
+        for seed in range(1, 61)
+    )
+    if len(market.items) <= 7
+]
+
+
+@pytest.mark.parametrize("set_name", sorted(CHECK_SETS))
+def test_search_matches_naive_with_null_items(set_name):
+    cs = CHECK_SETS[set_name]
+    assert sum(bool(market.null_item_ids) for market in NULL_MARKETS) > 30
+    for market in NULL_MARKETS:
+        assert search_feasible(market, cs, DEFAULT_SEARCH_BUDGET)[:2] == _naive_with_profiles(market, cs), market
+
+
 def test_filter_chain_property():
     for seed in range(1, 8):
         market = tiny_random_market(seed)

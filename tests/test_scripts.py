@@ -28,11 +28,9 @@ def test_replicate_theorem5_narrates_every_run():
 
 def test_replicate_theorem5_searches_each_scripted_misreport_once(monkeypatch, capsys):
     # the narration and the aggregate line share one replication
-    search_feasible = auditors.search_feasible
+    search = auditors._search
     searches = []
-    monkeypatch.setattr(
-        auditors, "search_feasible", lambda *args: searches.append(args) or search_feasible(*args)
-    )
+    monkeypatch.setattr(auditors, "_search", lambda *args: searches.append(args) or search(*args))
     monkeypatch.setattr(sys, "argv", ["replicate_theorem5.py"])
     main = runpy.run_path(str(ROOT / "scripts" / "replicate_theorem5.py"))["main"]
     assert main() == 2
@@ -147,7 +145,7 @@ def test_bench_pairs_failed_share_on_fixed_numbers():
 def test_mutants_snippets_each_occur_exactly_once():
     script = runpy.run_path(str(ROOT / "scripts" / "mutants.py"))
     mutants = script["MUTANTS"]
-    assert len({m.name for m in mutants}) == len(mutants) == 6
+    assert len({m.name for m in mutants}) == len(mutants) == 10
     for mutant in mutants:
         assert script["occurrences"](mutant) == 1, mutant.name
         assert mutant.replacement != mutant.snippet, mutant.name

@@ -1,7 +1,8 @@
 """The strategyproofness audit and the impossibility replication against
 their per-(spec, scenario) references, the lifecycle of the audit's
-misreport tables in the enumeration cache, and a weakly consistent chooser
-outside `cp`/`cup` that a misreport manipulates."""
+misreport tables in the enumeration cache, the patched searches of its
+misreport bases against searches of the misreported markets, and a weakly
+consistent chooser outside `cp`/`cup` that a misreport manipulates."""
 
 import itertools
 
@@ -33,7 +34,10 @@ from exchange_clear.suites import family
 from exchange_clear.feasibility import (
     BUDGET_ENV_VAR,
     DEFAULT_SEARCH_BUDGET,
+    _compile,
     _feasible_profiles_cached,
+    _search,
+    _with_demands,
     clear_enumeration_cache,
     derived_tables,
     feasible_with_profiles,
@@ -46,7 +50,7 @@ from oracles import (
     naive_replicate_impossibility,
     tiny_random_market,
 )
-from test_feasibility import CHECK_SETS
+from test_feasibility import CHECK_SETS, NULL_MARKETS
 
 TRUNCATING = MisreportBudget(bundle_cap=1, max_scenarios=5)
 
@@ -123,6 +127,18 @@ def test_sp_audit_matches_naive_on_theorem5(theorem5):
     assert violations.count(True) == 12 + 12 + 4
 
 
+@pytest.mark.parametrize(
+    "set_name", ["sir", "pairwise", "desirable", "pairwise+desirable", "sir+pairwise+desirable"]
+)
+def test_sp_audit_matches_naive_with_null_items(set_name):
+    # a patched demand report recomputes the desirable receivers, null
+    # items included
+    cs = CHECK_SETS[set_name]
+    for market in NULL_MARKETS:
+        for kind in ("cp", "cup"):
+            _same_bytes(market, MechanismSpec(kind, market.agent_ids, cs))
+
+
 # ---------------------------------------------------------- table lifecycle
 
 # generator seed 27 under sir: 4 agents, 5 items; the canonical cp audit
@@ -195,6 +211,63 @@ def test_misreported_markets_stay_out_of_the_enumeration_cache():
             assert report.summary["agents_probed"] > 0
             assert _feasible_profiles_cached.cache_info().currsize <= before + 1
     assert _feasible_profiles_cached.cache_info().currsize == 1
+
+
+# ---------------------------------------------------------- misreport bases
+
+@pytest.mark.parametrize("set_name", sorted(CHECK_SETS))
+def test_patched_search_matches_the_misreported_markets_search(set_name):
+    # every scenario searched as _misreport_rows searches it, as a patch of
+    # the first misreported market with its withheld set, against a search
+    # of its own misreported market: the same allocations, profiles and
+    # node count, and the same error one node short
+    cs = CHECK_SETS[set_name]
+    for market in TINY_MARKETS:
+        for agent, agent_id in enumerate(market.agent_ids):
+            bases = {}
+            for scenario in enumerate_misreports(market, agent_id):
+                misreported = apply_misreport(market, scenario)
+                if scenario.withheld not in bases:
+                    bases[scenario.withheld] = _compile(misreported, cs)
+                patched = _with_demands(bases[scenario.withheld], agent, scenario.reported_demands)
+                expected = search_feasible(misreported, cs, DEFAULT_SEARCH_BUDGET)
+                assert _search(patched, DEFAULT_SEARCH_BUDGET) == expected, (market, scenario)
+                short = expected[2] - 1
+                with pytest.raises(BudgetExceededError) as patched_error:
+                    _search(patched, short)
+                with pytest.raises(BudgetExceededError) as direct_error:
+                    search_feasible(misreported, cs, short)
+                assert str(patched_error.value) == str(direct_error.value)
+
+
+def test_misreport_rows_compile_one_base_per_withheld_set(monkeypatch):
+    built, compiled = [], []
+    real_apply, real_compile = auditors.apply_misreport, auditors._compile
+
+    def apply(market, scenario):
+        built.append(scenario)
+        return real_apply(market, scenario)
+
+    def compile_market(market, cs):
+        compiled.append(market)
+        return real_compile(market, cs)
+
+    monkeypatch.setattr(auditors, "apply_misreport", apply)
+    monkeypatch.setattr(auditors, "_compile", compile_market)
+    bases = 0
+    for agent_id in SEED27.agent_ids:
+        scenarios = enumerate_misreports(SEED27, agent_id)
+        first = {}
+        for scenario in scenarios:
+            first.setdefault(scenario.withheld, scenario)
+        built.clear()
+        compiled.clear()
+        auditors._misreport_rows(SEED27, SIR, agent_id, scenarios, DEFAULT_SEARCH_BUDGET)
+        assert built == list(first.values())
+        assert compiled == [real_apply(SEED27, scenario) for scenario in first.values()]
+        assert len(scenarios) > len(first)
+        bases += len(first)
+    assert bases > len(SEED27.agent_ids)
 
 
 # ------------------------------------------------- impossibility replication
