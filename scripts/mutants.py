@@ -93,22 +93,29 @@ MUTANTS = (
     Mutant(
         "pairwise-deficit-off-by-one",
         FEASIBILITY,
-        "if deficit[a] <= left[a] and deficit[o] <= left[o]:",
-        "if deficit[a] < left[a] and deficit[o] <= left[o]:",
+        "elif deficit[a] + 1 <= left[a] and deficit[o] <= left[o]:",
+        "elif deficit[a] + 1 < left[a] and deficit[o] <= left[o]:",
         ("tests/test_feasibility.py",),
     ),
     Mutant(
-        "patch-keeps-misreporter-coverage-memo",
+        "frontier-bound-without-current-item",
         FEASIBILITY,
-        "        cover=_swap(base.cover, agent, _Coverage(live)),\n",
-        "        cover=base.cover,\n",
-        ("tests/test_strategyproofness.py",),
+        "unplaced = full >> p << p  # items p.. are unplaced",
+        "unplaced = full >> p + 1 << p + 1",
+        ("tests/test_feasibility.py",),
     ),
     Mutant(
-        "patch-watch-not-rebuilt",
+        "reservation-pass-without-keep",
         FEASIBILITY,
-        "        _fill_watch(c, _bits(before[0] | after[0]))\n",
-        "        pass\n",
+        "    clash = taken & keepers\n",
+        "    clash = keepers\n",
+        ("tests/test_feasibility.py",),
+    ),
+    Mutant(
+        "new-demands-keep-old-coverage-memo",
+        FEASIBILITY,
+        "c.live[x], c.wanted[x], c.cover[x] = demands, _union(demands), _Coverage(demands)",
+        "c.live[x], c.wanted[x] = demands, _union(demands)",
         ("tests/test_strategyproofness.py",),
     ),
     Mutant(

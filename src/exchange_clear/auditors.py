@@ -339,7 +339,9 @@ def _misreport_rows(
             pid = profile_ids.setdefault(profile, len(profile_ids))
             ids.append(pid)
             holder = allocations[profiles.index(profile)]
-            realized = realized_bundle(holder.bundle_of(agent_id), scenario.withheld)
+            # only the agent's bundle is read, so only its items are collected
+            held = frozenset([item_id for item_id, owner in holder.assignment if owner == agent_id])
+            realized = realized_bundle(held, scenario.withheld)
             if covers(realized, true_demands):
                 covering[pid] = (holder, realized)
         if covering:

@@ -45,26 +45,43 @@ that need the same unplaced item.  Agents with a single option are joined
 first; the choices of the others are searched depth-first (`pack`), which can
 branch exponentially, so each of its steps that fails is charged as a node.
 
+Under sir the search also runs one such test at the root, before any item
+is placed, over every live demand at once.  There a packing takes one option
+per agent, keeping its endowment or reserving one live demand, with pairwise
+disjoint reservations; in every feasible allocation the agents' justifying
+options form one.  So a demand that lies in no packing is never covered, and
+the root pass drops it: the placements, the watch lists, the joint test, the
+frontier bound and the leaf profiles all read the pruned demands.  A demand
+that meets no other agent's endowment lies in the packing where everyone
+else keeps, as does every demand within the agent's own endowment, so the
+ir test never changes; the others are refuted by a depth-first packing
+search whose failed steps are charged as nodes.  The argument ignores trade
+structure, so it holds under pairwise balance and cycle caps.  Without sir
+an agent need not end covered, so the pass runs only under sir; under
+desirable, what an agent may receive still comes from its demands as
+written.
+
 Each test is exact once every item is placed, so the pruning never changes
 the returned set.  Within one search each agent's coverage test is memoized
 on the available items it demands, and the trade counters exist only under
 pairwise balance or a cycle cap.  The search returns the allocations, their
 satisfaction profiles and its node count: the root, every placement that
-survives the tests, every failed step of the joint test's packing and every
-step of the leaves' cycle-partition search.  Past the node budget it aborts
+survives the tests, every failed step of the root pass's and the joint
+test's packings and every step of the leaves' cycle-partition search.  Past the node budget it aborts
 with :class:`BudgetExceededError` (the instance is beyond desk scale).
 
 A search is two steps.  `_compile` turns (market, constraint set) into the
 value the depth-first search reads: item bits, endowment masks, owners,
 each agent's live demands, wanted items and coverage memo, who may receive
-each item, the watch lists and the trade-balance bounds.  `_search` runs
-over that value and only reads it; `search_feasible` is the two in turn.
-The strategyproofness audit searches many reports of one agent that differ
-only in its demands, so `_with_demands` derives the value for another
-demand report from a compiled base: it replaces that agent's demands,
-wanted items and coverage memo, rebuilds only the watch lists and (under
-desirable) the receiver lists that read them, and shares every other field,
-the other agents' memos included.
+each item and the trade-balance bounds.  `_search` runs over that value and
+only reads it: under sir it derives the pruned value first, and it builds
+the watch lists from the demands it searches with.  `search_feasible` is
+the two in turn.  The strategyproofness audit searches many reports of one
+agent that differ only in its demands, so `_with_demands` derives the value
+for another demand report from a compiled base: it replaces that agent's
+demands, wanted items and coverage memo, rebuilds (under desirable) the
+receiver lists that read them, and shares every other field, the other
+agents' memos included.
 
 The frontier mode serves a caller that runs one mechanism spec once (the
 command line's `solve`).  Both mechanisms rank a satisfaction profile above
@@ -266,6 +283,22 @@ def _decode(constraints: ConstraintSet) -> tuple[set[str], bool, int | None]:
     return kinds, pairwise, None if pairwise else cap
 
 
+@lru_cache(maxsize=256)
+def _canonical(constraints: ConstraintSet) -> ConstraintSet:
+    """One spelling per feasible set: the sir, ir and desirable constraints
+    of `constraints`, then pairwise balance or the cycle cap left to check
+    (see :func:`_decode`).  `sir,maxcycle=2` and `sir,pairwise` become one
+    set, and so do `pairwise,maxcycle=3` and `pairwise`; the cache keys on
+    it, so such sets share one table."""
+    kinds, pairwise, cycle_cap = _decode(constraints)
+    out = [_BARE_KINDS[kind] for kind in ("sir", "ir", "desirable") if kind in kinds]
+    if pairwise:
+        out.append(PAIRWISE_ONLY)
+    elif cycle_cap:
+        out.append(max_cycle_agents(cycle_cap))
+    return ConstraintSet(tuple(out))
+
+
 def _trade_ok(
     owner: list[int],
     assignee: list[int],
@@ -385,7 +418,9 @@ class _Compiled(NamedTuple):
     bits 0 .. m-1 in id order, agents the indices 0 .. n-1 in id order.
     :func:`_compile` builds it from a market, :func:`_with_demands` derives
     it for another demand report of one agent.  The search only reads it,
-    so derived values share every field they do not replace."""
+    so derived values share every field they do not replace.  The watch
+    lists read the live demands, which under sir the search narrows first,
+    so the search builds them (:func:`_watch`)."""
 
     pos: dict[str, int]  # item id -> bit
     null: int  # the null items
@@ -404,7 +439,6 @@ class _Compiled(NamedTuple):
     receivable: list[int]  # per agent, the items it may receive
     rest_after: list[int]  # per item p, the items after p
     allowed: list[tuple[int, ...]]  # per item, the agents that may receive it
-    watch: list[tuple[tuple[int, int, int], ...]]  # see _fill_watch
     own_left: list[list[int]]  # per item p and agent j, j's own items after p
     # cycle cap: the balance in - out of agent j after item p can still
     # reach 0 iff it lies in [bal_floor[p][j], own_left[p][j]]
@@ -458,32 +492,19 @@ def _fill_allowed(c: _Compiled, positions) -> None:
         c.allowed[p] = tuple([a for a, bits in enumerate(c.receivable) if bits >> p & 1])
 
 
-def _watched(c: _Compiled, x: int) -> tuple[int, int]:
-    """What agent x's entries in the watch lists depend on: the items whose
-    lists may hold x, and the items its entries carry."""
-    if c.need_sir:
-        return c.wanted[x] | c.endow[x], c.wanted[x]
-    bound = c.wanted[x] if c.need_ir and c.cover[x][c.endow[x] & c.wanted[x]] else 0
-    return bound, bound
-
-
-def _fill_watch(c: _Compiled, positions) -> None:
-    """Set `c.watch[p]` for each item p in `positions`: who may be unable to
-    do without item p (under sir its owner and its demanders, under ir the
-    demanders whose endowment covers a demand), as (x, the holding that
-    exempts x: under sir its own items up to p, else none, -1; x's wanted
-    items)."""
+def _watch(c: _Compiled) -> list[tuple[tuple[int, int, int], ...]]:
+    """Per item p, who may be unable to do without it (under sir its owner
+    and its demanders, under ir the demanders whose endowment covers a
+    demand), as (x, the holding that exempts x: under sir its own items up
+    to p, else none, -1; x's wanted items)."""
     agents, endow, wanted = range(len(c.endow)), c.endow, c.wanted
     if c.need_sir:
-        for p in positions:
-            rest, o = c.rest_after[p], c.owner[p]
-            c.watch[p] = tuple(
-                [(x, endow[x] & ~rest, wanted[x]) for x in agents if wanted[x] >> p & 1 or x == o]
-            )
-        return
-    bound = [_watched(c, x)[1] for x in agents]
-    for p in positions:
-        c.watch[p] = tuple([(x, -1, bound[x]) for x in agents if bound[x] >> p & 1])
+        return [
+            tuple([(x, endow[x] & ~rest, wanted[x]) for x in agents if wanted[x] >> p & 1 or x == o])
+            for p, (rest, o) in enumerate(zip(c.rest_after, c.owner))
+        ]
+    bound = [w if c.need_ir and c.cover[x][endow[x] & w] else 0 for x, w in enumerate(wanted)]
+    return [tuple([(x, -1, bound[x]) for x in agents if bound[x] >> p & 1]) for p in range(len(c.owner))]
 
 
 def _compile(market: Market, constraints: ConstraintSet) -> _Compiled:
@@ -531,7 +552,6 @@ def _compile(market: Market, constraints: ConstraintSet) -> _Compiled:
         receivable=receivable,
         rest_after=rest_after,
         allowed=[()] * m,
-        watch=[()] * m,
         own_left=own_left,
         bal_floor=bal_floor,
         traded=traded,
@@ -539,7 +559,16 @@ def _compile(market: Market, constraints: ConstraintSet) -> _Compiled:
         cells=[[(item_id, agent_id) for agent_id in market.agent_ids] for item_id in item_ids],
     )
     _fill_allowed(c, range(m))
-    _fill_watch(c, range(m))
+    return c
+
+
+def _with_live(base: _Compiled, live: dict[int, list[int]]) -> _Compiled:
+    """`base` with the live demands (masks, sorted) of each agent index in
+    `live` replaced, and with them its wanted items and coverage memo, in
+    copies."""
+    c = base._replace(live=list(base.live), wanted=list(base.wanted), cover=list(base.cover))
+    for x, demands in live.items():
+        c.live[x], c.wanted[x], c.cover[x] = demands, _union(demands), _Coverage(demands)
     return c
 
 
@@ -547,35 +576,71 @@ def _with_demands(base: _Compiled, agent: int, demands) -> _Compiled:
     """`base` with agent index `agent` reporting the demand bundles
     `demands` (item ids; a bundle with an id outside the market can never be
     covered): what :func:`_compile` builds for the market with that report.
-    The agent's demands, wanted items and coverage memo are replaced; the
-    watch lists that hold the agent and, under desirable, the receivers of
-    the items it may now or may no longer receive are rebuilt in copies."""
-    live = _live(base.pos, demands)
-    receivable, allowed = base.receivable, base.allowed
+    The agent's demands, wanted items and coverage memo are replaced and,
+    under desirable, the receivers of the items it may now or may no longer
+    receive are rebuilt, in copies."""
+    c = _with_live(base, {agent: _live(base.pos, demands)})
     if base.desirable:
-        receivable = _swap(receivable, agent, _receivable(base.pos, base.null, base.endow[agent], demands))
-        allowed = list(allowed)
-    c = base._replace(
-        live=_swap(base.live, agent, live),
-        wanted=_swap(base.wanted, agent, _union(live)),
-        cover=_swap(base.cover, agent, _Coverage(live)),
-        receivable=receivable,
-        allowed=allowed,
-        watch=list(base.watch),
-    )
-    before, after = _watched(base, agent), _watched(c, agent)
-    if before != after:
-        _fill_watch(c, _bits(before[0] | after[0]))
-    if base.desirable:
+        receivable = list(base.receivable)
+        receivable[agent] = _receivable(base.pos, base.null, base.endow[agent], demands)
+        c = c._replace(receivable=receivable, allowed=list(base.allowed))
         _fill_allowed(c, _bits(receivable[agent] ^ base.receivable[agent]))
     return c
 
 
-def _swap(values: list, index: int, value) -> list:
-    """A copy of `values` with `value` at `index`."""
-    out = list(values)
-    out[index] = value
-    return out
+def _reservation_consistent(c: _Compiled, charge: Callable[[], None]) -> _Compiled:
+    """Under sir, `c` without the live demands that lie in no packing: a
+    packing takes one option per agent, keeping its endowment or reserving
+    one live demand, with pairwise disjoint reservations.  In a feasible
+    allocation each agent keeps or covers a demand, so a demand in no
+    packing is never covered and never justifies a bundle.  A demand that
+    meets no other agent's endowment is in the packing where everyone else
+    keeps.  The others are tried by :func:`_displace`, whose failed steps
+    are charged; a packing it finds marks all its demands, and a demand
+    found in none is no longer tried for the agents after."""
+    endow, owner, live = c.endow, c.owner, c.live
+    endowed = _union(endow)
+    viable: set[tuple[int, int]] = set()
+    pruned: dict[int, list[int]] = {}
+    options = list(live)
+    for x, demands in enumerate(live):
+        others = endowed & ~endow[x]
+        kept = [
+            d
+            for d in demands
+            if not d & others or (x, d) in viable or _displace(endow, owner, options, viable, d, others, charge)
+        ]
+        if len(kept) < len(demands):
+            pruned[x] = options[x] = kept
+    return _with_live(c, pruned) if pruned else c
+
+
+def _displace(
+    endow: list[int],
+    owner: list[int],
+    options: list[list[int]],
+    viable: set[tuple[int, int]],
+    taken: int,
+    keepers: int,
+    charge: Callable[[], None],
+) -> bool:
+    """Whether a packing reserves `taken`, the union of the demands chosen
+    so far, while the agents whose endowments make up `keepers` keep.  The
+    owner of the first item in both cannot keep, so it takes in turn each of
+    its `options` disjoint from `taken`.  The packing found adds its demands
+    to `viable` as (agent index, demand); every step that fails is
+    charged."""
+    clash = taken & keepers
+    if not clash:
+        return True
+    y = owner[(clash & -clash).bit_length() - 1]
+    rest = keepers & ~endow[y]
+    for e in options[y]:
+        if not e & taken and _displace(endow, owner, options, viable, taken | e, rest, charge):
+            viable.add((y, e))
+            return True
+    charge()
+    return False
 
 
 def search_feasible(
@@ -603,17 +668,13 @@ def _search(
     placement is kept only if the receiver, the owner and the trade balances
     can still meet the constraints with the items not yet placed, and, under
     sir after a trade, if every agent can still reserve the unplaced items it
-    needs without two agents reserving the same item (`reservable`).
+    needs without two agents reserving the same item (`reservable`).  Under
+    sir the live demands are first narrowed to those in some packing
+    (:func:`_reservation_consistent`), and the pass's failed steps are
+    charged as nodes.
     Coverage tests go through a per-agent memo keyed on the available items
     the agent demands; the trade counters are updated only under pairwise
     balance (`gave`, `deficit`) or a cycle cap (`bal`)."""
-    need_sir, pairwise, cycle_cap = c.need_sir, c.pairwise, c.cycle_cap
-    endow, owner, live, wanted, cover = c.endow, c.owner, c.live, c.wanted, c.cover
-    rest_after, allowed, watch = c.rest_after, c.allowed, c.watch
-    own_left, bal_floor = c.own_left, c.bal_floor
-    traded, edge_owner, cells = c.traded, c.edge_owner, c.cells
-    n, m = len(endow), len(cells)
-    full = (1 << m) - 1
     nodes = 0
 
     def charge() -> None:
@@ -624,6 +685,16 @@ def _search(
                 f"feasible-set search exceeded its budget of {budget} nodes; "
                 f"raise it via {BUDGET_ENV_VAR} or an explicit budget argument"
             )
+
+    if c.need_sir:
+        c = _reservation_consistent(c, charge)
+    need_sir, pairwise, cycle_cap = c.need_sir, c.pairwise, c.cycle_cap
+    endow, owner, live, wanted, cover = c.endow, c.owner, c.live, c.wanted, c.cover
+    rest_after, allowed, watch = c.rest_after, c.allowed, _watch(c)
+    own_left, bal_floor = c.own_left, c.bal_floor
+    traded, edge_owner, cells = c.traded, c.edge_owner, c.cells
+    n, m = len(endow), len(cells)
+    full = (1 << m) - 1
 
     held = [0] * n
     assign = [0] * m
@@ -740,21 +811,24 @@ def _search(
             if o < 0 or not (pairwise or cycle_cap):
                 descend(p + 1)
             elif pairwise:
-                if a != o:
-                    gave[o][a] += 1
-                    repays = gave[o][a] <= gave[a][o]
-                    if repays:
+                # the deficits the placement would leave are tested first,
+                # and the counters change only for a placement that passes
+                if a == o:
+                    if deficit[o] <= left[o]:
+                        descend(p + 1)
+                elif gave[o][a] < gave[a][o]:  # o repays a
+                    if deficit[o] - 1 <= left[o] and deficit[a] <= left[a]:
+                        gave[o][a] += 1
                         deficit[o] -= 1
-                    else:
-                        deficit[a] += 1
-                if deficit[a] <= left[a] and deficit[o] <= left[o]:
-                    descend(p + 1)
-                if a != o:
-                    gave[o][a] -= 1
-                    if repays:
+                        descend(p + 1)
+                        gave[o][a] -= 1
                         deficit[o] += 1
-                    else:
-                        deficit[a] -= 1
+                elif deficit[a] + 1 <= left[a] and deficit[o] <= left[o]:  # a now owes o
+                    gave[o][a] += 1
+                    deficit[a] += 1
+                    descend(p + 1)
+                    gave[o][a] -= 1
+                    deficit[a] -= 1
             else:
                 bal[a] += 1
                 bal[o] -= 1
@@ -783,7 +857,8 @@ def _feasible_profiles_cached(
 ) -> tuple[tuple[Allocation, ...], tuple[tuple[int, ...], ...], dict]:
     """The enumeration cache: :func:`search_feasible`'s allocations and
     profiles plus an empty dict for the tables derived from them (see
-    :func:`derived_tables`)."""
+    :func:`derived_tables`).  Its callers key it on :func:`_canonical`
+    constraint sets."""
     allocations, profiles, _ = search_feasible(market, constraints, budget)
     return allocations, profiles, {}
 
@@ -795,7 +870,7 @@ def feasible_with_profiles(
     (0/1 per agent, canonical agent order).  Cached; shared by the mechanisms
     and the auditors so repeated runs over one instance pay for the search once.
     """
-    allocations, profiles, _ = _feasible_profiles_cached(market, constraints, resolve_budget(budget))
+    allocations, profiles, _ = _feasible_profiles_cached(market, _canonical(constraints), resolve_budget(budget))
     return allocations, profiles
 
 
@@ -804,8 +879,9 @@ def derived_tables(market: Market, constraints: ConstraintSet, budget: int) -> d
     constraints) under node budget `budget` (see :func:`resolve_budget`),
     such as the strategyproofness audit's misreport tables and the
     weak-consistency audit's holder masks.  It lives in that table's
-    enumeration cache entry, so its tables leave the cache with it."""
-    return _feasible_profiles_cached(market, constraints, budget)[2]
+    enumeration cache entry, so its tables leave the cache with it, and
+    constraint sets that define one feasible set share it."""
+    return _feasible_profiles_cached(market, _canonical(constraints), budget)[2]
 
 
 def enumerate_feasible(

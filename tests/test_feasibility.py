@@ -24,10 +24,12 @@ from exchange_clear import (
     run_cp,
     satisfaction_profile,
     satisfies_constraints,
+    suites,
 )
 from exchange_clear import feasibility
 from exchange_clear.feasibility import (
     DEFAULT_SEARCH_BUDGET,
+    SIR,
     clear_enumeration_cache,
     feasible_with_profiles,
     search_feasible,
@@ -456,24 +458,24 @@ SHAPES = {
 @pytest.mark.parametrize(
     "shape, arg, text, nodes, count",
     [
-        ("ladder", 4, "sir", 381, 110),
-        ("ladder", 4, "sir,maxcycle=3", 228, 16),
+        ("ladder", 4, "sir", 354, 110),
+        ("ladder", 4, "sir,maxcycle=3", 203, 16),
         ("ladder", 4, "pairwise", 1_603, 474),
         ("ladder", 4, "maxcycle=3", 23_189, 2_082),
         ("ladder", 4, "pairwise,desirable", 57, 10),
-        ("ladder", 5, "sir", 96, 23),
-        ("ladder", 5, "sir,maxcycle=3", 74, 4),
+        ("ladder", 5, "sir", 101, 23),
+        ("ladder", 5, "sir,maxcycle=3", 79, 4),
         ("ladder", 5, "pairwise", 20_171, 5_850),
-        ("ladder", 6, "sir", 56, 1),
-        ("ladder", 6, "sir,maxcycle=3", 56, 1),
-        ("ladder", 7, "sir,maxcycle=3", 1_150, 17),
-        ("ladder", 8, "sir,pairwise", 19_736, 15),
-        ("ladder", 9, "sir", 3_946, 972),
-        ("ladder", 9, "sir,maxcycle=3", 1_920, 20),
-        ("cli", 2, "sir", 159, 1),
-        ("cli", 2, "sir,maxcycle=3", 159, 1),
-        ("cli", 3, "sir", 340, 2),
-        ("cli", 3, "sir,maxcycle=3", 337, 2),
+        ("ladder", 6, "sir", 31, 1),
+        ("ladder", 6, "sir,maxcycle=3", 31, 1),
+        ("ladder", 7, "sir,maxcycle=3", 580, 17),
+        ("ladder", 8, "sir,pairwise", 17_596, 15),
+        ("ladder", 9, "sir", 2_831, 972),
+        ("ladder", 9, "sir,maxcycle=3", 867, 20),
+        ("cli", 2, "sir", 40, 1),
+        ("cli", 2, "sir,maxcycle=3", 40, 1),
+        ("cli", 3, "sir", 57, 2),
+        ("cli", 3, "sir,maxcycle=3", 67, 2),
     ],
 )
 def test_search_node_counts_are_pinned(shape, arg, text, nodes, count):
@@ -484,9 +486,12 @@ def test_search_node_counts_are_pinned(shape, arg, text, nodes, count):
 
 def test_sir_reservation_packing_is_charged():
     # a0..a6 each own one item and want any one of b's six items; b wants
-    # all seven.  Once a0 gives p0 to b, b claims p1..p6 and seven agents
-    # need six items: the joint test's packing fails after about e*6!
-    # steps, each a node (2,013 in all; the root and the placements are 14)
+    # all seven.  Any demand of a0 makes b take its demand, which leaves
+    # a1..a6 five items: the root's reservation pass refutes each of a0's
+    # six demands after about 5!*e failed packing steps, each a node.  Every
+    # other demand then needs a0 or b to reserve one, so it fails at once;
+    # with no demand left the search places the endowment (2,049 in all;
+    # the root and the placements are 14)
     k = 6
     agents = tuple(Agent(f"a{i}", [f"p{i}"], [{f"u{j}"} for j in range(k)]) for i in range(k + 1))
     agents += (Agent("b", [f"u{j}" for j in range(k)], [{f"p{i}" for i in range(k + 1)}]),)
@@ -494,7 +499,7 @@ def test_sir_reservation_packing_is_charged():
     market = Market(agents, items)
     sir = parse_constraints("sir")
     allocations, _, nodes = search_feasible(market, sir, DEFAULT_SEARCH_BUDGET)
-    assert (nodes, allocations) == (2_013, (endowment_allocation(market),))
+    assert (nodes, allocations) == (2_049, (endowment_allocation(market),))
     with pytest.raises(BudgetExceededError):
         search_feasible(market, sir, 1_000)
 
@@ -510,8 +515,8 @@ def test_sir_reservation_packing_is_charged():
         (5, "pairwise", 4_505, 2),
         (6, "pairwise", 35_906, 2),
         (5, "maxcycle=3", 20_777, 1),
-        (8, "sir", 48_613, 1),
-        (8, "sir,pairwise", 19_665, 2),
+        (8, "sir", 598, 1),
+        (8, "sir,pairwise", 17_525, 2),
     ],
 )
 def test_frontier_search_node_counts_are_pinned(n, text, nodes, count):
@@ -535,3 +540,108 @@ def test_one_donor_counts_match_exact_oracles(seed, n):
     sir, _, _ = search_feasible(market, parse_constraints("sir"), DEFAULT_SEARCH_BUDGET)
     pairwise, _, _ = search_feasible(market, parse_constraints("sir,pairwise"), DEFAULT_SEARCH_BUDGET)
     assert (len(sir), len(pairwise)) == (permanent(with_identity), involutions(compat))
+
+
+# ------------------------------------------------- root reservation pass
+
+# every built-in sir set, with the ir and desirable kinds beside it: the
+# pass prunes under all of them, and desirable must keep reading the
+# demands as written
+PASS_SETS = {name: cs for name, cs in BUILT_IN_CONSTRAINT_SETS.items() if SIR in cs}
+PASS_SETS.update({text: parse_constraints(text) for text in ("sir,desirable", "sir,ir", "sir,pairwise,desirable")})
+
+# three agents around an item that nobody endows: it must go to an agent
+# that ends covered, so the demands that hold it decide who may take it
+UNENDOWED_MARKETS = [
+    Market(
+        (
+            Agent("1", ["x"], [{"y", "z"}, {"z"}]),
+            Agent("2", ["y"], [{"x"}, {"x", "z"}]),
+            Agent("3", ["w"], [{"y"}, {"x", "w"}]),
+        ),
+        (Item("w"), Item("x"), Item("y"), Item("z")),
+    ),
+    Market(
+        (Agent("1", ["x"], [{"y"}, {"z"}]), Agent("2", ["y"], [{"x", "z"}])),
+        (Item("x"), Item("y"), Item("z")),
+    ),
+]
+
+PASS_MARKETS = {
+    "tiny": [tiny_random_market(seed, max_agents=4, max_items=5) for seed in range(1, 41)],
+    "family": suites.family(range(1, 61)),
+    "null": NULL_MARKETS,
+    "unendowed": UNENDOWED_MARKETS,
+}
+
+
+@pytest.mark.parametrize("group", sorted(PASS_MARKETS))
+def test_reservation_pass_matches_naive(group):
+    # the full and the frontier search under every set the pass runs under;
+    # each set is sir and more, so its naive answer is the naive sir answer
+    # filtered by its own predicate, in the same order
+    for market in PASS_MARKETS[group]:
+        sir = naive_enumerate(market, BUILT_IN_CONSTRAINT_SETS["sir"])
+        for name, cs in PASS_SETS.items():
+            allocs = tuple(a for a in sir if naive_satisfies_constraints(market, a, cs))
+            expected = allocs, tuple(tuple(satisfaction_profile(market, a).values()) for a in allocs)
+            assert search_feasible(market, cs, DEFAULT_SEARCH_BUDGET)[:2] == expected, (name, market)
+            assert _frontier(market, cs) == pareto_frontier(*expected), (name, market)
+
+
+def _pruned_live(market, cs):
+    c = feasibility._compile(market, cs)
+    return feasibility._reservation_consistent(c, lambda: None).live, c.live
+
+
+def test_reservation_pass_drops_a_demand_no_packing_holds():
+    # 1 wants 2's item, 2 wants 3's, 3 wants nothing: if 1 reserves y, 2
+    # must give it up and reserve z, which 3 cannot give up
+    market = Market(
+        (Agent("1", ["x"], [{"y"}]), Agent("2", ["y"], [{"z"}]), Agent("3", ["z"])),
+        (Item("x"), Item("y"), Item("z")),
+    )
+    pruned, live = _pruned_live(market, BUILT_IN_CONSTRAINT_SETS["sir"])
+    assert live == [[0b010], [0b100], []]
+    assert pruned == [[], [], []]
+    for cs in PASS_SETS.values():
+        assert enumerate_feasible(market, cs) == [endowment_allocation(market)]
+
+
+def test_reservation_pass_keeps_a_demand_that_needs_another_agents_item():
+    # a three-cycle: each demand takes the next agent's item, so it lies only
+    # in the packing where every agent reserves its demand
+    market = Market(
+        (Agent("1", ["x"], [{"y"}, {"w"}]), Agent("2", ["y"], [{"z"}]), Agent("3", ["z"], [{"x"}])),
+        (Item("w"), Item("x"), Item("y"), Item("z")),
+    )
+    pruned, live = _pruned_live(market, BUILT_IN_CONSTRAINT_SETS["sir"])
+    # w is endowed by nobody and lies in no other agent's endowment; every
+    # demand is kept
+    assert pruned == live == [[0b0001, 0b0100], [0b1000], [0b0010]]
+    rotate = Allocation({"w": "1", "x": "3", "y": "1", "z": "2"})
+    assert rotate in enumerate_feasible(market, BUILT_IN_CONSTRAINT_SETS["sir"])
+
+
+def test_reservation_pass_runs_only_under_sir(monkeypatch):
+    # without sir an agent need not end covered, so a demand in no packing
+    # can still be held: under ir agent 1 may take y while 2 goes without
+    market = Market(
+        (Agent("1", ["x"], [{"y"}]), Agent("2", ["y"], [{"z"}]), Agent("3", ["z"])),
+        (Item("x"), Item("y"), Item("z")),
+    )
+    real = feasibility._reservation_consistent
+    runs = []
+
+    def spy(c, charge):
+        runs.append(c.need_sir)
+        return real(c, charge)
+
+    monkeypatch.setattr(feasibility, "_reservation_consistent", spy)
+    for name, cs in {**CHECK_SETS, **CLAIM_SETS, **PASS_SETS}.items():
+        runs.clear()
+        allocs, profiles, _ = search_feasible(market, cs, DEFAULT_SEARCH_BUDGET)
+        assert list(allocs) == naive_enumerate(market, cs), name
+        assert runs == ([True] if SIR in cs else []), name
+    _, profiles = feasible_with_profiles(market, BUILT_IN_CONSTRAINT_SETS["ir"])
+    assert any(profile[0] for profile in profiles)

@@ -1,12 +1,14 @@
 """The property-suite generators of `exchange_clear.suites`."""
 
 from exchange_clear import auditors, enumerate_misreports, run_mechanism, satisfaction_profile, suites
-from exchange_clear.feasibility import clear_enumeration_cache, resolve_budget
+from exchange_clear.feasibility import _canonical, clear_enumeration_cache, resolve_budget
 
 
 def test_strategyproofness_builds_each_misreport_table_once(monkeypatch):
     # a market's tables stay in its enumeration cache entry until every
-    # spec over that market and constraint set has been audited
+    # spec over that market and constraint set has been audited; sets that
+    # define one feasible set (sir+maxcycle2 and sir+pairwise) share the
+    # entry, so each table is keyed on the canonical set
     real = auditors._misreport_rows
     built = []
 
@@ -20,8 +22,8 @@ def test_strategyproofness_builds_each_misreport_table_once(monkeypatch):
     unsatisfied = set()
     for market, spec, report in suites.strategyproofness(markets):
         profile = satisfaction_profile(market, run_mechanism(market, spec))
-        unsatisfied.update((market, spec.constraints, a) for a, sat in profile.items() if not sat)
-    keys = [args[:3] for args in built]
+        unsatisfied.update((market, _canonical(spec.constraints), a) for a, sat in profile.items() if not sat)
+    keys = [(market, _canonical(cs), agent_id) for market, cs, agent_id, *_ in built]
     assert len(keys) == len(set(keys)) == len(unsatisfied) > 0
     assert set(keys) == unsatisfied
     for market, _, agent_id, scenarios, search_budget in built:
