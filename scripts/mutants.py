@@ -112,6 +112,13 @@ MUTANTS = (
         ("tests/test_feasibility.py",),
     ),
     Mutant(
+        "canonical-cap-read-as-pairwise",
+        FEASIBILITY,
+        "        out.append(max_cycle_agents(cycle_cap))\n",
+        "        out.append(PAIRWISE_ONLY)\n",
+        ("tests/test_feasibility.py",),
+    ),
+    Mutant(
         "new-demands-keep-old-coverage-memo",
         FEASIBILITY,
         "c.live[x], c.wanted[x], c.cover[x] = demands, _union(demands), _Coverage(demands)",
