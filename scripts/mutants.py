@@ -119,6 +119,14 @@ MUTANTS = (
         ("tests/test_feasibility.py",),
     ),
     Mutant(
+        "sir-receiver-test-dropped",
+        FEASIBILITY,
+        "            if need_sir and a != o and not cover[a][(h | unplaced) & wanted[a]]:\n"
+        "                continue\n",
+        "",
+        ("tests/test_feasibility.py",),
+    ),
+    Mutant(
         "new-demands-keep-old-coverage-memo",
         FEASIBILITY,
         "c.live[x], c.wanted[x], c.cover[x] = demands, _union(demands), _Coverage(demands)",

@@ -12,7 +12,7 @@ import argparse
 import sys
 import time
 
-from exchange_clear import satisfaction_profile, suites
+from exchange_clear import max_satisfied_oracle, satisfaction_profile, suites
 from exchange_clear.mechanisms import solve
 
 
@@ -40,11 +40,15 @@ def main() -> int:
 
     tick = time.monotonic()
     runs = dominated = oracle_mismatches = solve_mismatches = 0
-    for market, spec, outcome, pareto, oracle in suites.outcomes(markets):
+    oracles = {}  # the brute-force maximum satisfied count per (market, constraint set)
+    for market, spec, outcome, pareto in suites.outcomes(markets):
         runs += 1
         dominated += pareto.violation_found
         if spec.kind == "cup":
-            oracle_mismatches += sum(satisfaction_profile(market, outcome).values()) != oracle
+            key = market, spec.constraints
+            if key not in oracles:
+                oracles[key] = max_satisfied_oracle(*key)
+            oracle_mismatches += sum(satisfaction_profile(market, outcome).values()) != oracles[key]
         solve_mismatches += solve(market, spec) != outcome
     print(f"pareto + oracle: {runs} runs, {dominated} dominated outputs, "
           f"{oracle_mismatches} oracle mismatches, {solve_mismatches} solve mismatches "

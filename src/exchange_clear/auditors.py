@@ -482,7 +482,7 @@ def _run_consistency_engine(
     agent_ids: tuple[str, ...],
     choose: Callable[[int], int],
     params: ConsistencyParams,
-    with_profile: dict[tuple[int, ...], int] | None = None,
+    with_profile: dict[tuple[int, ...], int],
 ) -> AuditReport:
     """Test (superset, subset) contractions of the feasible set, in order.
 
@@ -492,8 +492,7 @@ def _run_consistency_engine(
     samples, superset position major, so contractions of already-contracted
     sets get exercised too.  A pair is a violation when the subset holds an
     allocation with the superset choice's profile but its own choice has
-    another profile.  `with_profile` is `_holder_masks(profiles)`, built
-    here when the caller has not built it already.
+    another profile.  `with_profile` is `_holder_masks(profiles)`.
 
     Sets are bitmasks over feasible indices, bit i standing for
     `allocations[i]`.  The family (`_contraction_family`) depends only on
@@ -520,8 +519,6 @@ def _run_consistency_engine(
     full = (1 << count) - 1
     samples, inside, subsets = _contraction_family(count, params)
     loos = range(count) if count > 1 else range(0)
-    if with_profile is None:
-        with_profile = _holder_masks(profiles)
 
     witnesses: list[ConsistencyViolation] = []
 
@@ -653,7 +650,8 @@ def audit_weak_consistency_choice(
     def choose(mask: int) -> int:
         return position[choice([a for i, a in enumerate(allocations) if mask >> i & 1])]
 
-    return _run_consistency_engine(allocations, profiles, market.agent_ids, choose, params)
+    holders = _holder_masks(profiles)
+    return _run_consistency_engine(allocations, profiles, market.agent_ids, choose, params, holders)
 
 
 def audit_constrained_pareto(

@@ -78,10 +78,6 @@ class Market:
         return {a.id: a for a in self.agents}
 
     @cached_property
-    def items_by_id(self) -> dict[str, Item]:
-        return {it.id: it for it in self.items}
-
-    @cached_property
     def null_item_ids(self) -> Bundle:
         return frozenset(it.id for it in self.items if it.is_null)
 

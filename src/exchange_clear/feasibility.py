@@ -72,16 +72,17 @@ with :class:`BudgetExceededError` (the instance is beyond desk scale).
 
 A search is two steps.  `_compile` turns (market, constraint set) into the
 value the depth-first search reads: item bits, endowment masks, owners,
-each agent's live demands, wanted items and coverage memo, who may receive
-each item and the trade-balance bounds.  `_search` runs over that value and
-only reads it: under sir it derives the pruned value first, and it builds
-the watch lists from the demands it searches with.  `search_feasible` is
-the two in turn.  The strategyproofness audit searches many reports of one
-agent that differ only in its demands, so `_with_demands` derives the value
-for another demand report from a compiled base: it replaces that agent's
-demands, wanted items and coverage memo, rebuilds (under desirable) the
-receiver lists that read them, and shares every other field, the other
-agents' memos included.
+each agent's live demands, wanted items and coverage memo, the items each
+agent may receive and the trade-balance bounds.  `_search` runs over that
+value and only reads it: under sir it derives the pruned value first, and
+it builds the watch lists from the demands it searches with and the
+receiver lists (who may receive each item) from what each agent may
+receive.  `search_feasible` is the two in turn.  The strategyproofness
+audit searches many reports of one agent that differ only in its demands,
+so `_with_demands` derives the value for another demand report from a
+compiled base: it replaces that agent's demands, wanted items and coverage
+memo and (under desirable) what it may receive, and shares every other
+field, the other agents' memos included.
 
 The frontier mode serves a caller that runs one mechanism spec once (the
 command line's `solve`).  Both mechanisms rank a satisfaction profile above
@@ -420,7 +421,8 @@ class _Compiled(NamedTuple):
     it for another demand report of one agent.  The search only reads it,
     so derived values share every field they do not replace.  The watch
     lists read the live demands, which under sir the search narrows first,
-    so the search builds them (:func:`_watch`)."""
+    so the search builds them (:func:`_watch`), and it builds the receiver
+    lists from `receivable` beside them."""
 
     pos: dict[str, int]  # item id -> bit
     null: int  # the null items
@@ -438,7 +440,6 @@ class _Compiled(NamedTuple):
     cover: list[_Coverage]
     receivable: list[int]  # per agent, the items it may receive
     rest_after: list[int]  # per item p, the items after p
-    allowed: list[tuple[int, ...]]  # per item, the agents that may receive it
     own_left: list[list[int]]  # per item p and agent j, j's own items after p
     # cycle cap: the balance in - out of agent j after item p can still
     # reach 0 iff it lies in [bal_floor[p][j], own_left[p][j]]
@@ -455,14 +456,6 @@ def _mask(pos: dict[str, int], ids) -> int:
     for item_id in ids:
         out |= 1 << pos[item_id]
     return out
-
-
-def _bits(mask: int):
-    """The positions of the set bits of `mask`, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _live(pos: dict[str, int], demands) -> list[int]:
@@ -483,13 +476,6 @@ def _receivable(pos: dict[str, int], null: int, endow: int, demands) -> int:
     bundles `demands` may receive: its own items, the `null` items and the
     items of its bundles as written, coverable or not."""
     return endow | null | _mask(pos, (x for d in demands for x in d if x in pos))
-
-
-def _fill_allowed(c: _Compiled, positions) -> None:
-    """Set `c.allowed[p]`, the agents that may receive item p, for each p in
-    `positions`."""
-    for p in positions:
-        c.allowed[p] = tuple([a for a, bits in enumerate(c.receivable) if bits >> p & 1])
 
 
 def _watch(c: _Compiled) -> list[tuple[tuple[int, int, int], ...]]:
@@ -536,7 +522,7 @@ def _compile(market: Market, constraints: ConstraintSet) -> _Compiled:
         receivable = [_receivable(pos, null, endow[i], ag.demands) for i, ag in enumerate(agents)]
     else:
         receivable = [full] * n
-    c = _Compiled(
+    return _Compiled(
         pos=pos,
         null=null,
         desirable=desirable,
@@ -551,15 +537,12 @@ def _compile(market: Market, constraints: ConstraintSet) -> _Compiled:
         cover=[_Coverage(ds) for ds in live],
         receivable=receivable,
         rest_after=rest_after,
-        allowed=[()] * m,
         own_left=own_left,
         bal_floor=bal_floor,
         traded=traded,
         edge_owner=[owner[p] for p in traded],
         cells=[[(item_id, agent_id) for agent_id in market.agent_ids] for item_id in item_ids],
     )
-    _fill_allowed(c, range(m))
-    return c
 
 
 def _with_live(base: _Compiled, live: dict[int, list[int]]) -> _Compiled:
@@ -576,15 +559,13 @@ def _with_demands(base: _Compiled, agent: int, demands) -> _Compiled:
     """`base` with agent index `agent` reporting the demand bundles
     `demands` (item ids; a bundle with an id outside the market can never be
     covered): what :func:`_compile` builds for the market with that report.
-    The agent's demands, wanted items and coverage memo are replaced and,
-    under desirable, the receivers of the items it may now or may no longer
-    receive are rebuilt, in copies."""
+    The agent's demands, wanted items and coverage memo and, under
+    desirable, what it may receive are replaced, in copies."""
     c = _with_live(base, {agent: _live(base.pos, demands)})
     if base.desirable:
         receivable = list(base.receivable)
         receivable[agent] = _receivable(base.pos, base.null, base.endow[agent], demands)
-        c = c._replace(receivable=receivable, allowed=list(base.allowed))
-        _fill_allowed(c, _bits(receivable[agent] ^ base.receivable[agent]))
+        c = c._replace(receivable=receivable)
     return c
 
 
@@ -690,10 +671,15 @@ def _search(
         c = _reservation_consistent(c, charge)
     need_sir, pairwise, cycle_cap = c.need_sir, c.pairwise, c.cycle_cap
     endow, owner, live, wanted, cover = c.endow, c.owner, c.live, c.wanted, c.cover
-    rest_after, allowed, watch = c.rest_after, c.allowed, _watch(c)
-    own_left, bal_floor = c.own_left, c.bal_floor
+    rest_after, own_left, bal_floor = c.rest_after, c.own_left, c.bal_floor
     traded, edge_owner, cells = c.traded, c.edge_owner, c.cells
     n, m = len(endow), len(cells)
+    watch = _watch(c)
+    # per item, the agents that may receive it
+    if c.desirable:
+        allowed = [tuple([a for a, bits in enumerate(c.receivable) if bits >> p & 1]) for p in range(m)]
+    else:
+        allowed = [tuple(range(n))] * m
     full = (1 << m) - 1
 
     held = [0] * n

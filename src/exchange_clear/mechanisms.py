@@ -12,10 +12,15 @@ key-tied allocations give every agent the same utility.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from .core import Allocation, Market, PriorityOrder, satisfaction_profile
+from .core import Allocation, Market, PriorityOrder
 from .feasibility import ConstraintSet, feasible_with_profiles, resolve_budget, search_feasible
+
+# No function here calls it, but the benchmark's traced run (bench/spans.py)
+# wraps `mechanisms.satisfaction_profile` and stops when the name is missing,
+# so it stays bound here.
+from .core import satisfaction_profile
 
 MECHANISM_KINDS = ("cp", "cup")
 
@@ -56,20 +61,6 @@ def profile_key(market: Market, spec: MechanismSpec) -> Callable[[tuple[int, ...
     return lambda profile: tuple(profile[i] for i in order)
 
 
-def lex_key(market: Market, allocation: Allocation, spec: MechanismSpec) -> tuple[int, ...]:
-    """The maximized tuple of one allocation."""
-    return profile_key(market, spec)(tuple(satisfaction_profile(market, allocation).values()))
-
-
-def choose_from(market: Market, spec: MechanismSpec, candidates: Iterable[Allocation]) -> Allocation:
-    """The candidate with the lexicographically maximal key; ties go to the
-    canonically first allocation regardless of the candidates' list order."""
-    key = profile_key(market, spec)
-    ordered = sorted(candidates, key=lambda alloc: alloc.canonical_key)
-    profiles = [tuple(satisfaction_profile(market, alloc).values()) for alloc in ordered]
-    return ordered[chosen_index(profiles, key)]
-
-
 def chosen_index(
     profiles: Sequence[tuple[int, ...]], key: Callable[[tuple[int, ...]], tuple[int, ...]]
 ) -> int:
@@ -105,20 +96,3 @@ def solve(market: Market, spec: MechanismSpec, budget: int | None = None) -> All
     )
     return allocations[chosen_index(profiles, key)]
 
-
-def run_cp(
-    market: Market,
-    priority: Sequence[str],
-    constraints: ConstraintSet,
-    budget: int | None = None,
-) -> Allocation:
-    return run_mechanism(market, MechanismSpec("cp", tuple(priority), constraints), budget)
-
-
-def run_cup(
-    market: Market,
-    priority: Sequence[str],
-    constraints: ConstraintSet,
-    budget: int | None = None,
-) -> Allocation:
-    return run_mechanism(market, MechanismSpec("cup", tuple(priority), constraints), budget)

@@ -13,12 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from .auditors import (
-    audit_constrained_pareto,
-    audit_strategyproofness,
-    audit_weak_consistency,
-    max_satisfied_oracle,
-)
+from .auditors import audit_constrained_pareto, audit_strategyproofness, audit_weak_consistency
 from .core import Market
 from .feasibility import BUILT_IN_CONSTRAINT_SETS, SIR
 from .instances import GeneratorConfig, generate_instance
@@ -56,11 +51,9 @@ def weak_consistency(markets: Iterable[Market]):
 
 
 def outcomes(markets: Iterable[Market]):
-    """(market, spec, outcome, constrained-Pareto report of the outcome, the
-    brute-force maximum satisfied count) under every priority order.  The
-    oracle runs once per (market, constraint set)."""
+    """(market, spec, outcome, constrained-Pareto report of the outcome)
+    under every priority order."""
     for market, cs, specs in _specs(markets, itertools.permutations):
-        oracle = max_satisfied_oracle(market, cs)
         for spec in specs:
             outcome = run_mechanism(market, spec)
-            yield market, spec, outcome, audit_constrained_pareto(market, outcome, cs), oracle
+            yield market, spec, outcome, audit_constrained_pareto(market, outcome, cs)

@@ -7,6 +7,7 @@ so these are safe oracles for the optimized code paths.
 import itertools
 import random
 from dataclasses import dataclass
+from typing import Iterable
 
 from exchange_clear import (
     Agent,
@@ -27,7 +28,7 @@ from exchange_clear import (
     satisfies,
 )
 from exchange_clear.feasibility import feasible_with_profiles
-from exchange_clear.mechanisms import check_priority
+from exchange_clear.mechanisms import check_priority, chosen_index, profile_key
 from exchange_clear.auditors import (
     VERDICT_CLEAN,
     VERDICT_VIOLATION,
@@ -230,6 +231,18 @@ def greedy_cp(market, priority, constraints):
         if satisfied:
             candidates = satisfied
     return candidates[0]
+
+
+def choose_from(market: Market, spec: MechanismSpec, candidates: Iterable[Allocation]) -> Allocation:
+    """The candidate with the lexicographically maximal key; ties go to the
+    canonically first allocation regardless of the candidates' list order.
+    It shares the package's key and argmax (`profile_key`, `chosen_index`),
+    but sorts the candidates and re-derives their profiles itself, so it
+    takes any candidate list, such as a broken chooser's subsets."""
+    key = profile_key(market, spec)
+    ordered = sorted(candidates, key=lambda alloc: alloc.canonical_key)
+    profiles = [tuple(satisfaction_profile(market, alloc).values()) for alloc in ordered]
+    return ordered[chosen_index(profiles, key)]
 
 
 def two_agent_partner_market(seed):

@@ -24,15 +24,13 @@ from exchange_clear import (
     audit_strategyproofness,
     audit_weak_consistency,
     audit_weak_consistency_choice,
-    choose_from,
     endowment_allocation,
     enumerate_feasible,
     fixture,
     max_satisfied_oracle,
     parse_instance,
     replicate_impossibility,
-    run_cp,
-    run_cup,
+    run_mechanism,
     satisfaction_profile,
     serialize,
     suites,
@@ -44,7 +42,7 @@ from exchange_clear.feasibility import (
 )
 from exchange_clear.cli import cli_dispatch
 
-from oracles import greedy_cp, key_chooser, naive_weak_consistency, two_agent_partner_market
+from oracles import choose_from, greedy_cp, key_chooser, naive_weak_consistency, two_agent_partner_market
 
 FAMILY_SEEDS = range(1, 201)
 TWO_AGENT_SEEDS = range(1, 101)
@@ -75,7 +73,7 @@ def family():
 @pytest.fixture(scope="module")
 def outcomes(family):
     """One walk of the family's mechanism runs, shared by criteria 5 and 7:
-    (market, spec, outcome, Pareto report, oracle max) per run."""
+    (market, spec, outcome, Pareto report) per run."""
     return list(suites.outcomes(family))
 
 
@@ -89,9 +87,9 @@ def test_criterion_1_example1_reproduction():
         fx = fixture("example1")
         clear_enumeration_cache()
         started = time.monotonic()
-        for runner in (run_cp, run_cup):
+        for kind in ("cp", "cup"):
             for priority in itertools.permutations(fx.market.agent_ids):
-                alloc = runner(fx.market, priority, fx.constraints)
+                alloc = run_mechanism(fx.market, MechanismSpec(kind, priority, fx.constraints))
                 assert satisfaction_profile(fx.market, alloc) == {"1": 1, "2": 1, "3": 1}
         assert time.monotonic() - started < 1.0
 
@@ -155,7 +153,7 @@ def test_criterion_4_weak_consistency_suite(family):
 
 def test_criterion_5_outputs_constrained_pareto_optimal(outcomes):
     with criterion(5, "same family: every cp/cup output is undominated within its own feasible set"):
-        for _, _, _, pareto, _ in outcomes:
+        for _, _, _, pareto in outcomes:
             assert not pareto.violation_found, serialize(pareto)
 
 
@@ -173,9 +171,13 @@ def test_criterion_6_two_agent_tightness(two_agent_family):
 
 def test_criterion_7_oracle_equivalence(outcomes):
     with criterion(7, "cup satisfaction sum equals the brute-force oracle and cp equals greedy filtering"):
-        for market, spec, outcome, _, oracle in outcomes:
+        oracles = {}  # the brute-force maximum, once per (market, constraint set)
+        for market, spec, outcome, _ in outcomes:
             if spec.kind == "cup":
-                assert sum(satisfaction_profile(market, outcome).values()) == oracle
+                key = market, spec.constraints
+                if key not in oracles:
+                    oracles[key] = max_satisfied_oracle(*key)
+                assert sum(satisfaction_profile(market, outcome).values()) == oracles[key]
             else:
                 assert outcome == greedy_cp(market, spec.priority, spec.constraints)
 

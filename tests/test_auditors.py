@@ -16,7 +16,6 @@ from exchange_clear import (
     audit_strategyproofness,
     audit_weak_consistency,
     audit_weak_consistency_choice,
-    choose_from,
     endowment_allocation,
     enumerate_feasible,
     enumerate_misreports,
@@ -24,14 +23,13 @@ from exchange_clear import (
     max_satisfied_oracle,
     realized_bundle,
     replicate_impossibility,
-    run_cp,
-    run_cup,
+    run_mechanism,
     satisfaction_profile,
     scripted_misreport,
     validate_market,
 )
 
-from oracles import two_agent_partner_market
+from oracles import choose_from, two_agent_partner_market
 
 
 # ---------------------------------------------------------------- misreports
@@ -278,8 +276,8 @@ def test_pareto_audit_example1(example1, example1_all_satisfying):
 def test_mechanism_outputs_undominated(example1, theorem5):
     for fx in (example1, theorem5):
         for priority in itertools.permutations(fx.market.agent_ids):
-            for runner in (run_cp, run_cup):
-                alloc = runner(fx.market, priority, fx.constraints)
+            for kind in ("cp", "cup"):
+                alloc = run_mechanism(fx.market, MechanismSpec(kind, priority, fx.constraints))
                 assert not audit_constrained_pareto(fx.market, alloc, fx.constraints).violation_found
 
 

@@ -21,15 +21,14 @@ from exchange_clear import (
     audit_weak_consistency,
     audit_weak_consistency_choice,
     auditors,
-    choose_from,
     serialize,
 )
-from exchange_clear.auditors import _contraction_family, _run_consistency_engine, _sample_masks
+from exchange_clear.auditors import _contraction_family, _holder_masks, _run_consistency_engine, _sample_masks
 from exchange_clear.feasibility import clear_enumeration_cache, feasible_with_profiles
 from exchange_clear.instances import GeneratorConfig, generate_instance
 from exchange_clear.mechanisms import chosen_index, profile_key
 
-from oracles import key_chooser, naive_consistency_pairs, naive_weak_consistency, tiny_random_market
+from oracles import choose_from, key_chooser, naive_consistency_pairs, naive_weak_consistency, tiny_random_market
 
 CONSTRAINT_NAMES = ("sir", "pairwise", "unrestricted", "sir+maxcycle3")
 PARAMS = (ConsistencyParams(), ConsistencyParams(seed=7, samples=16, exhaustive_limit=3))
@@ -302,7 +301,9 @@ def test_engine_memory_is_linear_in_feasible_count():
 
     tracemalloc.start()
     try:
-        report = _run_consistency_engine(allocations, profiles, ("1", "2"), choose, ConsistencyParams())
+        report = _run_consistency_engine(
+            allocations, profiles, ("1", "2"), choose, ConsistencyParams(), _holder_masks(profiles)
+        )
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -15,13 +15,14 @@ from exchange_clear import (
     GeneratorConfig,
     Item,
     Market,
+    MechanismSpec,
     endowment_allocation,
     enumerate_feasible,
     format_constraints,
     generate_instance,
     max_cycle_agents,
     parse_constraints,
-    run_cp,
+    run_mechanism,
     satisfaction_profile,
     satisfies_constraints,
     suites,
@@ -404,7 +405,7 @@ def test_agentless_market_matches_naive(set_name, items):
     cs = BUILT_IN_CONSTRAINT_SETS[set_name]
     assert feasible_with_profiles(market, cs) == _naive_with_profiles(market, cs)
     if not items:
-        assert run_cp(market, (), cs) == Allocation(())
+        assert run_mechanism(market, MechanismSpec("cp", (), cs)) == Allocation(())
 
 
 def test_cycle_partition_steps_are_charged(monkeypatch):

@@ -32,7 +32,7 @@ def test_round_trip_null_items():
     )
     again = parse_instance(serialize(market))
     assert again == market
-    assert again.items_by_id["z1"].is_null
+    assert "z1" in again.null_item_ids
 
 
 def test_serialize_is_stable(theorem5):

@@ -9,34 +9,35 @@ from exchange_clear import (
     Item,
     Market,
     MechanismSpec,
-    choose_from,
     endowment_allocation,
     enumerate_feasible,
-    lex_key,
     max_satisfied_oracle,
-    run_cp,
-    run_cup,
     run_mechanism,
     satisfaction_profile,
 )
 
 from exchange_clear.feasibility import feasible_with_profiles
-from exchange_clear.mechanisms import MECHANISM_KINDS, solve
+from exchange_clear.mechanisms import MECHANISM_KINDS, profile_key, solve
 
-from oracles import greedy_cp, key_chooser, tiny_random_market
+from oracles import choose_from, greedy_cp, key_chooser, tiny_random_market
 from test_feasibility import CHECK_SETS
+
+
+def key_of(market, allocation, spec):
+    """The mechanism key of one allocation."""
+    return profile_key(market, spec)(tuple(satisfaction_profile(market, allocation).values()))
 
 
 def test_lex_key_cup_example1(example1, example1_all_satisfying):
     spec = MechanismSpec("cup", ("1", "2", "3"), example1.constraints)
-    assert lex_key(example1.market, example1_all_satisfying, spec) == (3, 1, 1, 1)
+    assert key_of(example1.market, example1_all_satisfying, spec) == (3, 1, 1, 1)
 
 
 def test_lex_key_cp_theorem5_endowment(theorem5):
     endow = endowment_allocation(theorem5.market)
     for priority in itertools.permutations(theorem5.market.agent_ids):
         spec = MechanismSpec("cp", priority, theorem5.constraints)
-        assert lex_key(theorem5.market, endow, spec) == (0, 0, 0)
+        assert key_of(theorem5.market, endow, spec) == (0, 0, 0)
 
 
 def test_lex_key_indicator_placement():
@@ -49,7 +50,7 @@ def test_lex_key_indicator_placement():
         items=(Item("x"), Item("y"), Item("z")),
     )
     spec = MechanismSpec("cp", ("2", "1", "3"), BUILT_IN_CONSTRAINT_SETS["sir"])
-    assert lex_key(market, endowment_allocation(market), spec) == (1, 0, 0)
+    assert key_of(market, endowment_allocation(market), spec) == (1, 0, 0)
 
 
 def test_choose_from_singleton(example1):
@@ -84,13 +85,13 @@ def test_choose_from_tie_break_is_canonical_and_order_free():
 
 def test_run_cp_example1_all_priorities(example1):
     for priority in itertools.permutations(example1.market.agent_ids):
-        alloc = run_cp(example1.market, priority, example1.constraints)
+        alloc = run_mechanism(example1.market, MechanismSpec("cp", priority, example1.constraints))
         assert satisfaction_profile(example1.market, alloc) == {"1": 1, "2": 1, "3": 1}
 
 
 def test_run_cp_theorem5_satisfies_exactly_two(theorem5):
     for priority in itertools.permutations(theorem5.market.agent_ids):
-        alloc = run_cp(theorem5.market, priority, theorem5.constraints)
+        alloc = run_mechanism(theorem5.market, MechanismSpec("cp", priority, theorem5.constraints))
         assert sum(satisfaction_profile(theorem5.market, alloc).values()) == 2
 
 
@@ -103,17 +104,18 @@ def test_run_cp_no_trade_possible():
     )
     # agent 2 accepts nothing, so under SIR only the endowment is feasible
     constraints = ConstraintSet((SIR, DESIRABLE_ONLY))
-    assert run_cp(market, ("1", "2"), constraints) == endowment_allocation(market)
+    assert run_mechanism(market, MechanismSpec("cp", ("1", "2"), constraints)) == endowment_allocation(market)
 
 
 def test_run_cup_example1(example1):
-    alloc = run_cup(example1.market, example1.market.agent_ids, example1.constraints)
+    spec = MechanismSpec("cup", example1.market.agent_ids, example1.constraints)
+    alloc = run_mechanism(example1.market, spec)
     assert sum(satisfaction_profile(example1.market, alloc).values()) == 3
 
 
 def test_run_cup_single_agent_self_covered():
     market = Market(agents=(Agent("1", ["x"], [{"x"}]),), items=(Item("x"),))
-    alloc = run_cup(market, ("1",), BUILT_IN_CONSTRAINT_SETS["sir"])
+    alloc = run_mechanism(market, MechanismSpec("cup", ("1",), BUILT_IN_CONSTRAINT_SETS["sir"]))
     assert alloc == endowment_allocation(market)
     assert sum(satisfaction_profile(market, alloc).values()) == 1
 
@@ -122,8 +124,8 @@ def test_outputs_are_feasible(example1, theorem5):
     for fx in (example1, theorem5):
         feasible = enumerate_feasible(fx.market, fx.constraints)
         for priority in itertools.permutations(fx.market.agent_ids):
-            assert run_cp(fx.market, priority, fx.constraints) in feasible
-            assert run_cup(fx.market, priority, fx.constraints) in feasible
+            for kind in MECHANISM_KINDS:
+                assert run_mechanism(fx.market, MechanismSpec(kind, priority, fx.constraints)) in feasible
 
 
 @pytest.mark.parametrize("seed", range(1, 16))
@@ -131,7 +133,7 @@ def test_cup_sum_matches_oracle(seed):
     market = tiny_random_market(seed)
     for name in ("sir", "sir+pairwise", "unrestricted"):
         cs = BUILT_IN_CONSTRAINT_SETS[name]
-        alloc = run_cup(market, market.agent_ids, cs)
+        alloc = run_mechanism(market, MechanismSpec("cup", market.agent_ids, cs))
         assert sum(satisfaction_profile(market, alloc).values()) == max_satisfied_oracle(market, cs)
 
 
@@ -141,7 +143,7 @@ def test_cp_matches_greedy_oracle(seed):
     for name in ("sir", "sir+maxcycle2", "desirable"):
         cs = BUILT_IN_CONSTRAINT_SETS[name]
         for priority in itertools.permutations(market.agent_ids):
-            assert run_cp(market, priority, cs) == greedy_cp(market, priority, cs)
+            assert run_mechanism(market, MechanismSpec("cp", priority, cs)) == greedy_cp(market, priority, cs)
 
 
 @pytest.mark.parametrize("seed", range(1, 41))
@@ -185,20 +187,20 @@ def test_argmax_invariance(example1):
     spec = MechanismSpec("cup", market.agent_ids, example1.constraints)
     candidates = enumerate_feasible(market, spec.constraints)
     chosen = choose_from(market, spec, candidates)
-    chosen_key = lex_key(market, chosen, spec)
+    chosen_key = key_of(market, chosen, spec)
     # dropping non-chosen allocations whose key differs keeps the output's key
-    kept = [a for a in candidates if a == chosen or lex_key(market, a, spec) == chosen_key]
-    assert lex_key(market, choose_from(market, spec, kept), spec) == chosen_key
+    kept = [a for a in candidates if a == chosen or key_of(market, a, spec) == chosen_key]
+    assert key_of(market, choose_from(market, spec, kept), spec) == chosen_key
     # adding only smaller-key allocations (endowment has key (0,...)) changes nothing
-    smaller = [a for a in candidates if lex_key(market, a, spec) < chosen_key]
+    smaller = [a for a in candidates if key_of(market, a, spec) < chosen_key]
     assert choose_from(market, spec, smaller + [chosen]) == chosen
 
 
 def test_priority_must_be_permutation(example1):
     with pytest.raises(ValueError):
-        run_cp(example1.market, ("1", "2"), example1.constraints)
+        run_mechanism(example1.market, MechanismSpec("cp", ("1", "2"), example1.constraints))
     with pytest.raises(ValueError):
-        run_cp(example1.market, ("1", "2", "2"), example1.constraints)
+        run_mechanism(example1.market, MechanismSpec("cp", ("1", "2", "2"), example1.constraints))
 
 
 def test_unknown_mechanism_kind_is_rejected(example1):

@@ -23,8 +23,6 @@ from exchange_clear import (
     max_cycle_agents,
     pareto_dominates,
     parse_instance,
-    run_cp,
-    run_cup,
     run_mechanism,
     satisfaction_profile,
     satisfies,
@@ -173,10 +171,11 @@ def test_mechanism_outputs_feasible_and_deterministic(market):
     cs = BUILT_IN_CONSTRAINT_SETS["sir"]
     feasible = enumerate_feasible(market, cs)
     priority = market.agent_ids
-    cp_one, cp_two = run_cp(market, priority, cs), run_cp(market, priority, cs)
+    cp = MechanismSpec("cp", priority, cs)
+    cp_one, cp_two = run_mechanism(market, cp), run_mechanism(market, cp)
     assert cp_one == cp_two
     assert cp_one in feasible
-    cup = run_cup(market, priority, cs)
+    cup = run_mechanism(market, MechanismSpec("cup", priority, cs))
     assert cup in feasible
     # utilitarian leading term dominates the priority refinement
     assert sum(satisfaction_profile(market, cup).values()) >= sum(
