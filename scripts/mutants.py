@@ -79,7 +79,7 @@ MUTANTS = (
     Mutant(
         "cap-balance-always-true",
         FEASIBILITY,
-        "if b < lo or b > hi:",
+        "if b + others < hi or b > hi:",
         "if False:",
         ("tests/test_feasibility.py",),
     ),
@@ -127,10 +127,10 @@ MUTANTS = (
         ("tests/test_feasibility.py",),
     ),
     Mutant(
-        "new-demands-keep-old-coverage-memo",
+        "patch-keeps-base-demands",
         FEASIBILITY,
-        "c.live[x], c.wanted[x], c.cover[x] = demands, _union(demands), _Coverage(demands)",
-        "c.live[x], c.wanted[x] = demands, _union(demands)",
+        "    live[agent] = _live(base.pos, demands)\n",
+        "",
         ("tests/test_strategyproofness.py",),
     ),
     Mutant(

@@ -72,17 +72,16 @@ with :class:`BudgetExceededError` (the instance is beyond desk scale).
 
 A search is two steps.  `_compile` turns (market, constraint set) into the
 value the depth-first search reads: item bits, endowment masks, owners,
-each agent's live demands, wanted items and coverage memo, the items each
-agent may receive and the trade-balance bounds.  `_search` runs over that
-value and only reads it: under sir it derives the pruned value first, and
-it builds the watch lists from the demands it searches with and the
-receiver lists (who may receive each item) from what each agent may
-receive.  `search_feasible` is the two in turn.  The strategyproofness
-audit searches many reports of one agent that differ only in its demands,
-so `_with_demands` derives the value for another demand report from a
-compiled base: it replaces that agent's demands, wanted items and coverage
-memo and (under desirable) what it may receive, and shares every other
-field, the other agents' memos included.
+each agent's live demands, the items each agent may receive and the
+trade-balance bounds.  `_search` runs over that value and never writes it:
+under sir it prunes the live demands first, and from the demands it
+searches with it builds each agent's wanted items, coverage memo and watch
+lists, and the receiver lists (who may receive each item) from what each
+agent may receive.  `search_feasible` is the two in turn.  The
+strategyproofness audit searches many reports of one agent that differ
+only in its demands, so `_with_demands` derives the value for another
+demand report from a compiled base: it replaces that agent's demands and
+(under desirable) what it may receive, and shares every other field.
 
 The frontier mode serves a caller that runs one mechanism spec once (the
 command line's `solve`).  Both mechanisms rank a satisfaction profile above
@@ -401,10 +400,9 @@ def resolve_budget(budget: int | None) -> int:
 
 
 class _Coverage(dict):
-    """One agent's coverage test, memoized: indexed by a mask of available
-    items within its wanted items, 1 if one of its live `demands` (masks)
-    lies inside, else 0.  It is a pure function of `demands`, so compiled
-    values that share an agent's demands share its memo."""
+    """One agent's coverage test within one search, memoized: indexed by a
+    mask of available items within its wanted items, 1 if one of its live
+    `demands` (masks) lies inside, else 0."""
 
     def __init__(self, demands: list[int]):
         self.demands = demands
@@ -418,11 +416,11 @@ class _Compiled(NamedTuple):
     """One (market, constraint set) as the search reads it: items are the
     bits 0 .. m-1 in id order, agents the indices 0 .. n-1 in id order.
     :func:`_compile` builds it from a market, :func:`_with_demands` derives
-    it for another demand report of one agent.  The search only reads it,
-    so derived values share every field they do not replace.  The watch
-    lists read the live demands, which under sir the search narrows first,
-    so the search builds them (:func:`_watch`), and it builds the receiver
-    lists from `receivable` beside them."""
+    it for another demand report of one agent.  Nothing writes it, so
+    derived values share every field they do not replace.  The wanted
+    items, coverage memos and watch lists read the live demands, which under
+    sir the search narrows first, so the search builds them, and it builds
+    the receiver lists from `receivable` beside them."""
 
     pos: dict[str, int]  # item id -> bit
     null: int  # the null items
@@ -434,16 +432,13 @@ class _Compiled(NamedTuple):
     endow: list[int]
     owner: list[int]  # an item that no agent endows has owner -1 and makes no trade edge
     live: list[list[int]]  # per agent, its demands that lie within the market
-    wanted: list[int]  # per agent, the items in some live demand
-    # cover[x][avail & wanted[x]]: 1 if agent x can cover a live demand
-    # from the items `avail`, else 0 (an empty demand is always covered)
-    cover: list[_Coverage]
     receivable: list[int]  # per agent, the items it may receive
     rest_after: list[int]  # per item p, the items after p
     own_left: list[list[int]]  # per item p and agent j, j's own items after p
-    # cycle cap: the balance in - out of agent j after item p can still
-    # reach 0 iff it lies in [bal_floor[p][j], own_left[p][j]]
-    bal_floor: list[list[int]] | None
+    # per item p, the endowed items after p: under a cycle cap the balance
+    # in - out of agent j after item p can still reach 0 iff it lies in
+    # [own_left[p][j] - endowed_left[p], own_left[p][j]]
+    endowed_left: list[int]
     traded: list[int]  # the endowed items
     edge_owner: list[int]  # their owners
     # the cached table holds every allocation: they share one (item, agent)
@@ -478,18 +473,19 @@ def _receivable(pos: dict[str, int], null: int, endow: int, demands) -> int:
     return endow | null | _mask(pos, (x for d in demands for x in d if x in pos))
 
 
-def _watch(c: _Compiled) -> list[tuple[tuple[int, int, int], ...]]:
+def _watch(c: _Compiled, wanted: list[int], cover: list[_Coverage]) -> list[tuple[tuple[int, int, int], ...]]:
     """Per item p, who may be unable to do without it (under sir its owner
     and its demanders, under ir the demanders whose endowment covers a
     demand), as (x, the holding that exempts x: under sir its own items up
-    to p, else none, -1; x's wanted items)."""
-    agents, endow, wanted = range(len(c.endow)), c.endow, c.wanted
+    to p, else none, -1; x's wanted items), given each agent's `wanted`
+    items and coverage memo `cover` from the demands searched with."""
+    agents, endow = range(len(c.endow)), c.endow
     if c.need_sir:
         return [
             tuple([(x, endow[x] & ~rest, wanted[x]) for x in agents if wanted[x] >> p & 1 or x == o])
             for p, (rest, o) in enumerate(zip(c.rest_after, c.owner))
         ]
-    bound = [w if c.need_ir and c.cover[x][endow[x] & w] else 0 for x, w in enumerate(wanted)]
+    bound = [w if c.need_ir and cover[x][endow[x] & w] else 0 for x, w in enumerate(wanted)]
     return [tuple([(x, -1, bound[x]) for x in agents if bound[x] >> p & 1]) for p in range(len(c.owner))]
 
 
@@ -508,13 +504,7 @@ def _compile(market: Market, constraints: ConstraintSet) -> _Compiled:
     live = [_live(pos, ag.demands) for ag in agents]
     rest_after = [full & ~((2 << p) - 1) for p in range(m)]
     own_left = [[(endow[j] & rest).bit_count() for j in range(n)] for rest in rest_after]
-    bal_floor = None
-    if cycle_cap:
-        endowed = _union(endow)
-        bal_floor = [
-            [k - (endowed & rest).bit_count() for k in left]
-            for rest, left in zip(rest_after, own_left)
-        ]
+    endowed = _union(endow)
     traded = [p for p in range(m) if owner[p] >= 0]
     null = _mask(pos, market.null_item_ids)
     desirable = "desirable" in kinds
@@ -533,44 +523,34 @@ def _compile(market: Market, constraints: ConstraintSet) -> _Compiled:
         endow=endow,
         owner=owner,
         live=live,
-        wanted=[_union(ds) for ds in live],
-        cover=[_Coverage(ds) for ds in live],
         receivable=receivable,
         rest_after=rest_after,
         own_left=own_left,
-        bal_floor=bal_floor,
+        endowed_left=[(endowed & rest).bit_count() for rest in rest_after],
         traded=traded,
         edge_owner=[owner[p] for p in traded],
         cells=[[(item_id, agent_id) for agent_id in market.agent_ids] for item_id in item_ids],
     )
 
 
-def _with_live(base: _Compiled, live: dict[int, list[int]]) -> _Compiled:
-    """`base` with the live demands (masks, sorted) of each agent index in
-    `live` replaced, and with them its wanted items and coverage memo, in
-    copies."""
-    c = base._replace(live=list(base.live), wanted=list(base.wanted), cover=list(base.cover))
-    for x, demands in live.items():
-        c.live[x], c.wanted[x], c.cover[x] = demands, _union(demands), _Coverage(demands)
-    return c
-
-
 def _with_demands(base: _Compiled, agent: int, demands) -> _Compiled:
     """`base` with agent index `agent` reporting the demand bundles
     `demands` (item ids; a bundle with an id outside the market can never be
     covered): what :func:`_compile` builds for the market with that report.
-    The agent's demands, wanted items and coverage memo and, under
-    desirable, what it may receive are replaced, in copies."""
-    c = _with_live(base, {agent: _live(base.pos, demands)})
-    if base.desirable:
-        receivable = list(base.receivable)
-        receivable[agent] = _receivable(base.pos, base.null, base.endow[agent], demands)
-        c = c._replace(receivable=receivable)
-    return c
+    The agent's demands and, under desirable, what it may receive are
+    replaced, in copies."""
+    live = list(base.live)
+    live[agent] = _live(base.pos, demands)
+    if not base.desirable:
+        return base._replace(live=live)
+    receivable = list(base.receivable)
+    receivable[agent] = _receivable(base.pos, base.null, base.endow[agent], demands)
+    return base._replace(live=live, receivable=receivable)
 
 
-def _reservation_consistent(c: _Compiled, charge: Callable[[], None]) -> _Compiled:
-    """Under sir, `c` without the live demands that lie in no packing: a
+def _reservation_consistent(c: _Compiled, charge: Callable[[], None]) -> list[list[int]]:
+    """Under sir, the live demands of `c` per agent without those that lie in
+    no packing: a
     packing takes one option per agent, keeping its endowment or reserving
     one live demand, with pairwise disjoint reservations.  In a feasible
     allocation each agent keeps or covers a demand, so a demand in no
@@ -582,7 +562,6 @@ def _reservation_consistent(c: _Compiled, charge: Callable[[], None]) -> _Compil
     endow, owner, live = c.endow, c.owner, c.live
     endowed = _union(endow)
     viable: set[tuple[int, int]] = set()
-    pruned: dict[int, list[int]] = {}
     options = list(live)
     for x, demands in enumerate(live):
         others = endowed & ~endow[x]
@@ -592,8 +571,8 @@ def _reservation_consistent(c: _Compiled, charge: Callable[[], None]) -> _Compil
             if not d & others or (x, d) in viable or _displace(endow, owner, options, viable, d, others, charge)
         ]
         if len(kept) < len(demands):
-            pruned[x] = options[x] = kept
-    return _with_live(c, pruned) if pruned else c
+            options[x] = kept
+    return options
 
 
 def _displace(
@@ -653,8 +632,8 @@ def _search(
     sir the live demands are first narrowed to those in some packing
     (:func:`_reservation_consistent`), and the pass's failed steps are
     charged as nodes.
-    Coverage tests go through a per-agent memo keyed on the available items
-    the agent demands; the trade counters are updated only under pairwise
+    Coverage tests go through a per-agent memo, built for this search and
+    keyed on the available items the agent demands; the trade counters are updated only under pairwise
     balance (`gave`, `deficit`) or a cycle cap (`bal`)."""
     nodes = 0
 
@@ -667,14 +646,17 @@ def _search(
                 f"raise it via {BUDGET_ENV_VAR} or an explicit budget argument"
             )
 
-    if c.need_sir:
-        c = _reservation_consistent(c, charge)
     need_sir, pairwise, cycle_cap = c.need_sir, c.pairwise, c.cycle_cap
-    endow, owner, live, wanted, cover = c.endow, c.owner, c.live, c.wanted, c.cover
-    rest_after, own_left, bal_floor = c.rest_after, c.own_left, c.bal_floor
+    endow, owner = c.endow, c.owner
+    live = _reservation_consistent(c, charge) if need_sir else c.live
+    # cover[x][avail & wanted[x]]: 1 if agent x can cover a live demand
+    # from the items `avail`, else 0 (an empty demand is always covered)
+    wanted = [_union(ds) for ds in live]
+    cover = [_Coverage(ds) for ds in live]
+    rest_after, own_left, endowed_left = c.rest_after, c.own_left, c.endowed_left
     traded, edge_owner, cells = c.traded, c.edge_owner, c.cells
     n, m = len(endow), len(cells)
-    watch = _watch(c)
+    watch = _watch(c, wanted, cover)
     # per item, the agents that may receive it
     if c.desirable:
         allowed = [tuple([a for a, bits in enumerate(c.receivable) if bits >> p & 1]) for p in range(m)]
@@ -716,13 +698,14 @@ def _search(
             for d in demands:
                 if not d & lacking:
                     reserves.append(d & rest)
+            # never empty: at the root everyone can keep, and a placement
+            # leaves its receiver covered (the receiver test) and the item's
+            # owner and demanders able to keep or cover (the claim rule)
             if len(reserves) == 1:
                 r = reserves[0]
                 if r & taken:
                     return False
                 taken |= r
-            elif not reserves:
-                return False
             elif 0 not in reserves:
                 options.append(reserves)
         return pack(options, 0, taken)
@@ -818,8 +801,9 @@ def _search(
             else:
                 bal[a] += 1
                 bal[o] -= 1
-                for b, lo, hi in zip(bal, bal_floor[p], left):
-                    if b < lo or b > hi:
+                others = endowed_left[p]
+                for b, hi in zip(bal, left):
+                    if b + others < hi or b > hi:
                         break
                 else:
                     descend(p + 1)

@@ -1,3 +1,4 @@
+import copy
 import gc
 import itertools
 import re
@@ -592,7 +593,7 @@ def test_reservation_pass_matches_naive(group):
 
 def _pruned_live(market, cs):
     c = feasibility._compile(market, cs)
-    return feasibility._reservation_consistent(c, lambda: None).live, c.live
+    return feasibility._reservation_consistent(c, lambda: None), c.live
 
 
 def test_reservation_pass_drops_a_demand_no_packing_holds():
@@ -622,6 +623,28 @@ def test_reservation_pass_keeps_a_demand_that_needs_another_agents_item():
     assert pruned == live == [[0b0001, 0b0100], [0b1000], [0b0010]]
     rotate = Allocation({"w": "1", "x": "3", "y": "1", "z": "2"})
     assert rotate in enumerate_feasible(market, BUILT_IN_CONSTRAINT_SETS["sir"])
+
+
+def test_searches_leave_their_compiled_value_unchanged():
+    # a compiled value is input only: the searches build their own coverage
+    # memos, so a base can be searched and patched again and again
+    def search(c):
+        return feasibility._search(c, DEFAULT_SEARCH_BUDGET)
+
+    def frontier(c):
+        return feasibility._search(c, DEFAULT_SEARCH_BUDGET, frontier=True)
+
+    def reservation_pass(c):
+        return feasibility._reservation_consistent(c, lambda: None)
+
+    for market in suites.family(range(1, 31)):
+        for name, cs in BUILT_IN_CONSTRAINT_SETS.items():
+            base = feasibility._compile(market, cs)
+            patch = feasibility._with_demands(base, 0, market.agents[-1].demands)
+            for value, call in ((base, search), (base, frontier), (patch, search), (base, reservation_pass)):
+                before = copy.deepcopy(value)
+                call(value)
+                assert value == before, (name, call.__name__, market)
 
 
 def test_reservation_pass_runs_only_under_sir(monkeypatch):
