@@ -79,7 +79,7 @@ MUTANTS = (
     Mutant(
         "cap-balance-always-true",
         FEASIBILITY,
-        "if b + others < hi or b > hi:",
+        "if b + endowed_after < hi or b > hi:",
         "if False:",
         ("tests/test_feasibility.py",),
     ),

@@ -549,10 +549,10 @@ def _with_demands(base: _Compiled, agent: int, demands) -> _Compiled:
 
 
 def _reservation_consistent(c: _Compiled, charge: Callable[[], None]) -> list[list[int]]:
-    """Under sir, the live demands of `c` per agent without those that lie in
-    no packing: a
-    packing takes one option per agent, keeping its endowment or reserving
-    one live demand, with pairwise disjoint reservations.  In a feasible
+    """Under sir, the live demands of `c` per agent without those that lie
+    in no packing: a packing takes one option per agent, keeping its
+    endowment or reserving one live demand, with pairwise disjoint
+    reservations.  In a feasible
     allocation each agent keeps or covers a demand, so a demand in no
     packing is never covered and never justifies a bundle.  A demand that
     meets no other agent's endowment is in the packing where everyone else
@@ -633,8 +633,9 @@ def _search(
     (:func:`_reservation_consistent`), and the pass's failed steps are
     charged as nodes.
     Coverage tests go through a per-agent memo, built for this search and
-    keyed on the available items the agent demands; the trade counters are updated only under pairwise
-    balance (`gave`, `deficit`) or a cycle cap (`bal`)."""
+    keyed on the available items the agent demands; the trade counters are
+    updated only under pairwise balance (`gave`, `deficit`) or a cycle cap
+    (`bal`)."""
     nodes = 0
 
     def charge() -> None:
@@ -801,9 +802,9 @@ def _search(
             else:
                 bal[a] += 1
                 bal[o] -= 1
-                others = endowed_left[p]
+                endowed_after = endowed_left[p]
                 for b, hi in zip(bal, left):
-                    if b + others < hi or b > hi:
+                    if b + endowed_after < hi or b > hi:
                         break
                 else:
                     descend(p + 1)
