@@ -127,6 +127,13 @@ MUTANTS = (
         ("tests/test_feasibility.py",),
     ),
     Mutant(
+        "profile-bits-reversed",
+        FEASIBILITY,
+        "tuple([f >> i & 1 for i in range(n)])",
+        "tuple([f >> n - 1 - i & 1 for i in range(n)])",
+        ("tests/test_feasibility.py",),
+    ),
+    Mutant(
         "patch-keeps-base-demands",
         FEASIBILITY,
         "    live[agent] = _live(base.pos, demands)\n",
@@ -138,6 +145,13 @@ MUTANTS = (
         AUDITORS,
         "_compile(apply_misreport(market, scenario), constraints)",
         "_compile(apply_misreport(market, scenario) and market, constraints)",
+        ("tests/test_strategyproofness.py",),
+    ),
+    Mutant(
+        "row-judge-ignores-key",
+        AUDITORS,
+        "hit = covering.get(max(profiles, key=key))",
+        "hit = next(iter(covering.values()), None)",
         ("tests/test_strategyproofness.py",),
     ),
     Mutant(

@@ -14,15 +14,16 @@ The strategyproofness audit's unit of work is one (market, constraint set,
 probed agent).  Per withheld set of that agent, one misreported market is
 built and compiled into a search base, and each demand report with that
 withheld set is searched once, as a patch of the base.  The searches fill a
-misreport table that holds, per scenario, the distinct satisfaction profiles
-with their first holders and whether that holder's realized bundle covers
-the agent's true demands.  Every mechanism spec over that market and
-constraint set is then judged by an argmax over the table.  The tables live
-and die with the true market's enumeration cache entry, so specs may be
-audited in any order: each table is built once while that entry stays
-cached.  The impossibility replication judges the fixture's scripted
-misreports with the same rows and argmax, so misreported markets never
-enter the enumeration cache.  ``feasibility.clear_enumeration_cache``
+misreport table with one row per scenario where the first holder of some
+profile leaves the agent, with its withheld items, covering a true demand:
+the scenario's distinct satisfaction profiles and those covering first
+holders, keyed by profile.  Every mechanism spec over that market and
+constraint set is then judged by an argmax over each row's profiles.  The
+tables live and die with the true market's enumeration cache entry, so
+specs may be audited in any order: each table is built once while that
+entry stays cached.  The impossibility replication judges the fixture's
+scripted misreports with the same rows and argmax, so misreported markets
+never enter the enumeration cache.  ``feasibility.clear_enumeration_cache``
 empties the cache and the tables with it.
 """
 
@@ -302,7 +303,7 @@ def realized_bundle(misreport_allocation_bundle: Bundle, withheld: Bundle) -> Bu
 
 def _misreport_rows(
     market: Market, constraints: ConstraintSet, agent_id: str, scenarios: Iterable, search_budget: int
-) -> tuple[tuple, tuple]:
+) -> tuple[tuple, ...]:
     """Misreports of one agent, each searched once (never through the
     enumeration cache), ready to be judged under any mechanism spec.
 
@@ -313,18 +314,15 @@ def _misreport_rows(
     are those of the canonical misreport stream or a fixture's script, so
     every report with that withheld set keeps the same endowment.
 
-    Returns (profiles, rows).  `profiles` holds each distinct satisfaction
-    profile of the misreported markets once.  A row is (scenario, ids,
-    covering): `ids` are the indices into `profiles` of the scenario's
-    distinct profiles, and `covering` maps those whose first holder leaves
-    the agent with a bundle covering a true demand to (that holder, the
-    realized bundle).  Scenarios where no holder does cannot yield a witness
-    and get no row.
+    Returns the rows.  A row is (scenario, profiles, covering): `profiles`
+    are the scenario's distinct satisfaction profiles, and `covering` maps
+    those whose first holder leaves the agent with a bundle covering a true
+    demand to (that holder, the realized bundle).  Scenarios where no holder
+    does cannot yield a witness and get no row.
     """
     true_demands = market.agent(agent_id).demands
     agent = market.agent_ids.index(agent_id)
     bases = {}
-    profile_ids: dict[tuple[int, ...], int] = {}
     rows = []
     for scenario in scenarios:
         base = bases.get(scenario.withheld)
@@ -333,32 +331,28 @@ def _misreport_rows(
         allocations, profiles, _ = _search(
             _with_demands(base, agent, scenario.reported_demands), search_budget
         )
-        ids = []
+        distinct = tuple(dict.fromkeys(profiles))
         covering = {}
-        for profile in dict.fromkeys(profiles):
-            pid = profile_ids.setdefault(profile, len(profile_ids))
-            ids.append(pid)
+        for profile in distinct:
             holder = allocations[profiles.index(profile)]
             # only the agent's bundle is read, so only its items are collected
             held = frozenset([item_id for item_id, owner in holder.assignment if owner == agent_id])
             realized = realized_bundle(held, scenario.withheld)
             if covers(realized, true_demands):
-                covering[pid] = (holder, realized)
+                covering[profile] = (holder, realized)
         if covering:
-            rows.append((scenario, tuple(ids), covering))
-    return tuple(profile_ids), tuple(rows)
+            rows.append((scenario, distinct, covering))
+    return tuple(rows)
 
 
-def _manipulations(
-    profiles: Sequence[tuple[int, ...]], rows: Iterable[tuple], key: Callable, truthful: Allocation
-) -> list[ManipulationWitness]:
+def _manipulations(rows: Iterable[tuple], key: Callable, truthful: Allocation) -> list[ManipulationWitness]:
     """The rows that are witnesses for the mechanism with `key`: its choice
     on a misreported market is the first holder of the row's key-maximal
-    profile, and the row is a witness when that holder is covering."""
-    keys = [key(profile) for profile in profiles]
+    profile, and the row is a witness when that holder is covering.  Only
+    the profiles of the rows are keyed."""
     witnesses = []
-    for scenario, ids, covering in rows:
-        hit = covering.get(max(ids, key=keys.__getitem__))
+    for scenario, profiles, covering in rows:
+        hit = covering.get(max(profiles, key=key))
         if hit is not None:
             witnesses.append(ManipulationWitness(scenario, truthful, *hit))
     return witnesses
@@ -392,12 +386,12 @@ def audit_strategyproofness(
     for agent_id in unsatisfied:
         if (agent_id, budget) not in tables:  # a search over budget raises here, storing nothing
             misreports, truncated = _misreports_with_truncation(market, agent_id, budget)
-            profiles, rows = _misreport_rows(market, spec.constraints, agent_id, misreports, search_budget)
-            tables[agent_id, budget] = profiles, rows, len(misreports), truncated
-        profiles, rows, scenarios, truncated = tables[agent_id, budget]
+            rows = _misreport_rows(market, spec.constraints, agent_id, misreports, search_budget)
+            tables[agent_id, budget] = rows, len(misreports), truncated
+        rows, scenarios, truncated = tables[agent_id, budget]
         examined += scenarios
         truncated_agents += int(truncated)
-        witnesses.extend(_manipulations(profiles, rows, key, truthful))
+        witnesses.extend(_manipulations(rows, key, truthful))
 
     return AuditReport(
         kind="strategyproofness",
@@ -786,7 +780,7 @@ def impossibility_runs(search_budget: int | None = None):
                 if agent_id not in rows:
                     scripted = [scripted_misreport(fx, agent_id)]
                     rows[agent_id] = _misreport_rows(market, constraints, agent_id, scripted, budget)
-                hits = _manipulations(*rows[agent_id], key, outcome)
+                hits = _manipulations(rows[agent_id], key, outcome)
                 if hits:
                     witness = hits[0]
                     break

@@ -55,20 +55,25 @@ frontier bound and the leaf profiles all read the pruned demands.  A demand
 that meets no other agent's endowment lies in the packing where everyone
 else keeps, as does every demand within the agent's own endowment, so the
 ir test never changes; the others are refuted by a depth-first packing
-search whose failed steps are charged as nodes.  The argument ignores trade
-structure, so it holds under pairwise balance and cycle caps.  Without sir
-an agent need not end covered, so the pass runs only under sir; under
+search whose failed steps are charged as nodes.  The pass keeps no memo:
+each demand is tried by a packing search of its own.  The argument ignores
+trade structure, so it holds under pairwise balance and cycle caps.  Without
+sir an agent need not end covered, so the pass runs only under sir; under
 desirable, what an agent may receive still comes from its demands as
 written.
 
 Each test is exact once every item is placed, so the pruning never changes
 the returned set.  Within one search each agent's coverage test is memoized
 on the available items it demands, and the trade counters exist only under
-pairwise balance or a cycle cap.  The search returns the allocations, their
-satisfaction profiles and its node count: the root, every placement that
-survives the tests, every failed step of the root pass's and the joint
-test's packings and every step of the leaves' cycle-partition search.  Past the node budget it aborts
-with :class:`BudgetExceededError` (the instance is beyond desk scale).
+pairwise balance or a cycle cap.  In the full search and in the frontier
+mode below, a leaf records its profile as an agent bitmask (bit i: agent i
+covers a live demand); at its return the search turns each distinct mask
+into one tuple, shared by the allocations with that profile.  It returns
+the allocations, their satisfaction profiles and its node count: the root,
+every placement that survives the tests, every failed step of the root
+pass's and the joint test's packings and every step of the leaves'
+cycle-partition search.  Past the node budget it aborts with
+:class:`BudgetExceededError` (the instance is beyond desk scale).
 
 A search is two steps.  `_compile` turns (market, constraint set) into the
 value the depth-first search reads: item bits, endowment masks, owners,
@@ -87,19 +92,19 @@ The frontier mode serves a caller that runs one mechanism spec once (the
 command line's `solve`).  Both mechanisms rank a satisfaction profile above
 every profile it contains, so their choice is the first holder of a profile
 on the Pareto frontier of the feasible profiles.  The mode is the same
-search, charged the same way, keeping profiles as agent bitmasks.  Once a
-profile is found, a node is pruned when the agents that can still be
-covered (held plus unplaced items cover a live demand) lie inside a found
-profile: no leaf below holds a profile outside it.  A leaf is kept only if
-its profile lies inside no found profile (this test runs before the
-cycle-partition search), and a kept leaf drops every found profile inside
-its own.  A frontier profile lies inside no other feasible profile, so its
-first holder is never pruned nor dropped, and the search returns exactly
-the first holders of the frontier profiles, in canonical order.  It
-charges far fewer nodes where many allocations share few profiles (the
-generator-seed-3 ladder: n=6 `pairwise` 300,355 -> 35,906 nodes), so its
-budget is reached later.  The cache, the audits and `run_mechanism` keep
-the full table: they read all of it, or many specs' choices from it.
+search, charged the same way.  Once a profile is found, a node is pruned
+when the agents that can still be covered (held plus unplaced items cover a
+live demand) lie inside a found profile: no leaf below holds a profile
+outside it.  A leaf is kept only if its profile lies inside no found
+profile (this test runs before the cycle-partition search), and a kept leaf
+drops every found profile inside its own.  A frontier profile lies inside
+no other feasible profile, so its first holder is never pruned nor dropped,
+and the search returns exactly the first holders of the frontier profiles,
+in canonical order.  It charges far fewer nodes where many allocations share
+few profiles (the generator-seed-3 ladder: n=6 `pairwise` 300,355 -> 35,906
+nodes), so its budget is reached later.  The cache, the audits and
+`run_mechanism` keep the full table: they read all of it, or many specs'
+choices from it.
 """
 
 from __future__ import annotations
@@ -557,19 +562,13 @@ def _reservation_consistent(c: _Compiled, charge: Callable[[], None]) -> list[li
     packing is never covered and never justifies a bundle.  A demand that
     meets no other agent's endowment is in the packing where everyone else
     keeps.  The others are tried by :func:`_displace`, whose failed steps
-    are charged; a packing it finds marks all its demands, and a demand
-    found in none is no longer tried for the agents after."""
+    are charged."""
     endow, owner, live = c.endow, c.owner, c.live
     endowed = _union(endow)
-    viable: set[tuple[int, int]] = set()
     options = list(live)
     for x, demands in enumerate(live):
         others = endowed & ~endow[x]
-        kept = [
-            d
-            for d in demands
-            if not d & others or (x, d) in viable or _displace(endow, owner, options, viable, d, others, charge)
-        ]
+        kept = [d for d in demands if not d & others or _displace(endow, owner, options, d, others, charge)]
         if len(kept) < len(demands):
             options[x] = kept
     return options
@@ -579,7 +578,6 @@ def _displace(
     endow: list[int],
     owner: list[int],
     options: list[list[int]],
-    viable: set[tuple[int, int]],
     taken: int,
     keepers: int,
     charge: Callable[[], None],
@@ -587,8 +585,7 @@ def _displace(
     """Whether a packing reserves `taken`, the union of the demands chosen
     so far, while the agents whose endowments make up `keepers` keep.  The
     owner of the first item in both cannot keep, so it takes in turn each of
-    its `options` disjoint from `taken`.  The packing found adds its demands
-    to `viable` as (agent index, demand); every step that fails is
+    its `options` disjoint from `taken`.  Every step that fails is
     charged."""
     clash = taken & keepers
     if not clash:
@@ -596,8 +593,7 @@ def _displace(
     y = owner[(clash & -clash).bit_length() - 1]
     rest = keepers & ~endow[y]
     for e in options[y]:
-        if not e & taken and _displace(endow, owner, options, viable, taken | e, rest, charge):
-            viable.add((y, e))
+        if not e & taken and _displace(endow, owner, options, taken | e, rest, charge):
             return True
     charge()
     return False
@@ -670,10 +666,8 @@ def _search(
     gave = [[0] * n for _ in range(n)]  # pairwise: gave[i][j] items i owns placed with j
     deficit = [0] * n  # pairwise: sum over i of max(0, gave[i][j] - gave[j][i])
     bal = [0] * n  # cycle cap: items received minus own items given away
-    # one tuple per distinct profile between the allocations
-    interned: dict[tuple[int, ...], tuple[int, ...]] = {}
     allocations: list[Allocation] = []
-    profiles: list[tuple[int, ...]] = []
+    masks: list[int] = []  # their profiles as agent bitmasks
     # frontier mode: the profiles found so far that no other found profile
     # contains, as agent bitmasks, each with its first holder, in the order
     # found
@@ -723,11 +717,11 @@ def _search(
 
     def descend(p: int) -> None:
         charge()
-        if frontier and (found or p == m):
+        if found or p == m:
             # the agents that some completion may cover (at a leaf, the
             # profile): a subtree whose bound a found profile contains
-            # holds no new frontier profile (before the first leaf no
-            # profile is found, so the bound is not needed)
+            # holds no new frontier profile (only the frontier mode finds
+            # profiles, and before its first leaf the bound is not needed)
             unplaced = full >> p << p  # items p.. are unplaced
             reach = 0
             for i in range(n):
@@ -746,9 +740,8 @@ def _search(
                     del found[f]
                 found[reach] = allocation
                 return
-            profile = tuple([cover[i][held[i] & wanted[i]] for i in range(n)])
             allocations.append(allocation)
-            profiles.append(interned.setdefault(profile, profile))
+            masks.append(reach)
             return
         rest = rest_after[p]
         # a watched agent that cannot do without the item must receive it
@@ -817,9 +810,10 @@ def _search(
     finally:
         descend = pack = None  # break the closures' reference cycles
     if frontier:
-        allocations = list(found.values())
-        profiles = [tuple([f >> i & 1 for i in range(n)]) for f in found]
-    return tuple(allocations), tuple(profiles), nodes
+        allocations, masks = list(found.values()), list(found)
+    # one tuple per distinct profile, shared by its holders
+    profile = {f: tuple([f >> i & 1 for i in range(n)]) for f in set(masks)}
+    return tuple(allocations), tuple([profile[f] for f in masks]), nodes
 
 
 @lru_cache(maxsize=4096)

@@ -529,6 +529,22 @@ def test_frontier_search_node_counts_are_pinned(n, text, nodes, count):
     assert (charged, len(allocations)) == (nodes, count)
 
 
+def test_equal_profiles_in_a_table_are_one_tuple():
+    # a search builds one tuple per distinct profile, and every holder of
+    # that profile shares it, so a table keeps at most 2**agents of them
+    market = generate_instance(SHAPES["ladder"](4))
+    pairwise = BUILT_IN_CONSTRAINT_SETS["pairwise"]
+    clear_enumeration_cache()
+    tables = {
+        "full": search_feasible(market, pairwise, DEFAULT_SEARCH_BUDGET)[1],
+        "frontier": search_feasible(market, pairwise, DEFAULT_SEARCH_BUDGET, frontier=True)[1],
+        "cached": feasible_with_profiles(market, pairwise)[1],
+    }
+    assert len(tables["full"]) == len(tables["cached"]) == 474
+    for name, profiles in tables.items():
+        assert len({id(profile) for profile in profiles}) == len(set(profiles)), name
+
+
 @pytest.mark.parametrize("n", range(5, 9))
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_one_donor_counts_match_exact_oracles(seed, n):
