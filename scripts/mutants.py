@@ -148,6 +148,21 @@ MUTANTS = (
         ("tests/test_strategyproofness.py",),
     ),
     Mutant(
+        "truthful-repeated-among-subsets",
+        AUDITORS,
+        "if withheld or len(reported_demands) < len(demands):",
+        "if True:",
+        ("tests/test_auditors.py",),
+    ),
+    Mutant(
+        "probe-equal-to-true-demand-kept",
+        AUDITORS,
+        "            if probe in agent.demands:\n"
+        "                continue\n",
+        "",
+        ("tests/test_auditors.py",),
+    ),
+    Mutant(
         "row-judge-ignores-key",
         AUDITORS,
         "hit = covering.get(max(profiles, key=key))",

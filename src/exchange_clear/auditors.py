@@ -208,41 +208,33 @@ def _subsets(sorted_elems: Sequence, sizes: range) -> list[tuple]:
 
 
 def _misreport_stream(market: Market, agent_id: str, budget: MisreportBudget):
-    """Canonical, deduplicated misreport order: the truthful report, then
-    subset misreports (full participation first), then single-bundle probes
-    by ascending bundle size so a larger bundle cap only appends scenarios."""
+    """Canonical misreport order: the truthful report, then subset
+    misreports (full participation first), then single-bundle probes by
+    ascending bundle size so a larger bundle cap only appends scenarios.
+    Each scenario comes once.  Within a part the (reported endowment,
+    demands) pairs differ, so only two repeats can occur, and both are
+    skipped: the subset misreport of the full endowment and every true
+    demand (the truthful report), and a probe equal to a true demand (a
+    subset misreport, as those take every reported endowment)."""
     agent = market.agent(agent_id)
-    endowment = sorted(agent.endowment)
     demands = sorted(agent.demands, key=bundle_sort_key)
-    endow_subsets = _subsets(endowment, range(len(endowment), -1, -1))
     demand_subsets = _subsets(demands, range(1, len(demands) + 1))
-    seen: set[MisreportScenario] = set()
-
-    def make(reported_endowment, reported_demands) -> MisreportScenario | None:
-        withheld = agent.endowment - frozenset(reported_endowment)
-        scenario = MisreportScenario(agent_id, reported_endowment, reported_demands, withheld)
-        if scenario in seen:
-            return None
-        seen.add(scenario)
-        return scenario
-
-    yield make(agent.endowment, agent.demands)
-    for reported_endowment in endow_subsets:
+    own = sorted(agent.endowment)
+    reports = [(kept, agent.endowment - set(kept)) for kept in _subsets(own, range(len(own), -1, -1))]
+    yield MisreportScenario(agent_id, agent.endowment, agent.demands, frozenset())
+    for kept, withheld in reports:
         for reported_demands in demand_subsets:
-            scenario = make(reported_endowment, reported_demands)
-            if scenario is not None:
-                yield scenario
+            if withheld or len(reported_demands) < len(demands):
+                yield MisreportScenario(agent_id, kept, reported_demands, withheld)
     pool = sorted(market.item_ids)
     for size in range(0, min(budget.bundle_cap, len(pool)) + 1):
         for combo in itertools.combinations(pool, size):
             probe = frozenset(combo)
-            for reported_endowment in endow_subsets:
-                withheld = agent.endowment - frozenset(reported_endowment)
-                if probe & withheld:
-                    continue
-                scenario = make(reported_endowment, [probe])
-                if scenario is not None:
-                    yield scenario
+            if probe in agent.demands:
+                continue
+            for kept, withheld in reports:
+                if not probe & withheld:
+                    yield MisreportScenario(agent_id, kept, [probe], withheld)
 
 
 def enumerate_misreports(

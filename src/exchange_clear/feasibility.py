@@ -559,18 +559,16 @@ def _reservation_consistent(c: _Compiled, charge: Callable[[], None]) -> list[li
     endowment or reserving one live demand, with pairwise disjoint
     reservations.  In a feasible
     allocation each agent keeps or covers a demand, so a demand in no
-    packing is never covered and never justifies a bundle.  A demand that
-    meets no other agent's endowment is in the packing where everyone else
-    keeps.  The others are tried by :func:`_displace`, whose failed steps
-    are charged."""
+    packing is never covered and never justifies a bundle.  Each demand is
+    tried by :func:`_displace`, which accepts one that meets no other
+    agent's endowment at once (everyone else keeps) and charges its failed
+    steps."""
     endow, owner, live = c.endow, c.owner, c.live
     endowed = _union(endow)
     options = list(live)
     for x, demands in enumerate(live):
         others = endowed & ~endow[x]
-        kept = [d for d in demands if not d & others or _displace(endow, owner, options, d, others, charge)]
-        if len(kept) < len(demands):
-            options[x] = kept
+        options[x] = [d for d in demands if _displace(endow, owner, options, d, others, charge)]
     return options
 
 

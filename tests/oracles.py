@@ -27,6 +27,7 @@ from exchange_clear import (
     satisfaction_profile,
     satisfies,
 )
+from exchange_clear.core import bundle_sort_key
 from exchange_clear.feasibility import feasible_with_profiles
 from exchange_clear.mechanisms import check_priority, chosen_index, profile_key
 from exchange_clear.auditors import (
@@ -34,6 +35,7 @@ from exchange_clear.auditors import (
     VERDICT_VIOLATION,
     ManipulationWitness,
     MisreportBudget,
+    MisreportScenario,
     _misreports_with_truncation,
     apply_misreport,
     realized_bundle,
@@ -447,6 +449,33 @@ def key_chooser(market, spec, profiles):
         return max(indices, key=lambda i: (keys[i], -i))
 
     return choose
+
+
+def naive_misreport_stream(market, agent_id, budget):
+    """The canonical misreport order built naively: every candidate in turn
+    (the truthful report, each sub-endowment with each non-empty subset of
+    the true demands, then each single-bundle probe of at most
+    `budget.bundle_cap` items, by size, with each sub-endowment that does
+    not withhold its items), keeping the first of each scenario.  The
+    package yields each scenario once without a seen set."""
+    agent = market.agent(agent_id)
+    endowment = sorted(agent.endowment)
+    demands = sorted(agent.demands, key=bundle_sort_key)
+    kept = [c for size in range(len(endowment), -1, -1) for c in itertools.combinations(endowment, size)]
+    demand_subsets = [c for size in range(1, len(demands) + 1) for c in itertools.combinations(demands, size)]
+    candidates = [(agent.endowment, agent.demands)]
+    candidates += [(e, ds) for e in kept for ds in demand_subsets]
+    pool = sorted(market.item_ids)
+    for size in range(min(budget.bundle_cap, len(pool)) + 1):
+        for probe in itertools.combinations(pool, size):
+            candidates += [(e, [probe]) for e in kept if not set(probe) & (agent.endowment - set(e))]
+    seen = set()
+    for reported_endowment, reported_demands in candidates:
+        withheld = agent.endowment - frozenset(reported_endowment)
+        scenario = MisreportScenario(agent_id, reported_endowment, reported_demands, withheld)
+        if scenario not in seen:
+            seen.add(scenario)
+            yield scenario
 
 
 def naive_audit_strategyproofness(market, spec, budget=None, search_budget=None):

@@ -29,7 +29,10 @@ from exchange_clear import (
     validate_market,
 )
 
-from oracles import choose_from, two_agent_partner_market
+from exchange_clear.auditors import _misreports_with_truncation
+from exchange_clear.suites import family
+
+from oracles import choose_from, naive_misreport_stream, tiny_random_market, two_agent_partner_market
 
 
 # ---------------------------------------------------------------- misreports
@@ -84,6 +87,37 @@ def test_misreport_probe_sizes_stop_at_the_item_pool(example1, monkeypatch):
     huge = MisreportBudget(bundle_cap=10**5, max_scenarios=10**6)
     assert enumerate_misreports(market, "2", huge) == expected
     assert probe_sizes == list(range(len(pool) + 1))
+
+
+STREAM_MARKETS = (
+    family(range(1, 101))
+    + [tiny_random_market(seed, max_agents=4, max_items=5) for seed in range(1, 61)]
+    + [
+        # an empty demand bundle, and an agent without demands
+        Market((Agent("1", ["x"], [frozenset()]), Agent("2", ["y"])), (Item("x"), Item("y"))),
+        Market((Agent("1", ["x"], [{"y"}]), Agent("2", ["y"], [])), (Item("x"), Item("y"))),
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "budget",
+    [
+        MisreportBudget(),
+        MisreportBudget(bundle_cap=0, max_scenarios=10**6),
+        MisreportBudget(bundle_cap=5, max_scenarios=10**6),
+    ],
+    ids=["default", "cap0", "cap5"],
+)
+def test_enumerate_misreports_matches_the_naive_stream(budget):
+    # the package skips the stream's two possible repeats by construction;
+    # the naive stream builds every candidate and drops the repeats
+    cap = budget.max_scenarios
+    for market in STREAM_MARKETS:
+        for agent_id in market.agent_ids:
+            naive = list(itertools.islice(naive_misreport_stream(market, agent_id, budget), cap + 1))
+            assert enumerate_misreports(market, agent_id, budget) == naive[:cap]
+            assert _misreports_with_truncation(market, agent_id, budget) == (naive[:cap], len(naive) > cap)
 
 
 def test_misreport_scenario_invariant():
