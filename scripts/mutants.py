@@ -77,6 +77,13 @@ MUTANTS = (
         ("tests/test_consistency.py",),
     ),
     Mutant(
+        "wc-counts-without-loo-sample-pairs",
+        AUDITORS,
+        "nested += sum(count - size for _, size in samples)",
+        "nested += 0",
+        ("tests/test_consistency.py",),
+    ),
+    Mutant(
         "cap-balance-always-true",
         FEASIBILITY,
         "if b + endowed_after < hi or b > hi:",

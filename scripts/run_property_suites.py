@@ -20,7 +20,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--instances", type=int, default=200)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--skip-consistency", action="store_true")
     args = parser.parse_args()
 
     markets = suites.family(range(args.first_seed, args.first_seed + args.instances))
@@ -31,12 +30,10 @@ def main() -> int:
     print(f"strategyproofness: {len(sp)} audits, {sum(sp)} witnesses "
           f"[{time.monotonic() - started:.0f}s]")
 
-    wc = []
-    if not args.skip_consistency:
-        tick = time.monotonic()
-        wc = [len(report.witnesses) for *_, report in suites.weak_consistency(markets)]
-        print(f"weak consistency: {len(wc)} audits, {sum(wc)} violations "
-              f"[{time.monotonic() - tick:.0f}s]")
+    tick = time.monotonic()
+    wc = [len(report.witnesses) for *_, report in suites.weak_consistency(markets)]
+    print(f"weak consistency: {len(wc)} audits, {sum(wc)} violations "
+          f"[{time.monotonic() - tick:.0f}s]")
 
     tick = time.monotonic()
     runs = dominated = oracle_mismatches = solve_mismatches = 0

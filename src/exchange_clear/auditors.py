@@ -58,7 +58,7 @@ from .feasibility import (
     feasible_with_profiles,
     resolve_budget,
 )
-from .mechanisms import MechanismSpec, chosen_index, profile_key, run_mechanism
+from .mechanisms import MechanismSpec, check_priority, chosen_index, profile_key, run_mechanism
 
 VERDICT_VIOLATION = "violation"
 VERDICT_CLEAN = "no violation found"
@@ -448,9 +448,23 @@ def _contraction_family(count: int, params: ConsistencyParams) -> tuple[tuple, t
     return samples, tuple(inside), subsets
 
 
-# the key of the holder masks among a feasible table's derived tables,
-# beside the strategyproofness audit's (agent, MisreportBudget) keys
-_HOLDER_MASKS = "holder masks"
+def _consistency_summary(count: int, params: ConsistencyParams) -> dict[str, int]:
+    """A weak-consistency audit's summary: its mode and how many pairs the
+    engine tests, read off the family of `count` allocations and `params`."""
+    samples, inside, subsets = _contraction_family(count, params)
+    loos = count if count > 1 else 0
+    family_pairs = 2**count - 1 if subsets else loos + len(samples)
+    nested = sum(map(len, inside))
+    if loos:  # every sample lacking i lies under the leave-one-out of i
+        nested += sum(count - size for _, size in samples)
+    return {  # keys in sorted order
+        "exhaustive": int(bool(subsets)),
+        "feasible_count": count,
+        "nested_pairs_tested": nested,
+        "pairs_tested": family_pairs + nested,
+        "samples_drawn": params.samples,
+        "seed": params.seed,
+    }
 
 
 def _holder_masks(profiles: Sequence[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
@@ -495,9 +509,9 @@ def _run_consistency_engine(
     through the target profile of the leave-one-out's choice, and on
     whether the sample lacks i.  So the samples are screened once per
     distinct target profile (at most 2**agents screens of `samples` each)
-    and only the flagged ones are walked per i; those pairs are counted, not
-    visited.  A sample's nested pairs are read off the family, so only the
-    pairs that exist are tested.
+    and only the flagged ones are walked per i; those pairs are counted
+    (`_consistency_summary`), not visited.  A sample's nested pairs are read
+    off the family, so only the pairs that exist are tested.
     """
     count = len(allocations)
     if not count:
@@ -535,19 +549,13 @@ def _run_consistency_engine(
     sampled = members[len(loos):]
 
     if subsets:
-        tested = 2**count - 1
         for size, masks in enumerate(subsets, 1):
             for mask in masks:
                 test(count, top, mask, size, choose(mask))
     else:
-        tested = len(members)
         for mask, size, choice in members:
             test(count, top, mask, size, choice)
-    family_pairs = tested
 
-    if loos:
-        # every sample lacking i lies under the leave-one-out of i
-        tested += sum(count - size for _, size, _ in sampled)
     screens: dict[tuple[int, ...], list[tuple[int, int, int, int]]] = {}
     for i in loos:
         sup_choice = members[i][2]
@@ -565,24 +573,15 @@ def _run_consistency_engine(
                 witnesses.append(violation(count - 1, sup_choice, size, choice, hits))
 
     for (_, sup_size, sup_choice), nested in zip(sampled, inside):
-        tested += len(nested)
         for k in nested:
             sub, size, choice = members[k]
             test(sup_size, sup_choice, sub, size, choice)
 
-    summary = {  # keys in sorted order
-        "exhaustive": int(bool(subsets)),
-        "feasible_count": count,
-        "nested_pairs_tested": tested - family_pairs,
-        "pairs_tested": tested,
-        "samples_drawn": params.samples,
-        "seed": params.seed,
-    }
     return AuditReport(
         kind="weak-consistency",
         verdict=VERDICT_VIOLATION if witnesses else VERDICT_CLEAN,
         witnesses=tuple(witnesses),
-        summary=summary,
+        summary=_consistency_summary(count, params),
     )
 
 
@@ -594,29 +593,23 @@ def audit_weak_consistency(
 ) -> AuditReport:
     """Contract the feasible set and check that whenever some surviving
     allocation matches the original choice's satisfaction profile, the choice
-    from the contracted set matches it too."""
-    params = params or ConsistencyParams()
-    key = profile_key(market, spec)
-    search_budget = resolve_budget(search_budget)
-    allocations, profiles = feasible_with_profiles(market, spec.constraints, search_budget)
-    # the holder masks depend only on the table, so they are built once
-    # and leave the cache with it
-    tables = derived_tables(market, spec.constraints, search_budget)
-    holders = tables.get(_HOLDER_MASKS)
-    if holders is None:
-        holders = tables[_HOLDER_MASKS] = _holder_masks(profiles)
-    # distinct profiles have distinct keys, so a set's choice is the
-    # canonically first holder of the best profile it holds (the engine
-    # never passes an empty set)
-    best_first = [holders[profile] for profile in sorted(holders, key=key, reverse=True)]
+    from the contracted set matches it too.
 
-    def choose(mask: int) -> int:
-        for held in best_first:
-            hits = mask & held
-            if hits:
-                return (hits & -hits).bit_length() - 1
-
-    return _run_consistency_engine(allocations, profiles, market.agent_ids, choose, params, holders)
+    For `cp` and `cup` no pair fails, so no chooser runs.  Their choice from
+    a set S is the first holder of S's earliest profile P under one fixed
+    strict order (the key; distinct profiles get distinct keys).  A subset T
+    of S holding P holds no earlier profile, so T's choice has profile P
+    too.  Every pair `_run_consistency_engine` tests is such a (superset,
+    subset) pair, so the verdict is clean, and the summary depends only on
+    the feasible count and `params`.  The errors come in the engine path's
+    order: priority, node budget, `BudgetExceededError`, empty feasible set.
+    """
+    check_priority(market, spec.priority)
+    allocations, _ = feasible_with_profiles(market, spec.constraints, search_budget)
+    if not allocations:
+        raise ValueError("empty candidate list")
+    summary = _consistency_summary(len(allocations), params or ConsistencyParams())
+    return AuditReport(kind="weak-consistency", verdict=VERDICT_CLEAN, summary=summary)
 
 
 def audit_weak_consistency_choice(

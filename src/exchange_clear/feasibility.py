@@ -839,11 +839,10 @@ def feasible_with_profiles(
 
 def derived_tables(market: Market, constraints: ConstraintSet, budget: int) -> dict:
     """The dict of tables derived from the feasible table of (market,
-    constraints) under node budget `budget` (see :func:`resolve_budget`),
-    such as the strategyproofness audit's misreport tables and the
-    weak-consistency audit's holder masks.  It lives in that table's
-    enumeration cache entry, so its tables leave the cache with it, and
-    constraint sets that define one feasible set share it."""
+    constraints) under node budget `budget` (see :func:`resolve_budget`):
+    the strategyproofness audit's misreport tables.  It lives in that
+    table's enumeration cache entry, so its tables leave the cache with it,
+    and constraint sets that define one feasible set share it."""
     return _feasible_profiles_cached(market, _canonical(constraints), budget)[2]
 
 

@@ -433,8 +433,8 @@ def naive_weak_consistency(allocations, profiles, agent_ids, choose, params):
 
 def key_chooser(market, spec, profiles):
     """Argmax of the mechanism key over index tuples, ties to the lowest
-    index, with the key tuple rebuilt per element; the reference for the
-    best-first `order` chooser in `audit_weak_consistency`."""
+    index, with the key tuple rebuilt per element; the reference chooser
+    that the closed form of `audit_weak_consistency` is checked against."""
     index_of = {agent_id: i for i, agent_id in enumerate(market.agent_ids)}
     order = [index_of[a] for a in spec.priority]
     cup = spec.kind == "cup"

@@ -1,11 +1,13 @@
-"""Differential tests of the weak-consistency engine against the naive oracle.
+"""Differential tests of the weak-consistency audits against the naive oracle.
 
 The engine tests the same (superset, subset) pairs as `naive_weak_consistency`
-in the same order, so the serialized reports must be byte-identical, for the
-mechanisms' own chooser and for a deliberately broken one.
+in the same order, so the serialized reports must be byte-identical for a
+deliberately broken chooser.  For `cp` and `cup` the audit answers in closed
+form, and its report must equal the oracle's run with the mechanisms' key.
 """
 
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from exchange_clear import (
     Agent,
     BUILT_IN_CONSTRAINT_SETS,
+    BudgetExceededError,
     ConsistencyParams,
     Item,
     Market,
@@ -22,6 +25,7 @@ from exchange_clear import (
     audit_weak_consistency_choice,
     auditors,
     serialize,
+    suites,
 )
 from exchange_clear.auditors import _contraction_family, _holder_masks, _run_consistency_engine, _sample_masks
 from exchange_clear.feasibility import clear_enumeration_cache, feasible_with_profiles
@@ -179,52 +183,94 @@ def test_engine_matches_naive_on_bench_size_markets(seed, count):
             assert_mechanism_matches(market, spec, ConsistencyParams())
 
 
+def mechanism_choice_engine(market, spec, params):
+    """The engine run with the mechanism's own choice on every set it asks
+    about: `chosen_index` over the set's profiles."""
+    allocations, profiles = feasible_with_profiles(market, spec.constraints)
+    key = profile_key(market, spec)
+
+    def choose(mask):
+        indices = [i for i in range(len(profiles)) if mask >> i & 1]
+        return indices[chosen_index([profiles[i] for i in indices], key)]
+
+    return _run_consistency_engine(allocations, profiles, market.agent_ids, choose, params, _holder_masks(profiles))
+
+
 @pytest.mark.parametrize("seed, count", BENCH_SHAPES)
-def test_mechanism_chooser_is_the_mechanisms_choice_on_every_audited_set(monkeypatch, seed, count):
-    # the naive oracle ranks with the same key, so any chooser that ranks by
-    # profile passes it; pin the chooser itself against `chosen_index` on
-    # each set the engine asks about
+def test_mechanism_chooser_is_the_mechanisms_choice_on_every_audited_set(seed, count):
+    # the closed form runs no chooser; the engine driven by the mechanism's
+    # choice on each audited set must report the same bytes
     market, constraints = pairwise_bench_market(seed, count)
-    _, profiles = feasible_with_profiles(market, constraints)
-    params = ConsistencyParams()
-    full = (1 << count) - 1
-    if count <= params.exhaustive_limit:
-        masks = range(1, full + 1)
-    else:
-        masks = [full, *(full ^ 1 << i for i in range(count)), *_sample_masks(count, params)]
-    engine = auditors._run_consistency_engine
-    chooser = []
-    monkeypatch.setattr(
-        auditors, "_run_consistency_engine", lambda *args: chooser.append(args[3]) or engine(*args)
-    )
-    for kind in ("cp", "cup"):
-        for priority in (market.agent_ids, market.agent_ids[::-1]):
-            spec = MechanismSpec(kind, priority, constraints)
-            audit_weak_consistency(market, spec, params)
-            choose, key = chooser.pop(), profile_key(market, spec)
-            for mask in masks:
-                indices = [i for i in range(count) if mask >> i & 1]
-                assert choose(mask) == indices[chosen_index([profiles[i] for i in indices], key)]
+    for params in (ConsistencyParams(), ConsistencyParams(seed=1, samples=400, exhaustive_limit=0)):
+        for kind in ("cp", "cup"):
+            for priority in (market.agent_ids, market.agent_ids[::-1]):
+                spec = MechanismSpec(kind, priority, constraints)
+                closed = serialize(audit_weak_consistency(market, spec, params))
+                assert serialize(mechanism_choice_engine(market, spec, params)) == closed
 
 
-def test_holder_masks_are_built_once_per_feasible_table(monkeypatch):
-    # they live beside the table in its enumeration cache entry, so they
-    # are rebuilt only after the entry is emptied
-    market, constraints = pairwise_bench_market(2, 22)
-    real = auditors._holder_masks
-    built = []
-    monkeypatch.setattr(auditors, "_holder_masks", lambda profiles: built.append(profiles) or real(profiles))
-    specs = [
-        MechanismSpec(kind, priority, constraints)
-        for kind in ("cp", "cup")
-        for priority in (market.agent_ids, market.agent_ids[::-1])
-    ]
+def fixed_order_markets():
+    """(market, constraints) for `family(1-50)` under every `sir` set and
+    the four benchmark shapes under `pairwise`."""
+    for market in suites.family(range(1, 51)):
+        for constraints in suites.SIR_SETS.values():
+            yield market, constraints
+    for seed, count in BENCH_SHAPES:
+        yield pairwise_bench_market(seed, count)
+
+
+ORDERS = 8  # seeded strict orders of the distinct profiles per feasible table
+
+
+def test_every_fixed_strict_order_of_profiles_is_weakly_consistent():
+    # the theorem behind the closed form: a chooser that takes the first
+    # holder of the best profile under any fixed strict order passes the
+    # engine on every feasible set, with or without the mechanisms' keys
+    rng = random.Random(16)
+    audits = 0
+    for market, constraints in fixed_order_markets():
+        allocations, profiles = feasible_with_profiles(market, constraints)
+        holders = _holder_masks(profiles)
+        for _ in range(ORDERS):
+            order = rng.sample(sorted(holders), len(holders))
+            best_first = [holders[profile] for profile in order]
+
+            def choose(mask):
+                hits = next(mask & held for held in best_first if mask & held)
+                return (hits & -hits).bit_length() - 1
+
+            for params in PARAMS:
+                report = _run_consistency_engine(
+                    allocations, profiles, market.agent_ids, choose, params, holders
+                )
+                assert not report.witnesses, (market, constraints, order, params)
+                audits += 1
+    assert audits == (50 * len(suites.SIR_SETS) + len(BENCH_SHAPES)) * ORDERS * len(PARAMS)
+
+
+def test_mechanism_audit_runs_no_engine_yet_keeps_its_errors(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the closed form ran the engine")
+
+    monkeypatch.setattr(auditors, "_run_consistency_engine", refuse)
+    monkeypatch.setattr(auditors, "_holder_masks", refuse)
+    market, constraints = pairwise_bench_market(1, 56)
+    spec = MechanismSpec("cup", market.agent_ids, constraints)
+    report = audit_weak_consistency(market, spec)
+    assert (report.verdict, report.witnesses) == ("no violation found", ())
+    assert report.summary["feasible_count"] == 56
     clear_enumeration_cache()
-    first = [serialize(audit_weak_consistency(market, spec)) for spec in specs]
-    assert len(built) == 1
-    clear_enumeration_cache()
-    assert [serialize(audit_weak_consistency(market, spec)) for spec in specs] == first
-    assert len(built) == 2
+    with pytest.raises(BudgetExceededError):
+        audit_weak_consistency(market, spec, search_budget=1)
+    bad = MechanismSpec("cp", market.agent_ids[:-1], constraints)
+    with pytest.raises(ValueError, match="^priority order .* is not a permutation"):
+        audit_weak_consistency(market, bad, search_budget=1)  # priority before budget
+    empty = Market((Agent("1", [], []),), (Item("x"),))
+    empty_spec = MechanismSpec("cp", ("1",), BUILT_IN_CONSTRAINT_SETS["sir"])
+    with pytest.raises(ValueError, match="^node budget must be a positive integer"):
+        audit_weak_consistency(empty, empty_spec, search_budget=0)  # budget before emptiness
+    with pytest.raises(ValueError, match="^empty candidate list$"):
+        audit_weak_consistency(empty, empty_spec)
 
 
 def test_broken_chooser_matches_naive_on_a_bench_size_market():
@@ -354,13 +400,15 @@ def test_audits_of_one_feasible_count_share_one_family():
     assert first != second
     params = ConsistencyParams(seed=11, samples=48)
     _contraction_family.cache_clear()
+    # the closed form reads the family once, for its summary
     audit_weak_consistency(first, MechanismSpec("cp", first.agent_ids, constraints), params)
     cold = _contraction_family.cache_info()
     audit_weak_consistency(second, MechanismSpec("cup", second.agent_ids[::-1], constraints), params)
+    # the engine reads it for its sets and again for its summary
     audit_weak_consistency_choice(second, constraints, broken_choice(second, constraints), params)
     warm = _contraction_family.cache_info()
     assert (cold.misses, cold.hits, cold.currsize) == (1, 0, 1)
-    assert (warm.misses, warm.hits, warm.currsize) == (1, 2, 1)
+    assert (warm.misses, warm.hits, warm.currsize) == (1, 3, 1)
 
 
 @pytest.mark.parametrize("market_seed, name", [(9, "sir"), (1, "pairwise")])
@@ -372,16 +420,19 @@ def test_warm_family_gives_the_bytes_of_a_cold_one(market_seed, name):
         market = tiny_random_market(market_seed)
     spec = MechanismSpec("cup", market.agent_ids[::-1], constraints)
     choice = broken_choice(market, constraints)
+    # (audit, family lookups per call): the closed form reads the family
+    # for its summary, the engine for its sets and its summary
     audits = (
-        lambda params: audit_weak_consistency(market, spec, params),
-        lambda params: audit_weak_consistency_choice(market, constraints, choice, params),
+        (lambda params: audit_weak_consistency(market, spec, params), 1),
+        (lambda params: audit_weak_consistency_choice(market, constraints, choice, params), 2),
     )
     for params in (ConsistencyParams(), ConsistencyParams(seed=1, samples=400, exhaustive_limit=0)):
-        for audit in audits:
+        for audit, lookups in audits:
             _contraction_family.cache_clear()
             cold = serialize(audit(params))
             assert serialize(audit(params)) == cold
-            assert _contraction_family.cache_info().hits == 1
+            info = _contraction_family.cache_info()
+            assert (info.misses, info.hits) == (1, 2 * lookups - 1)
 
 
 def test_empty_feasible_set_raises_a_named_error():

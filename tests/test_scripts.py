@@ -51,7 +51,7 @@ def test_run_property_suites_passes():
 
 def test_run_property_suites_fails_on_a_solve_mismatch(monkeypatch, capsys):
     monkeypatch.setattr(mechanisms, "solve", lambda market, spec: endowment_allocation(market))
-    monkeypatch.setattr(sys, "argv", ["run_property_suites.py", "--instances", "3", "--skip-consistency"])
+    monkeypatch.setattr(sys, "argv", ["run_property_suites.py", "--instances", "3"])
     main = runpy.run_path(str(ROOT / "scripts" / "run_property_suites.py"))["main"]
     assert main() == 1
     out = capsys.readouterr().out
@@ -60,13 +60,13 @@ def test_run_property_suites_fails_on_a_solve_mismatch(monkeypatch, capsys):
 
 
 def test_run_property_suites_flags():
-    done = run("scripts/run_property_suites.py", "--instances", "3", "--first-seed", "7",
-               "--skip-consistency")
+    done = run("scripts/run_property_suites.py", "--instances", "3", "--first-seed", "7")
     assert done.returncode == 0, done.stdout + done.stderr
     assert "RESULT: PASS" in done.stdout
-    assert "weak consistency" not in done.stdout
     audits = len(list(suites.strategyproofness(suites.family(range(7, 10)))))
     assert f"strategyproofness: {audits} audits," in done.stdout
+    audits = len(list(suites.weak_consistency(suites.family(range(7, 10)))))
+    assert f"weak consistency: {audits} audits, 0 violations " in done.stdout
 
 
 def bench_pairs():
@@ -145,7 +145,7 @@ def test_bench_pairs_failed_share_on_fixed_numbers():
 def test_mutants_snippets_each_occur_exactly_once():
     script = runpy.run_path(str(ROOT / "scripts" / "mutants.py"))
     mutants = script["MUTANTS"]
-    assert len({m.name for m in mutants}) == len(mutants) == 17
+    assert len({m.name for m in mutants}) == len(mutants) == 18
     for mutant in mutants:
         assert script["occurrences"](mutant) == 1, mutant.name
         assert mutant.replacement != mutant.snippet, mutant.name
