@@ -55,32 +55,62 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
-        "family-nesting-size-le",
+        "engine-nesting-reversed",
         AUDITORS,
-        "if size < sup_size and sub & sup == sub]",
-        "if size <= sup_size and sub & sup == sub]",
+        "            if sub != sup and sub & sup == sub:\n",
+        "            if sub != sup and sub & sup == sup:\n",
         ("tests/test_consistency.py",),
     ),
     Mutant(
-        "family-full-sample-branch-dropped",
+        "engine-full-sample-branch-dropped",
         AUDITORS,
-        "        if sup == full:  # a leave-one-out lies under a sample only when it is the full set\n"
-        "            nested[:0] = range(loos)\n",
+        "        if sup == full:\n"
+        "            for i, choice in enumerate(loo_choices):\n"
+        "                test(sup, sup_choice, full ^ 1 << i, choice)\n",
         "",
         ("tests/test_consistency.py",),
     ),
     Mutant(
-        "family-exhaustive-bound-off-by-one",
+        "engine-exhaustive-bound-off-by-one",
         AUDITORS,
         "    if count <= params.exhaustive_limit:\n",
         "    if count < params.exhaustive_limit:\n",
         ("tests/test_consistency.py",),
     ),
     Mutant(
+        "engine-loo-pairs-without-lacks-test",
+        AUDITORS,
+        "            if not mask >> i & 1:\n",
+        "            if True:\n",
+        ("tests/test_consistency.py",),
+    ),
+    Mutant(
+        "wc-counts-nesting-with-self-pairs",
+        AUDITORS,
+        "nested = sum(sub != sup and sub & sup == sub for",
+        "nested = sum(sub & sup == sub for",
+        ("tests/test_consistency.py",),
+    ),
+    Mutant(
+        "wc-counts-without-full-sample-term",
+        AUDITORS,
+        "nested += loos * (full in samples)",
+        "nested += 0",
+        ("tests/test_consistency.py",),
+    ),
+    Mutant(
         "wc-counts-without-loo-sample-pairs",
         AUDITORS,
-        "nested += sum(count - size for _, size in samples)",
+        "nested += sum(count - mask.bit_count() for mask in samples)",
         "nested += 0",
+        ("tests/test_consistency.py",),
+    ),
+    Mutant(
+        "chooser-outside-candidates-accepted",
+        AUDITORS,
+        "        if not mask >> index & 1:\n"
+        '            raise ValueError(f"chooser returned feasible allocation {index}, which is not among its candidates")\n',
+        "",
         ("tests/test_consistency.py",),
     ),
     Mutant(

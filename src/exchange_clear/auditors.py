@@ -159,7 +159,6 @@ class AuditReport:
 
 MAX_SAMPLES = 4_096
 MAX_EXHAUSTIVE_LIMIT = 16  # 2**16 - 1 = 65,535 subsets
-FAMILY_MEMO_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -172,13 +171,9 @@ class ConsistencyParams:
     `exhaustive_limit` is at most 16 (65,535 subsets) and `samples` at most
     4,096, so one audit makes a bounded number of chooser calls.
 
-    Memory per audit is linear in the feasible count: leave-one-outs are
-    never materialized, and neither are subsets outside the family below.
-    The family itself (the draws, their nesting and, in exhaustive mode, the
-    subsets) is memoized per (feasible count, params) in
-    `_contraction_family`, whose `FAMILY_MEMO_SIZE` entries each hold
-    `samples` masks of feasible-count bits plus their nesting, or the
-    2**count - 1 subset masks of an exhaustive count.
+    Memory per audit is linear in the feasible count: the leave-one-outs
+    are kept as their choices only, each sample as one mask of
+    feasible-count bits, and exhaustive subsets are built one at a time.
     """
 
     seed: int = 0
@@ -414,66 +409,33 @@ def _sample_masks(count: int, params: ConsistencyParams) -> list[int]:
     return masks
 
 
-@functools.lru_cache(maxsize=FAMILY_MEMO_SIZE)
-def _contraction_family(count: int, params: ConsistencyParams) -> tuple[tuple, tuple, tuple]:
-    """The contraction family of a feasible set of `count` allocations: it
-    depends on nothing else, so audits of any market or spec share it.
+@functools.lru_cache(maxsize=16)
+def _consistency_summary(count: int, params: ConsistencyParams) -> tuple[tuple[str, int], ...]:
+    """A weak-consistency audit's summary items, in sorted key order: its
+    mode and how many pairs `_run_consistency_engine` tests on `count`
+    allocations under `params`.  It depends on nothing else, so audits of
+    any market or chooser share one memo entry: six ints, no subset masks.
 
-    Returns (samples, inside, subsets), ints and tuples only.  `samples`
-    holds (mask, size) per draw of `_sample_masks`, in draw order.  Position
-    k of the leave-one-outs-then-samples list stands for the leave-one-out
-    of k when k < loos (count leave-one-outs, none when count is 1) and for
-    sample k - loos otherwise.  `inside[j]` lists, ascending, the positions
-    of the members strictly inside sample j: the leave-one-outs when the
-    sample is the full set, then the smaller samples it contains.  In
-    exhaustive mode `subsets[size - 1]` holds every subset mask of that size
-    in `itertools.combinations` order; otherwise `subsets` is empty.
-    """
+    The leave-one-out × sample pairs are counted, not walked: leave-one-out
+    i holds every sample lacking i, so a sample of size s lies under
+    count - s of them.  A miss thus costs one scan of the sample pairs."""
+    samples = _sample_masks(count, params)
     full = (1 << count) - 1
     loos = count if count > 1 else 0
-    samples = tuple((mask, mask.bit_count()) for mask in _sample_masks(count, params))
-    inside = []
-    for sup, sup_size in samples:
-        # samples never repeat, so a strict subset is exactly a smaller subset
-        nested = [loos + k for k, (sub, size) in enumerate(samples) if size < sup_size and sub & sup == sub]
-        if sup == full:  # a leave-one-out lies under a sample only when it is the full set
-            nested[:0] = range(loos)
-        inside.append(tuple(nested))
-    subsets = ()
-    if count <= params.exhaustive_limit:
-        bits = [1 << i for i in range(count)]
-        subsets = tuple(
-            tuple(map(sum, itertools.combinations(bits, size))) for size in range(1, count + 1)
-        )
-    return samples, tuple(inside), subsets
-
-
-def _consistency_summary(count: int, params: ConsistencyParams) -> dict[str, int]:
-    """A weak-consistency audit's summary: its mode and how many pairs the
-    engine tests, read off the family of `count` allocations and `params`."""
-    samples, inside, subsets = _contraction_family(count, params)
-    loos = count if count > 1 else 0
-    family_pairs = 2**count - 1 if subsets else loos + len(samples)
-    nested = sum(map(len, inside))
-    if loos:  # every sample lacking i lies under the leave-one-out of i
-        nested += sum(count - size for _, size in samples)
-    return {  # keys in sorted order
-        "exhaustive": int(bool(subsets)),
-        "feasible_count": count,
-        "nested_pairs_tested": nested,
-        "pairs_tested": family_pairs + nested,
-        "samples_drawn": params.samples,
-        "seed": params.seed,
-    }
-
-
-def _holder_masks(profiles: Sequence[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
-    """Feasible indices by profile: one bitmask per distinct profile (at
-    most 2**agents), bit i standing for index i."""
-    masks: dict[tuple[int, ...], int] = {}
-    for i, profile in enumerate(profiles):
-        masks[profile] = masks.get(profile, 0) | 1 << i
-    return masks
+    exhaustive = count <= params.exhaustive_limit
+    nested = sum(sub != sup and sub & sup == sub for sup in samples for sub in samples)
+    nested += loos * (full in samples)  # the full set, when drawn, holds every leave-one-out
+    if loos:
+        nested += sum(count - mask.bit_count() for mask in samples)
+    family_pairs = 2**count - 1 if exhaustive else loos + len(samples)
+    return (
+        ("exhaustive", int(exhaustive)),
+        ("feasible_count", count),
+        ("nested_pairs_tested", nested),
+        ("pairs_tested", family_pairs + nested),
+        ("samples_drawn", params.samples),
+        ("seed", params.seed),
+    )
 
 
 def _run_consistency_engine(
@@ -482,106 +444,85 @@ def _run_consistency_engine(
     agent_ids: tuple[str, ...],
     choose: Callable[[int], int],
     params: ConsistencyParams,
-    with_profile: dict[tuple[int, ...], int],
 ) -> AuditReport:
     """Test (superset, subset) contractions of the feasible set, in order.
 
     First the full set against every family member: all non-empty subsets in
     exhaustive mode, otherwise the leave-one-outs followed by the sampled
     subsets.  Then every strictly nested pair among the leave-one-outs and
-    samples, superset position major, so contractions of already-contracted
-    sets get exercised too.  A pair is a violation when the subset holds an
-    allocation with the superset choice's profile but its own choice has
-    another profile.  `with_profile` is `_holder_masks(profiles)`.
+    samples, superset position major: each leave-one-out of i against the
+    samples lacking i, then each sample against the leave-one-outs (only
+    when it is the full set) and the smaller samples inside it, so
+    contractions of already-contracted sets get exercised too.  A pair is a
+    violation when the subset holds an allocation with the superset
+    choice's profile but its own choice has another profile.
 
     Sets are bitmasks over feasible indices, bit i standing for
-    `allocations[i]`.  The family (`_contraction_family`) depends only on
-    the feasible count and `params` and is memoized on them, so a call
-    draws no samples and scans no sample pairs for nesting when an audit
-    of the same count ran before; besides that memo, which is bounded by
-    its size, a call's memory is linear in the feasible count.  `choose`
-    takes a mask and returns the index it picks from it; it must be a pure
-    function of the mask.  It runs once for the full set, once per
-    leave-one-out and sample, and in exhaustive mode once per subset, never
-    once per pair.
-
-    Cost: a (leave-one-out of i, sample) pair's verdict depends on i only
-    through the target profile of the leave-one-out's choice, and on
-    whether the sample lacks i.  So the samples are screened once per
-    distinct target profile (at most 2**agents screens of `samples` each)
-    and only the flagged ones are walked per i; those pairs are counted
-    (`_consistency_summary`), not visited.  A sample's nested pairs are read
-    off the family, so only the pairs that exist are tested.
+    `allocations[i]`.  `choose` takes a mask and returns the index it picks
+    from it; it must be a pure function of the mask.  It runs once for the
+    full set, once per leave-one-out and sample, and in exhaustive mode once
+    per subset, never once per pair.  Memory is linear in the feasible
+    count: the leave-one-outs are kept as their choices only, and the
+    exhaustive subsets are built one at a time.
     """
     count = len(allocations)
     if not count:
         raise ValueError("empty candidate list")
     full = (1 << count) - 1
-    samples, inside, subsets = _contraction_family(count, params)
-    loos = range(count) if count > 1 else range(0)
-
+    holders: dict[tuple[int, ...], int] = {}  # feasible indices by profile
+    for i, profile in enumerate(profiles):
+        holders[profile] = holders.get(profile, 0) | 1 << i
     witnesses: list[ConsistencyViolation] = []
 
-    def violation(sup_size: int, sup_choice: int, sub_size: int, sub_choice: int, hits: int):
-        """The witness of a failed pair; `hits` masks the subset's holders
-        of the superset choice's profile."""
-        return ConsistencyViolation(
-            superset_size=sup_size,
-            subset_size=sub_size,
-            superset_choice=allocations[sup_choice],
-            subset_choice=allocations[sub_choice],
-            matching_allocation=allocations[(hits & -hits).bit_length() - 1],
-            superset_profile=dict(zip(agent_ids, profiles[sup_choice])),
-            subset_profile=dict(zip(agent_ids, profiles[sub_choice])),
-        )
-
-    def test(sup_size: int, sup_choice: int, sub: int, sub_size: int, sub_choice: int) -> None:
+    def test(sup: int, sup_choice: int, sub: int, sub_choice: int) -> None:
         target = profiles[sup_choice]
         if profiles[sub_choice] != target:
-            hits = sub & with_profile[target]
+            hits = sub & holders[target]
             if hits:
-                witnesses.append(violation(sup_size, sup_choice, sub_size, sub_choice, hits))
+                witness = ConsistencyViolation(
+                    superset_size=sup.bit_count(),
+                    subset_size=sub.bit_count(),
+                    superset_choice=allocations[sup_choice],
+                    subset_choice=allocations[sub_choice],
+                    matching_allocation=allocations[(hits & -hits).bit_length() - 1],
+                    superset_profile=dict(zip(agent_ids, target)),
+                    subset_profile=dict(zip(agent_ids, profiles[sub_choice])),
+                )
+                witnesses.append(witness)
 
     top = choose(full)
-    # the leave-one-outs then the samples, as (mask, size, choice), by family position
-    members = [(full ^ 1 << i, count - 1, choose(full ^ 1 << i)) for i in loos]
-    members += [(mask, size, choose(mask)) for mask, size in samples]
-    sampled = members[len(loos):]
+    loo_choices = [choose(full ^ 1 << i) for i in range(count)] if count > 1 else []
+    samples = [(mask, choose(mask)) for mask in _sample_masks(count, params)]
 
-    if subsets:
-        for size, masks in enumerate(subsets, 1):
-            for mask in masks:
-                test(count, top, mask, size, choose(mask))
+    if count <= params.exhaustive_limit:
+        bits = [1 << i for i in range(count)]
+        for size in range(1, count + 1):
+            for combo in itertools.combinations(bits, size):
+                mask = sum(combo)
+                test(full, top, mask, choose(mask))
     else:
-        for mask, size, choice in members:
-            test(count, top, mask, size, choice)
+        for i, choice in enumerate(loo_choices):
+            test(full, top, full ^ 1 << i, choice)
+        for mask, choice in samples:
+            test(full, top, mask, choice)
 
-    screens: dict[tuple[int, ...], list[tuple[int, int, int, int]]] = {}
-    for i in loos:
-        sup_choice = members[i][2]
-        target = profiles[sup_choice]
-        flagged = screens.get(target)
-        if flagged is None:  # the samples that fail against this target if they lack i
-            holders = with_profile[target]
-            flagged = screens[target] = [
-                (mask, size, choice, mask & holders)
-                for mask, size, choice in sampled
-                if profiles[choice] != target and mask & holders
-            ]
-        for mask, size, choice, hits in flagged:
+    for i, loo_choice in enumerate(loo_choices):
+        for mask, choice in samples:
             if not mask >> i & 1:
-                witnesses.append(violation(count - 1, sup_choice, size, choice, hits))
-
-    for (_, sup_size, sup_choice), nested in zip(sampled, inside):
-        for k in nested:
-            sub, size, choice = members[k]
-            test(sup_size, sup_choice, sub, size, choice)
+                test(full ^ 1 << i, loo_choice, mask, choice)
+    for sup, sup_choice in samples:
+        if sup == full:
+            for i, choice in enumerate(loo_choices):
+                test(sup, sup_choice, full ^ 1 << i, choice)
+        for sub, choice in samples:
+            if sub != sup and sub & sup == sub:
+                test(sup, sup_choice, sub, choice)
 
     return AuditReport(
         kind="weak-consistency",
         verdict=VERDICT_VIOLATION if witnesses else VERDICT_CLEAN,
         witnesses=tuple(witnesses),
-        summary=_consistency_summary(count, params),
+        summary=dict(_consistency_summary(count, params)),
     )
 
 
@@ -608,7 +549,7 @@ def audit_weak_consistency(
     allocations, _ = feasible_with_profiles(market, spec.constraints, search_budget)
     if not allocations:
         raise ValueError("empty candidate list")
-    summary = _consistency_summary(len(allocations), params or ConsistencyParams())
+    summary = dict(_consistency_summary(len(allocations), params or ConsistencyParams()))
     return AuditReport(kind="weak-consistency", verdict=VERDICT_CLEAN, summary=summary)
 
 
@@ -621,16 +562,22 @@ def audit_weak_consistency_choice(
 ) -> AuditReport:
     """Weak-consistency audit of an arbitrary choice function over allocation
     lists; used to regression-test the auditor's own sensitivity against
-    deliberately broken mechanisms."""
+    deliberately broken mechanisms.  A choice outside its candidates, which
+    would make witnesses that do not re-check, raises a ValueError."""
     params = params or ConsistencyParams()
     allocations, profiles = feasible_with_profiles(market, constraints, search_budget)
     position = {alloc: i for i, alloc in enumerate(allocations)}
 
     def choose(mask: int) -> int:
-        return position[choice([a for i, a in enumerate(allocations) if mask >> i & 1])]
+        picked = choice([a for i, a in enumerate(allocations) if mask >> i & 1])
+        index = position.get(picked) if isinstance(picked, Allocation) else None
+        if index is None:
+            raise ValueError(f"chooser returned {picked!r}, which is not a feasible allocation")
+        if not mask >> index & 1:
+            raise ValueError(f"chooser returned feasible allocation {index}, which is not among its candidates")
+        return index
 
-    holders = _holder_masks(profiles)
-    return _run_consistency_engine(allocations, profiles, market.agent_ids, choose, params, holders)
+    return _run_consistency_engine(allocations, profiles, market.agent_ids, choose, params)
 
 
 def audit_constrained_pareto(

@@ -27,7 +27,7 @@ from exchange_clear import (
     serialize,
     suites,
 )
-from exchange_clear.auditors import _contraction_family, _holder_masks, _run_consistency_engine, _sample_masks
+from exchange_clear.auditors import _consistency_summary, _run_consistency_engine, _sample_masks
 from exchange_clear.feasibility import clear_enumeration_cache, feasible_with_profiles
 from exchange_clear.instances import GeneratorConfig, generate_instance
 from exchange_clear.mechanisms import chosen_index, profile_key
@@ -193,7 +193,7 @@ def mechanism_choice_engine(market, spec, params):
         indices = [i for i in range(len(profiles)) if mask >> i & 1]
         return indices[chosen_index([profiles[i] for i in indices], key)]
 
-    return _run_consistency_engine(allocations, profiles, market.agent_ids, choose, params, _holder_masks(profiles))
+    return _run_consistency_engine(allocations, profiles, market.agent_ids, choose, params)
 
 
 @pytest.mark.parametrize("seed, count", BENCH_SHAPES)
@@ -230,7 +230,9 @@ def test_every_fixed_strict_order_of_profiles_is_weakly_consistent():
     audits = 0
     for market, constraints in fixed_order_markets():
         allocations, profiles = feasible_with_profiles(market, constraints)
-        holders = _holder_masks(profiles)
+        holders = {}  # feasible indices by profile, as bitmasks
+        for i, profile in enumerate(profiles):
+            holders[profile] = holders.get(profile, 0) | 1 << i
         for _ in range(ORDERS):
             order = rng.sample(sorted(holders), len(holders))
             best_first = [holders[profile] for profile in order]
@@ -240,9 +242,7 @@ def test_every_fixed_strict_order_of_profiles_is_weakly_consistent():
                 return (hits & -hits).bit_length() - 1
 
             for params in PARAMS:
-                report = _run_consistency_engine(
-                    allocations, profiles, market.agent_ids, choose, params, holders
-                )
+                report = _run_consistency_engine(allocations, profiles, market.agent_ids, choose, params)
                 assert not report.witnesses, (market, constraints, order, params)
                 audits += 1
     assert audits == (50 * len(suites.SIR_SETS) + len(BENCH_SHAPES)) * ORDERS * len(PARAMS)
@@ -253,7 +253,6 @@ def test_mechanism_audit_runs_no_engine_yet_keeps_its_errors(monkeypatch):
         raise AssertionError("the closed form ran the engine")
 
     monkeypatch.setattr(auditors, "_run_consistency_engine", refuse)
-    monkeypatch.setattr(auditors, "_holder_masks", refuse)
     market, constraints = pairwise_bench_market(1, 56)
     spec = MechanismSpec("cup", market.agent_ids, constraints)
     report = audit_weak_consistency(market, spec)
@@ -335,9 +334,8 @@ def test_engine_matches_naive_hypothesis(seed, name, kind, reverse, broken, para
         assert_mechanism_matches(market, MechanismSpec(kind, priority, constraints), params)
 
 
-def test_engine_memory_is_linear_in_feasible_count():
-    # 2,000 leave-one-outs of 1,999 indices would take over 30 MB as tuples
-    count = 2_000
+def engine_peak(count):
+    """Peak traced bytes of one clean engine run on `count` allocations."""
     profiles = [((i * 7) % 3 == 0, i % 5 == 0) for i in range(count)]
     allocations = list(range(count))
     order = sorted(range(count), key=lambda i: (profiles[i], -i), reverse=True)
@@ -347,37 +345,24 @@ def test_engine_memory_is_linear_in_feasible_count():
 
     tracemalloc.start()
     try:
-        report = _run_consistency_engine(
-            allocations, profiles, ("1", "2"), choose, ConsistencyParams(), _holder_masks(profiles)
-        )
+        report = _run_consistency_engine(allocations, profiles, ("1", "2"), choose, ConsistencyParams())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert report.summary["feasible_count"] == count
     assert not report.witnesses
-    assert peak < 2_000_000, peak
+    return peak
 
 
-def brute_force_family(count, params):
-    """What `_contraction_family` must return, from `_sample_masks` and a
-    scan of every (sample, member) pair."""
-    full = (1 << count) - 1
-    masks = _sample_masks(count, params)
-    loos = [full ^ 1 << i for i in range(count)] if count > 1 else []
-    members = loos + masks
-    inside = tuple(
-        tuple(k for k, sub in enumerate(members) if sub != sup and sub & sup == sub) for sup in masks
-    )
-    subsets = ()
-    if count <= params.exhaustive_limit:
-        by_size = [[] for _ in range(count)]
-        for combo in (c for size in range(1, count + 1) for c in itertools.combinations(range(count), size)):
-            by_size[len(combo) - 1].append(sum(1 << i for i in combo))
-        subsets = tuple(map(tuple, by_size))
-    return tuple((mask, mask.bit_count()) for mask in masks), inside, subsets
+def test_engine_memory_is_linear_in_feasible_count():
+    # 2,000 leave-one-outs of 1,999 indices would take over 30 MB as tuples,
+    # and as masks 0.5 MB, which doubling the count would quadruple
+    small, large = engine_peak(2_000), engine_peak(4_000)
+    assert small < 2_000_000, small
+    assert large < 2.5 * small, (small, large)
 
 
-def test_family_matches_a_brute_force_scan_of_the_draws():
+def test_summary_matches_a_brute_force_scan_of_the_draws():
     full_drawn = 0
     for count in (*range(1, 15), 22, 56, 156):
         params_list = [
@@ -387,11 +372,11 @@ def test_family_matches_a_brute_force_scan_of_the_draws():
             ConsistencyParams(seed=1, samples=400, exhaustive_limit=0),
         ]
         for params in params_list:
-            family = _contraction_family(count, params)
-            assert family == brute_force_family(count, params), (count, params)
-            assert bool(family[2]) == (count <= params.exhaustive_limit)
-            full_drawn += (1 << count) - 1 in (mask for mask, _ in family[0])
-    # seed 1 draws the full set for counts 1-7, so the leave-one-outs' branch ran
+            _, stats = naive_consistency_pairs(count, params)
+            expected = dict(sorted({"feasible_count": count, **stats}.items()))
+            assert dict(_consistency_summary(count, params)) == expected, (count, params)
+            full_drawn += (1 << count) - 1 in _sample_masks(count, params)
+    # seed 1 draws the full set for counts 1-7, so the leave-one-outs' term ran
     assert full_drawn >= 7
 
 
@@ -399,16 +384,20 @@ def test_audits_of_one_feasible_count_share_one_family():
     (first, constraints), (second, _) = pairwise_bench_market(2, 22), pairwise_bench_market(7, 22)
     assert first != second
     params = ConsistencyParams(seed=11, samples=48)
-    _contraction_family.cache_clear()
-    # the closed form reads the family once, for its summary
-    audit_weak_consistency(first, MechanismSpec("cp", first.agent_ids, constraints), params)
-    cold = _contraction_family.cache_info()
-    audit_weak_consistency(second, MechanismSpec("cup", second.agent_ids[::-1], constraints), params)
-    # the engine reads it for its sets and again for its summary
-    audit_weak_consistency_choice(second, constraints, broken_choice(second, constraints), params)
-    warm = _contraction_family.cache_info()
+    _consistency_summary.cache_clear()
+    # the closed form and the engine each read the summary memo once
+    closed = audit_weak_consistency(first, MechanismSpec("cp", first.agent_ids, constraints), params)
+    cold = _consistency_summary.cache_info()
+    again = audit_weak_consistency(second, MechanismSpec("cup", second.agent_ids[::-1], constraints), params)
+    engine = audit_weak_consistency_choice(second, constraints, broken_choice(second, constraints), params)
+    warm = _consistency_summary.cache_info()
     assert (cold.misses, cold.hits, cold.currsize) == (1, 0, 1)
-    assert (warm.misses, warm.hits, warm.currsize) == (1, 3, 1)
+    assert (warm.misses, warm.hits, warm.currsize) == (1, 2, 1)
+    assert closed.summary == again.summary == engine.summary
+    # each report owns its summary, so changing one leaves the memo alone
+    closed.summary["pairs_tested"] = -1
+    assert again.summary == engine.summary == dict(_consistency_summary(22, params))
+    assert all(type(value) is int for _, value in _consistency_summary(22, params))
 
 
 @pytest.mark.parametrize("market_seed, name", [(9, "sir"), (1, "pairwise")])
@@ -420,19 +409,37 @@ def test_warm_family_gives_the_bytes_of_a_cold_one(market_seed, name):
         market = tiny_random_market(market_seed)
     spec = MechanismSpec("cup", market.agent_ids[::-1], constraints)
     choice = broken_choice(market, constraints)
-    # (audit, family lookups per call): the closed form reads the family
-    # for its summary, the engine for its sets and its summary
     audits = (
-        (lambda params: audit_weak_consistency(market, spec, params), 1),
-        (lambda params: audit_weak_consistency_choice(market, constraints, choice, params), 2),
+        lambda params: audit_weak_consistency(market, spec, params),
+        lambda params: audit_weak_consistency_choice(market, constraints, choice, params),
     )
     for params in (ConsistencyParams(), ConsistencyParams(seed=1, samples=400, exhaustive_limit=0)):
-        for audit, lookups in audits:
-            _contraction_family.cache_clear()
+        for audit in audits:
+            _consistency_summary.cache_clear()
             cold = serialize(audit(params))
             assert serialize(audit(params)) == cold
-            info = _contraction_family.cache_info()
-            assert (info.misses, info.hits) == (1, 2 * lookups - 1)
+            info = _consistency_summary.cache_info()
+            assert (info.misses, info.hits) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "pick, message",
+    [
+        (lambda allocations: allocations[0], "feasible allocation 0, which is not among its candidates"),
+        (lambda allocations: "nope", "'nope', which is not a feasible allocation"),
+        (lambda allocations: [allocations[0]], r"\[Allocation\(.*\)\], which is not a feasible allocation"),
+    ],
+)
+def test_chooser_must_return_one_of_its_candidates(pick, message):
+    # the first tiny market with more than four allocations, so the default
+    # params sample, and some audited set lacks allocation 0
+    constraints = BUILT_IN_CONSTRAINT_SETS["unrestricted"]
+    market = next(m for m in map(tiny_random_market, itertools.count(1))
+                  if len(feasible_with_profiles(m, constraints)[0]) > 4)
+    allocations, _ = feasible_with_profiles(market, constraints)
+    assert len(allocations) == 81
+    with pytest.raises(ValueError, match=f"^chooser returned {message}$"):
+        audit_weak_consistency_choice(market, constraints, lambda candidates: pick(allocations))
 
 
 def test_empty_feasible_set_raises_a_named_error():
