@@ -121,6 +121,24 @@ MUTANTS = (
         ("tests/test_feasibility.py",),
     ),
     Mutant(
+        "cap-rejection-keeps-balances",
+        FEASIBILITY,
+        "                if not fits:\n"
+        "                    bal[a] -= 1\n"
+        "                    bal[o] += 1\n"
+        "                    continue\n",
+        "                if not fits:\n"
+        "                    continue\n",
+        ("tests/test_feasibility.py",),
+    ),
+    Mutant(
+        "cap-keep-placement-untested",
+        FEASIBILITY,
+        "                for b, hi in zip(bal, left):\n",
+        "                for b, hi in zip(bal, left) if a != o else ():\n",
+        ("tests/test_feasibility.py",),
+    ),
+    Mutant(
         "reservable-always-true",
         FEASIBILITY,
         '        agent with an option that reserves nothing is left out."""\n',
@@ -130,8 +148,8 @@ MUTANTS = (
     Mutant(
         "pairwise-deficit-off-by-one",
         FEASIBILITY,
-        "elif deficit[a] + 1 <= left[a] and deficit[o] <= left[o]:",
-        "elif deficit[a] + 1 < left[a] and deficit[o] <= left[o]:",
+        "elif deficit[a] + 1 > left[a] or deficit[o] > left[o]:",
+        "elif deficit[a] + 1 >= left[a] or deficit[o] > left[o]:",
         ("tests/test_feasibility.py",),
     ),
     Mutant(

@@ -105,15 +105,6 @@ class Allocation:
         pairs = sorted(raw.items()) if isinstance(raw, Mapping) else sorted(tuple(p) for p in raw)
         object.__setattr__(self, "assignment", tuple(pairs))
 
-    @classmethod
-    def _from_sorted(cls, pairs: tuple[tuple[str, str], ...]) -> Allocation:
-        """The allocation of `pairs`, a tuple of (item id, agent id) tuples
-        already sorted by item id with each item once; skips the
-        normalization, which the search's leaves do not need."""
-        allocation = object.__new__(cls)
-        object.__setattr__(allocation, "assignment", pairs)
-        return allocation
-
     @cached_property
     def as_dict(self) -> dict[str, str]:
         return dict(self.assignment)

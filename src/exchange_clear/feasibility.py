@@ -44,6 +44,8 @@ disjoint.  The per-agent tests see one agent at a time and miss two agents
 that need the same unplaced item.  Agents with a single option are joined
 first; the choices of the others are searched depth-first (`pack`), which can
 branch exponentially, so each of its steps that fails is charged as a node.
+It is a placement's last test, after the per-agent and trade-balance tests,
+so it runs only on placements that balance.
 
 Under sir the search also runs one such test at the root, before any item
 is placed, over every live demand at once.  There a packing takes one option
@@ -112,6 +114,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import getitem
 from typing import Callable, NamedTuple
 
 from .core import Allocation, Market, is_ir, is_sir
@@ -626,10 +629,23 @@ def _search(
     sir the live demands are first narrowed to those in some packing
     (:func:`_reservation_consistent`), and the pass's failed steps are
     charged as nodes.
+
+    A placement's tests run cheapest first: the receiver's coverage (one
+    memo lookup), then the trade balances (a few counters, or one pass over
+    the agents' balance windows), and only then the joint test, whose
+    packing can branch and charges each failed step.  The balance tests read
+    the counters as the placement would leave them and write nothing that
+    outlives a rejection, so the joint test runs only on placements that
+    balance, and the counters change only for a placement that passes every
+    test.  Under a cycle cap the keep placement (the owner takes the item)
+    moves no balance but is tested too: the windows narrow with each placed
+    item.  The order decides no leaf; it saves the joint test's charged
+    nodes on placements the balances reject.
     Coverage tests go through a per-agent memo, built for this search and
     keyed on the available items the agent demands; the trade counters are
     updated only under pairwise balance (`gave`, `deficit`) or a cycle cap
-    (`bal`)."""
+    (`bal`).  A leaf's profile comes from the final holdings alone, and
+    outside the frontier mode a leaf skips the frontier test."""
     nodes = 0
 
     def charge() -> None:
@@ -658,6 +674,7 @@ def _search(
     else:
         allowed = [tuple(range(n))] * m
     full = (1 << m) - 1
+    new, put = object.__new__, object.__setattr__
 
     held = [0] * n
     assign = [0] * m
@@ -714,25 +731,26 @@ def _search(
         return False
 
     def descend(p: int) -> None:
-        charge()
-        if found or p == m:
-            # the agents that some completion may cover (at a leaf, the
-            # profile): a subtree whose bound a found profile contains
-            # holds no new frontier profile (only the frontier mode finds
-            # profiles, and before its first leaf the bound is not needed)
-            unplaced = full >> p << p  # items p.. are unplaced
-            reach = 0
-            for i in range(n):
-                if cover[i][(held[i] | unplaced) & wanted[i]]:
-                    reach |= 1 << i
-            if any(not reach & ~f for f in found):
-                return
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            charge()  # raises the budget error
         if p == m:
+            # the profile: the agents whose final holding covers a live demand
+            reach = 0
+            for i, h in enumerate(held):
+                if cover[i][h & wanted[i]]:
+                    reach |= 1 << i
+            if frontier and any(not reach & ~f for f in found):
+                return
             if cycle_cap and not _trade_ok(
                 edge_owner, [assign[q] for q in traded], n, False, cycle_cap, charge
             ):
                 return
-            allocation = Allocation._from_sorted(tuple([cells[q][a] for q, a in enumerate(assign)]))
+            # the cells come sorted by item id, one per item, so the
+            # allocation skips __post_init__'s normalization
+            allocation = new(Allocation)
+            put(allocation, "assignment", tuple(map(getitem, cells, assign)))
             if frontier:
                 for f in [f for f in found if not f & ~reach]:
                     del found[f]
@@ -741,6 +759,18 @@ def _search(
             allocations.append(allocation)
             masks.append(reach)
             return
+        if found:
+            # the agents that some completion may cover: a subtree whose
+            # bound a found profile contains holds no new frontier profile
+            # (only the frontier mode finds profiles, and before its first
+            # leaf the bound is not needed)
+            unplaced = full >> p << p  # items p.. are unplaced
+            reach = 0
+            for i in range(n):
+                if cover[i][(held[i] | unplaced) & wanted[i]]:
+                    reach |= 1 << i
+            if any(not reach & ~f for f in found):
+                return
         rest = rest_after[p]
         # a watched agent that cannot do without the item must receive it
         claim = -1
@@ -757,50 +787,68 @@ def _search(
         bit = 1 << p
         unplaced = rest | bit
         left = own_left[p]
+        endowed_after = endowed_left[p]
+        # the trade counters move only for an item that someone owns
+        paired = pairwise and o >= 0
+        capped = cycle_cap and o >= 0
         for a in receivers:
             h = held[a]
             # under sir the receiver of an item not its own must end covered
             if need_sir and a != o and not cover[a][(h | unplaced) & wanted[a]]:
                 continue
+            # the balance tests come before anything is written, so before
+            # the costly joint test
+            if paired:
+                # the deficits the placement would leave; a trade moves the
+                # debtor's deficit by step
+                if a == o:
+                    if deficit[o] > left[o]:
+                        continue
+                elif gave[o][a] < gave[a][o]:  # o repays a
+                    if deficit[o] - 1 > left[o] or deficit[a] > left[a]:
+                        continue
+                    debtor, step = o, -1
+                elif deficit[a] + 1 > left[a] or deficit[o] > left[o]:  # a now owes o
+                    continue
+                else:
+                    debtor, step = a, 1
+            elif capped:
+                # every agent's balance window narrows with p, so keeping the
+                # item (which moves no balance) is tested too; a rejected
+                # placement leaves `bal` as it was
+                bal[a] += 1
+                bal[o] -= 1
+                fits = True
+                for b, hi in zip(bal, left):
+                    if b + endowed_after < hi or b > hi:
+                        fits = False
+                        break
+                if not fits:
+                    bal[a] -= 1
+                    bal[o] += 1
+                    continue
             held[a] = h | bit
             # a traded item may leave two agents needing the same unplaced
             # item (once none is left, the tests above are exact)
             if need_sir and a != o and rest and not reservable(p):
                 held[a] = h
+                if capped:
+                    bal[a] -= 1
+                    bal[o] += 1
                 continue
             assign[p] = a
-            if o < 0 or not (pairwise or cycle_cap):
+            if paired and a != o:
+                gave[o][a] += 1
+                deficit[debtor] += step
                 descend(p + 1)
-            elif pairwise:
-                # the deficits the placement would leave are tested first,
-                # and the counters change only for a placement that passes
-                if a == o:
-                    if deficit[o] <= left[o]:
-                        descend(p + 1)
-                elif gave[o][a] < gave[a][o]:  # o repays a
-                    if deficit[o] - 1 <= left[o] and deficit[a] <= left[a]:
-                        gave[o][a] += 1
-                        deficit[o] -= 1
-                        descend(p + 1)
-                        gave[o][a] -= 1
-                        deficit[o] += 1
-                elif deficit[a] + 1 <= left[a] and deficit[o] <= left[o]:  # a now owes o
-                    gave[o][a] += 1
-                    deficit[a] += 1
-                    descend(p + 1)
-                    gave[o][a] -= 1
-                    deficit[a] -= 1
-            else:
-                bal[a] += 1
-                bal[o] -= 1
-                endowed_after = endowed_left[p]
-                for b, hi in zip(bal, left):
-                    if b + endowed_after < hi or b > hi:
-                        break
-                else:
-                    descend(p + 1)
+                gave[o][a] -= 1
+                deficit[debtor] -= step
+            elif capped:
+                descend(p + 1)
                 bal[a] -= 1
                 bal[o] += 1
+            else:
+                descend(p + 1)
             held[a] = h
 
     try:
