@@ -153,10 +153,17 @@ MUTANTS = (
         ("tests/test_feasibility.py",),
     ),
     Mutant(
-        "frontier-bound-without-current-item",
+        "key-bound-without-current-item",
         FEASIBILITY,
         "unplaced = full >> p << p  # items p.. are unplaced",
         "unplaced = full >> p + 1 << p + 1",
+        ("tests/test_feasibility.py",),
+    ),
+    Mutant(
+        "bound-keeps-ties",
+        FEASIBILITY,
+        "            if score <= best:\n",
+        "            if score < best:\n",
         ("tests/test_feasibility.py",),
     ),
     Mutant(
@@ -227,8 +234,8 @@ MUTANTS = (
     Mutant(
         "cup-key-without-satisfied-count",
         MECHANISMS,
-        "return lambda profile: (sum(profile),) + tuple(profile[i] for i in order)",
-        "return lambda profile: tuple(profile[i] for i in order)",
+        'count = 1 << n if spec.kind == "cup" else 0',
+        "count = 0",
         ("tests/test_mechanisms.py",),
     ),
 )

@@ -3,9 +3,9 @@
 
 Covers the strategyproofness, weak-consistency, Pareto-optimality, and
 oracle-agreement checks over a configurable number of generated markets,
-and checks that the one-shot `solve` (a Pareto-frontier search) picks what
-`run_mechanism` picks from the full feasible table.  Useful for longer soak
-runs than the frozen acceptance family.
+and checks that the one-shot `solve` (a search bounded by the mechanism's
+key) picks what `run_mechanism` picks from the full feasible table.
+Useful for longer soak runs than the frozen acceptance family.
 """
 
 import argparse

@@ -53,7 +53,7 @@ per agent, keeping its endowment or reserving one live demand, with pairwise
 disjoint reservations; in every feasible allocation the agents' justifying
 options form one.  So a demand that lies in no packing is never covered, and
 the root pass drops it: the placements, the watch lists, the joint test, the
-frontier bound and the leaf profiles all read the pruned demands.  A demand
+key bound and the leaf profiles all read the pruned demands.  A demand
 that meets no other agent's endowment lies in the packing where everyone
 else keeps, as does every demand within the agent's own endowment, so the
 ir test never changes; the others are refuted by a depth-first packing
@@ -67,14 +67,13 @@ written.
 Each test is exact once every item is placed, so the pruning never changes
 the returned set.  Within one search each agent's coverage test is memoized
 on the available items it demands, and the trade counters exist only under
-pairwise balance or a cycle cap.  In the full search and in the frontier
-mode below, a leaf records its profile as an agent bitmask (bit i: agent i
-covers a live demand); at its return the search turns each distinct mask
-into one tuple, shared by the allocations with that profile.  It returns
-the allocations, their satisfaction profiles and its node count: the root,
-every placement that survives the tests, every failed step of the root
-pass's and the joint test's packings and every step of the leaves'
-cycle-partition search.  Past the node budget it aborts with
+pairwise balance or a cycle cap.  A leaf records its profile as an agent
+bitmask (bit i: agent i covers a live demand); at its return the search
+turns each distinct mask into one tuple, shared by the allocations with that
+profile.  It returns the allocations, their satisfaction profiles and its
+node count: the root, every placement that survives the tests, every failed
+step of the root pass's and the joint test's packings and every step of the
+leaves' cycle-partition search.  Past the node budget it aborts with
 :class:`BudgetExceededError` (the instance is beyond desk scale).
 
 A search is two steps.  `_compile` turns (market, constraint set) into the
@@ -90,23 +89,21 @@ only in its demands, so `_with_demands` derives the value for another
 demand report from a compiled base: it replaces that agent's demands and
 (under desirable) what it may receive, and shares every other field.
 
-The frontier mode serves a caller that runs one mechanism spec once (the
-command line's `solve`).  Both mechanisms rank a satisfaction profile above
-every profile it contains, so their choice is the first holder of a profile
-on the Pareto frontier of the feasible profiles.  The mode is the same
-search, charged the same way.  Once a profile is found, a node is pruned
-when the agents that can still be covered (held plus unplaced items cover a
-live demand) lie inside a found profile: no leaf below holds a profile
-outside it.  A leaf is kept only if its profile lies inside no found
-profile (this test runs before the cycle-partition search), and a kept leaf
-drops every found profile inside its own.  A frontier profile lies inside
-no other feasible profile, so its first holder is never pruned nor dropped,
-and the search returns exactly the first holders of the frontier profiles,
-in canonical order.  It charges far fewer nodes where many allocations share
-few profiles (the generator-seed-3 ladder: n=6 `pairwise` 300,355 -> 35,906
-nodes), so its budget is reached later.  The cache, the audits and
-`run_mechanism` keep the full table: they read all of it, or many specs'
-choices from it.
+The bounded mode serves a caller that runs one mechanism spec once (the
+command line's `solve`): a branch and bound on the mechanism's key (Land and
+Doig 1960).  Each agent has a weight, and a leaf scores the weight of the
+agents it covers; the full search weighs agent i as 1 << i, so there the
+score is the profile's bitmask.  The bounded search keeps one incumbent: a
+leaf is kept only if its score beats the incumbent's, and then replaces it,
+and a node is pruned when the agents that can still be covered (held plus
+unplaced items cover a live demand) weigh no more than the incumbent.  The
+leaf test runs before the cycle-partition search.  Leaves come in canonical
+order, so the search returns the first holder of the best profile, the
+mechanism's choice.  It is the same search, charged the same way, and it
+charges far fewer nodes where many allocations score below the best (the
+generator-seed-3 ladder: n=6 `pairwise` 300,355 -> 32,132 nodes under cp),
+so its budget is reached later.  The cache, the audits and `run_mechanism`
+keep the full table: they read all of it, or many specs' choices from it.
 """
 
 from __future__ import annotations
@@ -601,21 +598,22 @@ def _displace(
 
 
 def search_feasible(
-    market: Market, constraints: ConstraintSet, budget: int, frontier: bool = False
+    market: Market, constraints: ConstraintSet, budget: int, weights: list[int] | None = None
 ) -> tuple[tuple[Allocation, ...], tuple[tuple[int, ...], ...], int]:
     """Depth-first search of one (market, constraint set), uncached: markets
     searched once call it directly.  Returns the feasible allocations in
     canonical order, their satisfaction profiles and the number of nodes
     charged against `budget`, the node budget itself (see
-    :func:`resolve_budget`); no state outlives the call.  With `frontier` it
-    returns only the first holder of each profile on the Pareto frontier of
-    the feasible profiles, in canonical order (see the module docstring).
-    It is :func:`_search` of :func:`_compile`."""
-    return _search(_compile(market, constraints), budget, frontier)
+    :func:`resolve_budget`); no state outlives the call.  With `weights`
+    (one non-negative integer per agent, canonical agent order) it returns
+    only the first holder of the feasible profile whose satisfied agents
+    weigh the most, and nothing when no allocation is feasible (see the
+    module docstring).  It is :func:`_search` of :func:`_compile`."""
+    return _search(_compile(market, constraints), budget, weights)
 
 
 def _search(
-    c: _Compiled, budget: int, frontier: bool = False
+    c: _Compiled, budget: int, weights: list[int] | None = None
 ) -> tuple[tuple[Allocation, ...], tuple[tuple[int, ...], ...], int]:
     """:func:`search_feasible` over a compiled market.
 
@@ -644,8 +642,9 @@ def _search(
     Coverage tests go through a per-agent memo, built for this search and
     keyed on the available items the agent demands; the trade counters are
     updated only under pairwise balance (`gave`, `deficit`) or a cycle cap
-    (`bal`).  A leaf's profile comes from the final holdings alone, and
-    outside the frontier mode a leaf skips the frontier test."""
+    (`bal`).  A leaf's score, the weight of the agents its final holdings
+    cover, comes from those holdings alone; in the full search each agent i
+    weighs 1 << i, so the score is the profile's agent bitmask."""
     nodes = 0
 
     def charge() -> None:
@@ -675,6 +674,7 @@ def _search(
         allowed = [tuple(range(n))] * m
     full = (1 << m) - 1
     new, put = object.__new__, object.__setattr__
+    score_of = [1 << i for i in range(n)] if weights is None else weights
 
     held = [0] * n
     assign = [0] * m
@@ -683,10 +683,7 @@ def _search(
     bal = [0] * n  # cycle cap: items received minus own items given away
     allocations: list[Allocation] = []
     masks: list[int] = []  # their profiles as agent bitmasks
-    # frontier mode: the profiles found so far that no other found profile
-    # contains, as agent bitmasks, each with its first holder, in the order
-    # found
-    found: dict[int, Allocation] = {}
+    best = -1  # bounded search: the incumbent's score; no leaf scores below 0
 
     def reservable(p: int) -> bool:
         """Under sir, after item p is placed: whether every agent can still
@@ -731,17 +728,19 @@ def _search(
         return False
 
     def descend(p: int) -> None:
-        nonlocal nodes
+        nonlocal nodes, best
         nodes += 1
         if nodes > budget:
             charge()  # raises the budget error
         if p == m:
-            # the profile: the agents whose final holding covers a live demand
-            reach = 0
+            # the weight of the agents whose final holding covers a live demand
+            score = 0
             for i, h in enumerate(held):
                 if cover[i][h & wanted[i]]:
-                    reach |= 1 << i
-            if frontier and any(not reach & ~f for f in found):
+                    score += score_of[i]
+            # the full search never sets `best`; the bounded one keeps a leaf
+            # only if it beats every earlier leaf, so ties go to the first
+            if score <= best:
                 return
             if cycle_cap and not _trade_ok(
                 edge_owner, [assign[q] for q in traded], n, False, cycle_cap, charge
@@ -751,25 +750,23 @@ def _search(
             # allocation skips __post_init__'s normalization
             allocation = new(Allocation)
             put(allocation, "assignment", tuple(map(getitem, cells, assign)))
-            if frontier:
-                for f in [f for f in found if not f & ~reach]:
-                    del found[f]
-                found[reach] = allocation
-                return
+            if weights is not None:  # a new incumbent replaces the old one
+                best = score
+                allocations.clear()
+                masks.clear()
+                score = sum([cover[i][h & wanted[i]] << i for i, h in enumerate(held)])  # its bitmask
             allocations.append(allocation)
-            masks.append(reach)
+            masks.append(score)
             return
-        if found:
-            # the agents that some completion may cover: a subtree whose
-            # bound a found profile contains holds no new frontier profile
-            # (only the frontier mode finds profiles, and before its first
-            # leaf the bound is not needed)
+        if best >= 0:
+            # the weight of the agents that some completion may cover: a
+            # subtree that cannot beat the incumbent holds no leaf it keeps
             unplaced = full >> p << p  # items p.. are unplaced
             reach = 0
             for i in range(n):
                 if cover[i][(held[i] | unplaced) & wanted[i]]:
-                    reach |= 1 << i
-            if any(not reach & ~f for f in found):
+                    reach += score_of[i]
+            if reach <= best:
                 return
         rest = rest_after[p]
         # a watched agent that cannot do without the item must receive it
@@ -855,8 +852,6 @@ def _search(
         descend(0)
     finally:
         descend = pack = None  # break the closures' reference cycles
-    if frontier:
-        allocations, masks = list(found.values()), list(found)
     # one tuple per distinct profile, shared by its holders
     profile = {f: tuple([f >> i & 1 for i in range(n)]) for f in set(masks)}
     return tuple(allocations), tuple([profile[f] for f in masks]), nodes

@@ -12,6 +12,7 @@ key-tied allocations give every agent the same utility.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Sequence
 
 from .core import Allocation, Market, PriorityOrder
@@ -49,21 +50,26 @@ def check_priority(market: Market, priority: Sequence[str]) -> PriorityOrder:
     return priority
 
 
-def profile_key(market: Market, spec: MechanismSpec) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+def _weights(market: Market, spec: MechanismSpec) -> list[int]:
+    """The mechanism key as integers: one weight per agent, canonical agent
+    order.  The agent at priority rank r weighs 2**(n-1-r), plus 2**n under
+    cup so that the satisfied count comes first.  Summed over a profile's
+    satisfied agents, they order profiles as the lexicographic keys do."""
+    n = len(check_priority(market, spec.priority))
+    rank = {agent_id: r for r, agent_id in enumerate(spec.priority)}
+    count = 1 << n if spec.kind == "cup" else 0
+    return [count + (1 << n - 1 - rank[agent_id]) for agent_id in market.agent_ids]
+
+
+def profile_key(market: Market, spec: MechanismSpec) -> Callable[[tuple[int, ...]], int]:
     """The mechanism key of a satisfaction profile (0/1 per agent, canonical
-    agent order): (u_p1, ..., u_pn) for cp, with the satisfied count
-    prepended for cup.  Distinct profiles get distinct keys."""
-    check_priority(market, spec.priority)
-    index_of = {agent_id: i for i, agent_id in enumerate(market.agent_ids)}
-    order = [index_of[a] for a in spec.priority]
-    if spec.kind == "cup":
-        return lambda profile: (sum(profile),) + tuple(profile[i] for i in order)
-    return lambda profile: tuple(profile[i] for i in order)
+    agent order): the sum of its satisfied agents' :func:`_weights`.
+    Distinct profiles get distinct keys."""
+    weights = _weights(market, spec)
+    return lambda profile: sum(compress(weights, profile))
 
 
-def chosen_index(
-    profiles: Sequence[tuple[int, ...]], key: Callable[[tuple[int, ...]], tuple[int, ...]]
-) -> int:
+def chosen_index(profiles: Sequence[tuple[int, ...]], key: Callable[[tuple[int, ...]], int]) -> int:
     """The index the mechanism picks from a feasible table: the first holder
     of the profile with the maximal key."""
     if not profiles:
@@ -85,14 +91,11 @@ def run_mechanism(market: Market, spec: MechanismSpec, budget: int | None = None
 
 def solve(market: Market, spec: MechanismSpec, budget: int | None = None) -> Allocation:
     """The allocation :func:`run_mechanism` returns, from one uncached
-    search of the Pareto frontier of the feasible profiles, for a caller
-    that runs one spec once.  Every key ranks a profile above each profile
-    it contains, so the chosen profile lies on the frontier, and the
-    frontier search keeps its first holder.  That search charges fewer
-    nodes than the full one, so `budget` is reached later."""
-    key = profile_key(market, spec)
-    allocations, profiles, _ = search_feasible(
-        market, spec.constraints, resolve_budget(budget), frontier=True
-    )
-    return allocations[chosen_index(profiles, key)]
-
+    search bounded by the mechanism's key, for a caller that runs one spec
+    once.  It charges no more nodes than the full search (see
+    :func:`search_feasible`), so `budget` is reached later."""
+    weights = _weights(market, spec)
+    allocations, _, _ = search_feasible(market, spec.constraints, resolve_budget(budget), weights)
+    if not allocations:
+        raise ValueError("empty candidate list")
+    return allocations[0]

@@ -208,21 +208,6 @@ def naive_enumerate(market, constraints):
     return out
 
 
-def pareto_frontier(allocations, profiles):
-    """(first holder, profile) of every profile that no other profile in
-    `profiles` contains, in the order of `allocations`."""
-    distinct = set(profiles)
-
-    def contained(p):
-        return any(q != p and all(x <= y for x, y in zip(p, q)) for q in distinct)
-
-    return tuple(
-        (alloc, profile)
-        for i, (alloc, profile) in enumerate(zip(allocations, profiles))
-        if profiles.index(profile) == i and not contained(profile)
-    )
-
-
 def greedy_cp(market, priority, constraints):
     """Sequential-filtering formulation of the constrained priority mechanism:
     keep the allocations satisfying each agent in priority order whenever any

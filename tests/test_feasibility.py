@@ -36,6 +36,7 @@ from exchange_clear.feasibility import (
     feasible_with_profiles,
     search_feasible,
 )
+from exchange_clear.mechanisms import MECHANISM_KINDS, _weights, chosen_index, profile_key, solve
 
 from oracles import (
     TradeGraph,
@@ -44,7 +45,6 @@ from oracles import (
     naive_enumerate,
     naive_satisfies_constraints,
     one_donor_market,
-    pareto_frontier,
     permanent,
     tiny_random_market,
     trade_graph,
@@ -364,16 +364,26 @@ def test_feasible_with_profiles_matches_naive_property(seed, name):
     assert feasible_with_profiles(market, cs) == _naive_with_profiles(market, cs)
 
 
-def _frontier(market, cs):
-    allocations, profiles, _ = search_feasible(market, cs, DEFAULT_SEARCH_BUDGET, frontier=True)
-    return tuple(zip(allocations, profiles))
+def _check_bounded(market, cs, expected, search=None):
+    """The search bounded by cp's and cup's keys, under the canonical and the
+    reversed priority, returns run_mechanism's choice from the feasible table
+    `expected` (allocations, profiles) with its profile, or nothing when the
+    table is empty.  `search` maps the weights to a search's result."""
+    search = search or (lambda weights: search_feasible(market, cs, DEFAULT_SEARCH_BUDGET, weights))
+    allocations, profiles = expected
+    for kind in MECHANISM_KINDS:
+        for priority in (market.agent_ids, market.agent_ids[::-1]):
+            spec = MechanismSpec(kind, priority, cs)
+            chosen = [chosen_index(profiles, profile_key(market, spec))] if allocations else []
+            choice = tuple(allocations[i] for i in chosen), tuple(profiles[i] for i in chosen)
+            assert search(_weights(market, spec))[:2] == choice, spec
 
 
 @pytest.mark.parametrize("seed", range(1, 41))
 def test_frontier_search_keeps_first_holders_of_maximal_profiles(seed):
     market = tiny_random_market(seed, max_agents=4, max_items=5)
-    for name, cs in {**CHECK_SETS, **CLAIM_SETS}.items():
-        assert _frontier(market, cs) == pareto_frontier(*feasible_with_profiles(market, cs)), (seed, name)
+    for cs in {**CHECK_SETS, **CLAIM_SETS}.values():
+        _check_bounded(market, cs, feasible_with_profiles(market, cs))
 
 
 @settings(max_examples=60, deadline=None)
@@ -381,7 +391,7 @@ def test_frontier_search_keeps_first_holders_of_maximal_profiles(seed):
 def test_frontier_search_keeps_first_holders_of_maximal_profiles_property(seed, name):
     market = tiny_random_market(seed, max_agents=4, max_items=5)
     cs = CHECK_SETS[name]
-    assert _frontier(market, cs) == pareto_frontier(*_naive_with_profiles(market, cs))
+    _check_bounded(market, cs, _naive_with_profiles(market, cs))
 
 
 def test_unendowed_item_makes_no_trade_edge():
@@ -391,10 +401,15 @@ def test_unendowed_item_makes_no_trade_edge():
     for name, cs in BUILT_IN_CONSTRAINT_SETS.items():
         allocs = enumerate_feasible(market, cs)
         assert allocs == naive_enumerate(market, cs), name
+        spec = MechanismSpec("cp", market.agent_ids, cs)
         if "sir" in name or "desirable" in name:
             assert allocs == [], name
+            for run in (run_mechanism, solve):
+                with pytest.raises(ValueError, match="empty candidate list"):
+                    run(market, spec)
         else:
             assert len(allocs) == (8 if name in ("unrestricted", "ir") else 4), name
+            assert solve(market, spec) == run_mechanism(market, spec), name
 
 
 @pytest.mark.parametrize("set_name", sorted(BUILT_IN_CONSTRAINT_SETS))
@@ -405,8 +420,12 @@ def test_agentless_market_matches_naive(set_name, items):
     market = Market((), items)
     cs = BUILT_IN_CONSTRAINT_SETS[set_name]
     assert feasible_with_profiles(market, cs) == _naive_with_profiles(market, cs)
-    if not items:
-        assert run_mechanism(market, MechanismSpec("cp", (), cs)) == Allocation(())
+    for run in (run_mechanism, solve):
+        if items:
+            with pytest.raises(ValueError, match="empty candidate list"):
+                run(market, MechanismSpec("cp", (), cs))
+        else:
+            assert run(market, MechanismSpec("cp", (), cs)) == Allocation(())
 
 
 def test_cycle_partition_steps_are_charged(monkeypatch):
@@ -506,27 +525,28 @@ def test_sir_reservation_packing_is_charged():
         search_feasible(market, sir, 1_000)
 
 
-# The frontier search's exact (nodes, frontier profiles) on the ladder cells
-# where it saves the most: the full search charges 1,603, 20,171, 300,355,
-# 1,233,843, 347,853 and 10,647 nodes on them.  Dropping the node prune
-# moves the node counts; dropping the leaf eviction moves the profile counts.
+# The nodes the search bounded by cp's and cup's keys (canonical priority)
+# charges on the ladder cells where it saves the most: the full search
+# charges 1,603, 20,171, 300,355, 1,233,843, 347,853 and 10,647 nodes on
+# them.  Only these pins see a change in how much the bound prunes.
 @pytest.mark.parametrize(
-    "n, text, nodes, count",
+    "n, text, cp_nodes, cup_nodes",
     [
-        (4, "pairwise", 801, 3),
-        (5, "pairwise", 4_505, 2),
-        (6, "pairwise", 35_906, 2),
-        (5, "maxcycle=3", 20_777, 1),
-        (8, "sir", 598, 1),
-        (8, "sir,pairwise", 10_576, 2),
+        (4, "pairwise", 801, 698),
+        (5, "pairwise", 2_421, 2_057),
+        (6, "pairwise", 32_132, 17_655),
+        (5, "maxcycle=3", 6_648, 5_568),
+        (8, "sir", 598, 597),
+        (8, "sir,pairwise", 9_881, 10_571),
     ],
 )
-def test_frontier_search_node_counts_are_pinned(n, text, nodes, count):
+def test_bounded_search_node_counts_are_pinned(n, text, cp_nodes, cup_nodes):
     market = generate_instance(SHAPES["ladder"](n))
-    allocations, _, charged = search_feasible(
-        market, parse_constraints(text), DEFAULT_SEARCH_BUDGET, frontier=True
-    )
-    assert (charged, len(allocations)) == (nodes, count)
+    cs = parse_constraints(text)
+    for kind, nodes in (("cp", cp_nodes), ("cup", cup_nodes)):
+        weights = _weights(market, MechanismSpec(kind, market.agent_ids, cs))
+        allocations, _, charged = search_feasible(market, cs, DEFAULT_SEARCH_BUDGET, weights)
+        assert (charged, len(allocations)) == (nodes, 1), kind
 
 
 def test_equal_profiles_in_a_table_are_one_tuple():
@@ -537,7 +557,6 @@ def test_equal_profiles_in_a_table_are_one_tuple():
     clear_enumeration_cache()
     tables = {
         "full": search_feasible(market, pairwise, DEFAULT_SEARCH_BUDGET)[1],
-        "frontier": search_feasible(market, pairwise, DEFAULT_SEARCH_BUDGET, frontier=True)[1],
         "cached": feasible_with_profiles(market, pairwise)[1],
     }
     assert len(tables["full"]) == len(tables["cached"]) == 474
@@ -582,14 +601,14 @@ def test_one_donor_node_counts_are_pinned(seed, text, nodes, count):
 @pytest.mark.parametrize("n", [4, 5])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_one_donor_search_matches_naive(seed, n):
-    # the full and the frontier search on the kidney shape under every
+    # the full and the bounded search on the kidney shape under every
     # exchange-cycle set, with and without sir
     market, _ = one_donor_market(seed, n)
     for text in ("pairwise", "maxcycle=3", "sir,pairwise", "sir,maxcycle=3"):
         cs = parse_constraints(text)
         expected = _naive_with_profiles(market, cs)
         assert search_feasible(market, cs, DEFAULT_SEARCH_BUDGET)[:2] == expected, text
-        assert _frontier(market, cs) == pareto_frontier(*expected), text
+        _check_bounded(market, cs, expected)
 
 # ------------------------------------------------- root reservation pass
 
@@ -626,7 +645,7 @@ PASS_MARKETS = {
 
 @pytest.mark.parametrize("group", sorted(PASS_MARKETS))
 def test_reservation_pass_matches_naive(group):
-    # the full and the frontier search under every set the pass runs under;
+    # the full and the bounded search under every set the pass runs under;
     # each set is sir and more, so its naive answer is the naive sir answer
     # filtered by its own predicate, in the same order
     for market in PASS_MARKETS[group]:
@@ -635,7 +654,7 @@ def test_reservation_pass_matches_naive(group):
             allocs = tuple(a for a in sir if naive_satisfies_constraints(market, a, cs))
             expected = allocs, tuple(tuple(satisfaction_profile(market, a).values()) for a in allocs)
             assert search_feasible(market, cs, DEFAULT_SEARCH_BUDGET)[:2] == expected, (name, market)
-            assert _frontier(market, cs) == pareto_frontier(*expected), (name, market)
+            _check_bounded(market, cs, expected)
 
 
 def _pruned_live(market, cs):
@@ -678,8 +697,11 @@ def test_searches_leave_their_compiled_value_unchanged():
     def search(c):
         return feasibility._search(c, DEFAULT_SEARCH_BUDGET)
 
-    def frontier(c):
-        return feasibility._search(c, DEFAULT_SEARCH_BUDGET, frontier=True)
+    def bounded(c):
+        # only the base is searched this way: it is the market's own value
+        _check_bounded(
+            market, cs, feasible_with_profiles(market, cs), lambda w: feasibility._search(c, DEFAULT_SEARCH_BUDGET, w)
+        )
 
     def reservation_pass(c):
         return feasibility._reservation_consistent(c, lambda: None)
@@ -688,7 +710,7 @@ def test_searches_leave_their_compiled_value_unchanged():
         for name, cs in BUILT_IN_CONSTRAINT_SETS.items():
             base = feasibility._compile(market, cs)
             patch = feasibility._with_demands(base, 0, market.agents[-1].demands)
-            for value, call in ((base, search), (base, frontier), (patch, search), (base, reservation_pass)):
+            for value, call in ((base, search), (base, bounded), (patch, search), (base, reservation_pass)):
                 before = copy.deepcopy(value)
                 call(value)
                 assert value == before, (name, call.__name__, market)

@@ -30,14 +30,14 @@ def key_of(market, allocation, spec):
 
 def test_lex_key_cup_example1(example1, example1_all_satisfying):
     spec = MechanismSpec("cup", ("1", "2", "3"), example1.constraints)
-    assert key_of(example1.market, example1_all_satisfying, spec) == (3, 1, 1, 1)
+    assert key_of(example1.market, example1_all_satisfying, spec) == 31  # 3 * 2**3 + 4 + 2 + 1
 
 
 def test_lex_key_cp_theorem5_endowment(theorem5):
     endow = endowment_allocation(theorem5.market)
     for priority in itertools.permutations(theorem5.market.agent_ids):
         spec = MechanismSpec("cp", priority, theorem5.constraints)
-        assert key_of(theorem5.market, endow, spec) == (0, 0, 0)
+        assert key_of(theorem5.market, endow, spec) == 0
 
 
 def test_lex_key_indicator_placement():
@@ -50,7 +50,27 @@ def test_lex_key_indicator_placement():
         items=(Item("x"), Item("y"), Item("z")),
     )
     spec = MechanismSpec("cp", ("2", "1", "3"), BUILT_IN_CONSTRAINT_SETS["sir"])
-    assert key_of(market, endowment_allocation(market), spec) == (1, 0, 0)
+    assert key_of(market, endowment_allocation(market), spec) == 4  # agent 2 first: 2**2
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_integer_key_orders_profiles_as_the_lexicographic_key(n):
+    # the paper's key reads the indicators in priority order, after the
+    # satisfied count under cup; the integer key must order every profile
+    # the same way, for every priority
+    market = Market(tuple(Agent(str(i), [f"x{i}"]) for i in range(n)), tuple(Item(f"x{i}") for i in range(n)))
+    profiles = list(itertools.product((0, 1), repeat=n))
+    for priority in itertools.permutations(market.agent_ids):
+        order = [market.agent_ids.index(agent_id) for agent_id in priority]
+        for kind in MECHANISM_KINDS:
+            key = profile_key(market, MechanismSpec(kind, priority, BUILT_IN_CONSTRAINT_SETS["unrestricted"]))
+
+            def paper(profile):
+                indicators = tuple(profile[i] for i in order)
+                return (sum(profile),) + indicators if kind == "cup" else indicators
+
+            assert len(set(map(key, profiles))) == 2**n, (kind, priority)
+            assert sorted(profiles, key=key) == sorted(profiles, key=paper), (kind, priority)
 
 
 def test_choose_from_singleton(example1):
