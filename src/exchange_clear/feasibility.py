@@ -67,11 +67,14 @@ written.
 Each test is exact once every item is placed, so the pruning never changes
 the returned set.  Within one search each agent's coverage test is memoized
 on the available items it demands, and the trade counters exist only under
-pairwise balance or a cycle cap.  A leaf records its profile as an agent
-bitmask (bit i: agent i covers a live demand); at its return the search
-turns each distinct mask into one tuple, shared by the allocations with that
-profile.  It returns the allocations, their satisfaction profiles and its
-node count: the root, every placement that survives the tests, every failed
+pairwise balance or a cycle cap.  A leaf records its assignment as a row
+(the agent index of each item) and its profile as an agent bitmask (bit i:
+agent i covers a live demand); at its return the search turns each distinct
+mask into one tuple, shared by the allocations with that profile, and notes
+its first holder.  It returns a :class:`FeasibleTable` (the rows, their
+profiles and each distinct profile's first holder, with an
+:class:`Allocation` built only when one is read), the profiles and its node
+count: the root, every placement that survives the tests, every failed
 step of the root pass's and the joint test's packings and every step of the
 leaves' cycle-partition search.  Past the node budget it aborts with
 :class:`BudgetExceededError` (the instance is beyond desk scale).
@@ -102,13 +105,16 @@ order, so the search returns the first holder of the best profile, the
 mechanism's choice.  It is the same search, charged the same way, and it
 charges far fewer nodes where many allocations score below the best (the
 generator-seed-3 ladder: n=6 `pairwise` 300,355 -> 32,132 nodes under cp),
-so its budget is reached later.  The cache, the audits and `run_mechanism`
-keep the full table: they read all of it, or many specs' choices from it.
+so its budget is reached later.  The cache keeps the full table:
+`run_mechanism` and the audits read many specs' choices from its first
+holders, the Pareto audit the holders of the profiles that dominate, and
+`enumerate` its size, ends and profiles.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import getitem
@@ -446,8 +452,8 @@ class _Compiled(NamedTuple):
     endowed_left: list[int]
     traded: list[int]  # the endowed items
     edge_owner: list[int]  # their owners
-    # the cached table holds every allocation: they share one (item, agent)
-    # pair per cell
+    # per item and agent, the (item, agent) pair: a table's rows index it,
+    # so the allocations it builds share one pair per cell
     cells: list[list[tuple[str, str]]]
 
 
@@ -597,24 +603,80 @@ def _displace(
     return False
 
 
+class FeasibleTable(Sequence):
+    """A search's feasible allocations in canonical order, read-only.
+
+    Each allocation is kept as a row: per item, in id order, the index of
+    the agent it goes to, read through the compiled `cells`.  `profiles`
+    holds each allocation's satisfaction profile (0/1 per agent, canonical
+    agent order), and `first` maps each distinct profile to the index of its
+    first holder, in order of first appearance.  `table[i]` builds the
+    :class:`Allocation`; a first holder is built once and kept, so a
+    table holds no allocation that was never read.  A table equals the tuple
+    of its allocations, and another table with the same allocations."""
+
+    __slots__ = ("_rows", "_cells", "profiles", "first", "_built")
+
+    def __init__(self, rows, cells, profiles, first):
+        self._rows = rows
+        self._cells = cells
+        self.profiles = profiles
+        self.first = first
+        self._built = {}  # first-holder index -> its allocation, once read
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):  # a tuple, as a tuple's slice is
+            return tuple(map(self.__getitem__, range(len(self._rows))[i]))
+        row = self._rows[i]
+        if i < 0:
+            i += len(self._rows)
+        allocation = self._built.get(i)
+        if allocation is None:
+            # the cells come sorted by item id, one per item, so the
+            # allocation skips __post_init__'s normalization
+            allocation = object.__new__(Allocation)
+            object.__setattr__(allocation, "assignment", tuple(map(getitem, self._cells, row)))
+            if self.first[self.profiles[i]] == i:
+                self._built[i] = allocation
+        return allocation
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._rows)))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (FeasibleTable, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def bundle_of(self, i: int, agent_id: str) -> frozenset[str]:
+        """`self[i].bundle_of(agent_id)`, read from the row: no allocation
+        is built."""
+        cells = map(getitem, self._cells, self._rows[i])
+        return frozenset([item_id for item_id, owner in cells if owner == agent_id])
+
+
 def search_feasible(
     market: Market, constraints: ConstraintSet, budget: int, weights: list[int] | None = None
-) -> tuple[tuple[Allocation, ...], tuple[tuple[int, ...], ...], int]:
+) -> tuple[FeasibleTable, tuple[tuple[int, ...], ...], int]:
     """Depth-first search of one (market, constraint set), uncached: markets
-    searched once call it directly.  Returns the feasible allocations in
-    canonical order, their satisfaction profiles and the number of nodes
-    charged against `budget`, the node budget itself (see
-    :func:`resolve_budget`); no state outlives the call.  With `weights`
-    (one non-negative integer per agent, canonical agent order) it returns
-    only the first holder of the feasible profile whose satisfied agents
-    weigh the most, and nothing when no allocation is feasible (see the
-    module docstring).  It is :func:`_search` of :func:`_compile`."""
+    searched once call it directly.  Returns a :class:`FeasibleTable` of the
+    feasible allocations in canonical order, their satisfaction profiles
+    (the table's `profiles`) and the number of nodes charged against
+    `budget`, the node budget itself (see :func:`resolve_budget`); no state
+    outlives the call.  With `weights` (one non-negative integer per agent,
+    canonical agent order) the table holds only the first holder of the
+    feasible profile whose satisfied agents weigh the most, and nothing when
+    no allocation is feasible (see the module docstring).  It is
+    :func:`_search` of :func:`_compile`."""
     return _search(_compile(market, constraints), budget, weights)
 
 
 def _search(
     c: _Compiled, budget: int, weights: list[int] | None = None
-) -> tuple[tuple[Allocation, ...], tuple[tuple[int, ...], ...], int]:
+) -> tuple[FeasibleTable, tuple[tuple[int, ...], ...], int]:
     """:func:`search_feasible` over a compiled market.
 
     Items are assigned in id order, each to the agents in id order, so leaves
@@ -673,7 +735,6 @@ def _search(
     else:
         allowed = [tuple(range(n))] * m
     full = (1 << m) - 1
-    new, put = object.__new__, object.__setattr__
     score_of = [1 << i for i in range(n)] if weights is None else weights
 
     held = [0] * n
@@ -681,7 +742,7 @@ def _search(
     gave = [[0] * n for _ in range(n)]  # pairwise: gave[i][j] items i owns placed with j
     deficit = [0] * n  # pairwise: sum over i of max(0, gave[i][j] - gave[j][i])
     bal = [0] * n  # cycle cap: items received minus own items given away
-    allocations: list[Allocation] = []
+    rows: list[tuple[int, ...]] = []  # the leaves' `assign`
     masks: list[int] = []  # their profiles as agent bitmasks
     best = -1  # bounded search: the incumbent's score; no leaf scores below 0
 
@@ -746,16 +807,12 @@ def _search(
                 edge_owner, [assign[q] for q in traded], n, False, cycle_cap, charge
             ):
                 return
-            # the cells come sorted by item id, one per item, so the
-            # allocation skips __post_init__'s normalization
-            allocation = new(Allocation)
-            put(allocation, "assignment", tuple(map(getitem, cells, assign)))
             if weights is not None:  # a new incumbent replaces the old one
                 best = score
-                allocations.clear()
+                rows.clear()
                 masks.clear()
                 score = sum([cover[i][h & wanted[i]] << i for i, h in enumerate(held)])  # its bitmask
-            allocations.append(allocation)
+            rows.append(tuple(assign))
             masks.append(score)
             return
         if best >= 0:
@@ -852,32 +909,37 @@ def _search(
         descend(0)
     finally:
         descend = pack = None  # break the closures' reference cycles
-    # one tuple per distinct profile, shared by its holders
-    profile = {f: tuple([f >> i & 1 for i in range(n)]) for f in set(masks)}
-    return tuple(allocations), tuple([profile[f] for f in masks]), nodes
+    profile: dict[int, tuple[int, ...]] = {}  # one tuple per distinct mask, shared by its holders
+    first: dict[tuple[int, ...], int] = {}  # each profile's first holder, in order of first appearance
+    for j, f in enumerate(masks):
+        if f not in profile:
+            profile[f] = tuple([f >> i & 1 for i in range(n)])
+            first[profile[f]] = j
+    profiles = tuple(map(profile.__getitem__, masks))
+    return FeasibleTable(tuple(rows), cells, profiles, first), profiles, nodes
 
 
 @lru_cache(maxsize=4096)
 def _feasible_profiles_cached(
     market: Market, constraints: ConstraintSet, budget: int
-) -> tuple[tuple[Allocation, ...], tuple[tuple[int, ...], ...], dict]:
-    """The enumeration cache: :func:`search_feasible`'s allocations and
-    profiles plus an empty dict for the tables derived from them (see
-    :func:`derived_tables`).  Its callers key it on :func:`_canonical`
-    constraint sets."""
-    allocations, profiles, _ = search_feasible(market, constraints, budget)
-    return allocations, profiles, {}
+) -> tuple[FeasibleTable, dict]:
+    """The enumeration cache: :func:`search_feasible`'s table plus an empty
+    dict for the tables derived from it (see :func:`derived_tables`).  Its
+    callers key it on :func:`_canonical` constraint sets."""
+    table, _, _ = search_feasible(market, constraints, budget)
+    return table, {}
 
 
 def feasible_with_profiles(
     market: Market, constraints: ConstraintSet, budget: int | None = None
-) -> tuple[tuple[Allocation, ...], tuple[tuple[int, ...], ...]]:
-    """Feasible allocations in canonical order plus their satisfaction profiles
-    (0/1 per agent, canonical agent order).  Cached; shared by the mechanisms
-    and the auditors so repeated runs over one instance pay for the search once.
+) -> tuple[FeasibleTable, tuple[tuple[int, ...], ...]]:
+    """The :class:`FeasibleTable` of (market, constraints), allocations in
+    canonical order, and its satisfaction profiles (0/1 per agent, canonical
+    agent order).  Cached; shared by the mechanisms and the auditors so
+    repeated runs over one instance pay for the search once.
     """
-    allocations, profiles, _ = _feasible_profiles_cached(market, _canonical(constraints), resolve_budget(budget))
-    return allocations, profiles
+    table, _ = _feasible_profiles_cached(market, _canonical(constraints), resolve_budget(budget))
+    return table, table.profiles
 
 
 def derived_tables(market: Market, constraints: ConstraintSet, budget: int) -> dict:
@@ -886,22 +948,25 @@ def derived_tables(market: Market, constraints: ConstraintSet, budget: int) -> d
     the strategyproofness audit's misreport tables.  It lives in that
     table's enumeration cache entry, so its tables leave the cache with it,
     and constraint sets that define one feasible set share it."""
-    return _feasible_profiles_cached(market, _canonical(constraints), budget)[2]
+    return _feasible_profiles_cached(market, _canonical(constraints), budget)[1]
 
 
 def enumerate_feasible(
     market: Market, constraints: ConstraintSet, budget: int | None = None
 ) -> list[Allocation]:
-    """All total item->agent assignments passing the constraint set.
+    """All total item->agent assignments passing the constraint set, as a
+    new list of :class:`Allocation`, every one built.
 
     Returned in canonical order: lexicographic by the tuple of assignee ids
     read in canonical item order.  The search prunes placements that no
     completion can make feasible but is exhaustive: pruning never changes
     the returned set, which is cross-checked against a naive enumerator in
-    the tests.
+    the tests.  Callers that read only the count, the profiles or a few
+    allocations read the cached :class:`FeasibleTable` of
+    :func:`feasible_with_profiles` instead.
     """
-    allocs, _ = feasible_with_profiles(market, constraints, budget)
-    return list(allocs)
+    table, _ = feasible_with_profiles(market, constraints, budget)
+    return list(table)
 
 
 def clear_enumeration_cache() -> None:

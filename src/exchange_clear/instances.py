@@ -109,17 +109,13 @@ def serialize(value) -> str:
     return _dump(doc)
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise InstanceFormatError(message)
+# The checks below raise inline, so a message is formatted only when its
+# check fails.
 
 
-def _require_distinct(values: list, message: str) -> None:
-    """Raise InstanceFormatError, `message` followed by the first entry that
-    repeats an earlier one, unless the entries of `values` are distinct."""
-    if len(set(values)) < len(values):
-        repeated = next(v for i, v in enumerate(values) if v in values[:i])
-        raise InstanceFormatError(f"{message} {repeated!r}")
+def _repeat(values: list):
+    """The first entry of `values` that repeats an earlier one."""
+    return next(v for i, v in enumerate(values) if v in values[:i])
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -128,7 +124,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     it spells."""
     out = dict(pairs)
     if len(out) < len(pairs):
-        _require_distinct([key for key, _ in pairs], "repeated key")
+        raise InstanceFormatError(f"repeated key {_repeat([key for key, _ in pairs])!r}")
     return out
 
 
@@ -139,10 +135,13 @@ def _decode_document(text: str) -> dict:
         raise InstanceFormatError(f"malformed document: {exc}") from None
     except RecursionError:
         raise InstanceFormatError("malformed document: nested too deeply") from None
-    _require(isinstance(data, dict), "top-level value must be an object")
+    if not isinstance(data, dict):
+        raise InstanceFormatError("top-level value must be an object")
     version = data.get("schema_version")
-    _require(version is not None, "missing field 'schema_version'")
-    _require(version == SCHEMA_VERSION, f"unsupported schema version {version!r}")
+    if version is None:
+        raise InstanceFormatError("missing field 'schema_version'")
+    if version != SCHEMA_VERSION:
+        raise InstanceFormatError(f"unsupported schema version {version!r}")
     return data
 
 
@@ -150,44 +149,51 @@ def parse_instance(text: str) -> Market:
     """Decode and validate an instance document; raises InstanceFormatError
     naming the offending field on any structural or validation problem."""
     data = _decode_document(text)
-    _require(isinstance(data.get("items"), list), "field 'items' must be a list")
-    _require(isinstance(data.get("agents"), list), "field 'agents' must be a list")
+    if not isinstance(data.get("items"), list):
+        raise InstanceFormatError("field 'items' must be a list")
+    if not isinstance(data.get("agents"), list):
+        raise InstanceFormatError("field 'agents' must be a list")
 
     items = []
     for pos, entry in enumerate(data["items"]):
-        _require(isinstance(entry, dict), f"items[{pos}] must be an object")
+        if not isinstance(entry, dict):
+            raise InstanceFormatError(f"items[{pos}] must be an object")
         unknown = set(entry) - {"id", "null"}
         if unknown:
             raise InstanceFormatError(f"items[{pos}]: unknown field {sorted(unknown)[0]!r}")
         item_id = entry.get("id")
-        _require(isinstance(item_id, str), f"items[{pos}]: field 'id' must be a string")
+        if not isinstance(item_id, str):
+            raise InstanceFormatError(f"items[{pos}]: field 'id' must be a string")
         is_null = entry.get("null", False)
-        _require(isinstance(is_null, bool), f"items[{pos}]: field 'null' must be a boolean")
+        if not isinstance(is_null, bool):
+            raise InstanceFormatError(f"items[{pos}]: field 'null' must be a boolean")
         items.append(Item(item_id, is_null))
 
     agents = []
     for pos, entry in enumerate(data["agents"]):
-        _require(isinstance(entry, dict), f"agents[{pos}] must be an object")
+        if not isinstance(entry, dict):
+            raise InstanceFormatError(f"agents[{pos}] must be an object")
         unknown = set(entry) - {"id", "endowment", "demands"}
         if unknown:
             raise InstanceFormatError(f"agents[{pos}]: unknown field {sorted(unknown)[0]!r}")
         agent_id = entry.get("id")
-        _require(isinstance(agent_id, str), f"agents[{pos}]: field 'id' must be a string")
+        if not isinstance(agent_id, str):
+            raise InstanceFormatError(f"agents[{pos}]: field 'id' must be a string")
         endowment = entry.get("endowment")
-        _require(
-            isinstance(endowment, list) and all(isinstance(x, str) for x in endowment),
-            f"agents[{pos}]: field 'endowment' must be a list of item ids",
-        )
-        _require_distinct(endowment, f"agents[{pos}]: field 'endowment' repeats item id")
+        if not (isinstance(endowment, list) and all(isinstance(x, str) for x in endowment)):
+            raise InstanceFormatError(f"agents[{pos}]: field 'endowment' must be a list of item ids")
+        if len(set(endowment)) < len(endowment):
+            repeated = _repeat(endowment)
+            raise InstanceFormatError(f"agents[{pos}]: field 'endowment' repeats item id {repeated!r}")
         demands = entry.get("demands")
-        _require(isinstance(demands, list), f"agents[{pos}]: field 'demands' must be a list")
+        if not isinstance(demands, list):
+            raise InstanceFormatError(f"agents[{pos}]: field 'demands' must be a list")
         bundles: dict[frozenset, int] = {}
         for dpos, d in enumerate(demands):
-            _require(
-                isinstance(d, list) and all(isinstance(x, str) for x in d),
-                f"agents[{pos}].demands[{dpos}] must be a list of item ids",
-            )
-            _require_distinct(d, f"agents[{pos}].demands[{dpos}] repeats item id")
+            if not (isinstance(d, list) and all(isinstance(x, str) for x in d)):
+                raise InstanceFormatError(f"agents[{pos}].demands[{dpos}] must be a list of item ids")
+            if len(set(d)) < len(d):
+                raise InstanceFormatError(f"agents[{pos}].demands[{dpos}] repeats item id {_repeat(d)!r}")
             bundle = frozenset(d)
             if bundle in bundles:
                 raise InstanceFormatError(f"agents[{pos}].demands[{dpos}] repeats demands[{bundles[bundle]}]")
@@ -204,11 +210,11 @@ def parse_instance(text: str) -> Market:
 def parse_allocation(text: str) -> Allocation:
     data = _decode_document(text)
     assignment = data.get("assignment")
-    _require(isinstance(assignment, dict), "field 'assignment' must be an object")
+    if not isinstance(assignment, dict):
+        raise InstanceFormatError("field 'assignment' must be an object")
     for item_id, agent_id in assignment.items():
-        _require(
-            isinstance(agent_id, str), f"assignment[{item_id!r}] must name an agent id"
-        )
+        if not isinstance(agent_id, str):
+            raise InstanceFormatError(f"assignment[{item_id!r}] must name an agent id")
     return Allocation(assignment)
 
 

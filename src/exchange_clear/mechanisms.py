@@ -16,7 +16,7 @@ from itertools import compress
 from typing import Callable, Sequence
 
 from .core import Allocation, Market, PriorityOrder
-from .feasibility import ConstraintSet, feasible_with_profiles, resolve_budget, search_feasible
+from .feasibility import ConstraintSet, FeasibleTable, feasible_with_profiles, resolve_budget, search_feasible
 
 # No function here calls it, but the benchmark's traced run (bench/spans.py)
 # wraps `mechanisms.satisfaction_profile` and stops when the name is missing,
@@ -69,15 +69,16 @@ def profile_key(market: Market, spec: MechanismSpec) -> Callable[[tuple[int, ...
     return lambda profile: sum(compress(weights, profile))
 
 
-def chosen_index(profiles: Sequence[tuple[int, ...]], key: Callable[[tuple[int, ...]], int]) -> int:
-    """The index the mechanism picks from a feasible table: the first holder
-    of the profile with the maximal key."""
-    if not profiles:
+def best_profile(table: FeasibleTable, key: Callable[[tuple[int, ...]], int]) -> tuple[int, ...]:
+    """The profile the mechanism picks from a feasible table: the one with
+    the maximal key.  Its first holder, `table.first[profile]`, is the
+    mechanism's choice."""
+    if not table.first:
         raise ValueError("empty candidate list")
     # distinct profiles have distinct keys, so the best profile is unique;
     # allocations arrive in canonical order, so its first holder is also
     # the canonical tie-break winner
-    return profiles.index(max(set(profiles), key=key))
+    return max(table.first, key=key)
 
 
 def run_mechanism(market: Market, spec: MechanismSpec, budget: int | None = None) -> Allocation:
@@ -85,8 +86,8 @@ def run_mechanism(market: Market, spec: MechanismSpec, budget: int | None = None
     read from the enumeration cache: callers that run many specs on one
     market, or audit the same table, pay for the search once."""
     key = profile_key(market, spec)
-    allocations, profiles = feasible_with_profiles(market, spec.constraints, budget)
-    return allocations[chosen_index(profiles, key)]
+    table, _ = feasible_with_profiles(market, spec.constraints, budget)
+    return table[table.first[best_profile(table, key)]]
 
 
 def solve(market: Market, spec: MechanismSpec, budget: int | None = None) -> Allocation:
@@ -95,7 +96,7 @@ def solve(market: Market, spec: MechanismSpec, budget: int | None = None) -> All
     once.  It charges no more nodes than the full search (see
     :func:`search_feasible`), so `budget` is reached later."""
     weights = _weights(market, spec)
-    allocations, _, _ = search_feasible(market, spec.constraints, resolve_budget(budget), weights)
-    if not allocations:
+    table, _, _ = search_feasible(market, spec.constraints, resolve_budget(budget), weights)
+    if not table:
         raise ValueError("empty candidate list")
-    return allocations[0]
+    return table[0]

@@ -29,7 +29,7 @@ from exchange_clear import (
 )
 from exchange_clear.core import bundle_sort_key
 from exchange_clear.feasibility import feasible_with_profiles
-from exchange_clear.mechanisms import check_priority, chosen_index, profile_key
+from exchange_clear.mechanisms import check_priority, profile_key
 from exchange_clear.auditors import (
     VERDICT_CLEAN,
     VERDICT_VIOLATION,
@@ -220,12 +220,23 @@ def greedy_cp(market, priority, constraints):
     return candidates[0]
 
 
+def chosen_index(profiles, key):
+    """The index a mechanism with `key` picks from a list of satisfaction
+    profiles in canonical allocation order: the first holder of the profile
+    with the maximal key, found by scanning the whole list (the package
+    reads a table's first holders instead)."""
+    if not profiles:
+        raise ValueError("empty candidate list")
+    return profiles.index(max(set(profiles), key=key))
+
+
 def choose_from(market: Market, spec: MechanismSpec, candidates: Iterable[Allocation]) -> Allocation:
     """The candidate with the lexicographically maximal key; ties go to the
     canonically first allocation regardless of the candidates' list order.
-    It shares the package's key and argmax (`profile_key`, `chosen_index`),
-    but sorts the candidates and re-derives their profiles itself, so it
-    takes any candidate list, such as a broken chooser's subsets."""
+    It shares the package's key (`profile_key`) and takes the argmax with
+    `chosen_index`, but sorts the candidates and re-derives their profiles
+    itself, so it takes any candidate list, such as a broken chooser's
+    subsets."""
     key = profile_key(market, spec)
     ordered = sorted(candidates, key=lambda alloc: alloc.canonical_key)
     profiles = [tuple(satisfaction_profile(market, alloc).values()) for alloc in ordered]

@@ -21,6 +21,7 @@ from exchange_clear import (
     enumerate_misreports,
     fixture,
     max_satisfied_oracle,
+    pareto_dominates,
     realized_bundle,
     replicate_impossibility,
     run_mechanism,
@@ -305,6 +306,12 @@ def test_pareto_audit_example1(example1, example1_all_satisfying):
     dominated = audit_constrained_pareto(market, endowment_allocation(market), example1.constraints)
     assert dominated.violation_found
     assert any(w.dominating == example1_all_satisfying for w in dominated.witnesses)
+    # every dominating holder in canonical order, not only each profile's
+    # first: 66 allocations with two profiles
+    feasible = enumerate_feasible(market, example1.constraints)
+    expected = [a for a in feasible if pareto_dominates(market, a, endowment_allocation(market))]
+    assert [w.dominating for w in dominated.witnesses] == expected
+    assert len(expected) == 66
 
 
 def test_mechanism_outputs_undominated(example1, theorem5):

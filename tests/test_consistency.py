@@ -30,9 +30,16 @@ from exchange_clear import (
 from exchange_clear.auditors import _consistency_summary, _run_consistency_engine, _sample_masks
 from exchange_clear.feasibility import clear_enumeration_cache, feasible_with_profiles
 from exchange_clear.instances import GeneratorConfig, generate_instance
-from exchange_clear.mechanisms import chosen_index, profile_key
+from exchange_clear.mechanisms import profile_key
 
-from oracles import choose_from, key_chooser, naive_consistency_pairs, naive_weak_consistency, tiny_random_market
+from oracles import (
+    choose_from,
+    chosen_index,
+    key_chooser,
+    naive_consistency_pairs,
+    naive_weak_consistency,
+    tiny_random_market,
+)
 
 CONSTRAINT_NAMES = ("sir", "pairwise", "unrestricted", "sir+maxcycle3")
 PARAMS = (ConsistencyParams(), ConsistencyParams(seed=7, samples=16, exhaustive_limit=3))

@@ -2,6 +2,8 @@ import copy
 import gc
 import itertools
 import re
+import tracemalloc
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,10 +38,11 @@ from exchange_clear.feasibility import (
     feasible_with_profiles,
     search_feasible,
 )
-from exchange_clear.mechanisms import MECHANISM_KINDS, _weights, chosen_index, profile_key, solve
+from exchange_clear.mechanisms import MECHANISM_KINDS, _weights, profile_key, solve
 
 from oracles import (
     TradeGraph,
+    chosen_index,
     find_cycle_decomposition,
     involutions,
     naive_enumerate,
@@ -562,6 +565,62 @@ def test_equal_profiles_in_a_table_are_one_tuple():
     assert len(tables["full"]) == len(tables["cached"]) == 474
     for name, profiles in tables.items():
         assert len({id(profile) for profile in profiles}) == len(set(profiles)), name
+
+
+def _allocations_held(table):
+    """The Allocation objects reachable from `table` (types, modules and
+    functions are not followed)."""
+    seen, stack, found = set(), [table], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Allocation):
+            found.append(obj)
+        stack.extend(o for o in gc.get_referents(obj) if gc.is_tracked(o))
+    return found
+
+
+@pytest.mark.parametrize("seeds", [range(1, 11), range(11, 21), range(21, 31), range(31, 41), range(41, 51)])
+def test_table_rows_first_holders_and_bundles(seeds):
+    # the table keeps rows and builds an allocation only when one is read;
+    # what it reads back matches the naive enumerator, and `first` is each
+    # distinct profile's first index, in order of first appearance
+    for market in suites.family(seeds):
+        everything = naive_enumerate(market, BUILT_IN_CONSTRAINT_SETS["unrestricted"])
+        for name, cs in BUILT_IN_CONSTRAINT_SETS.items():
+            clear_enumeration_cache()
+            table, profiles = feasible_with_profiles(market, cs)
+            assert _allocations_held(table) == [], (name, market)
+            built = list(table)
+            assert built == [a for a in everything if naive_satisfies_constraints(market, a, cs)], (name, market)
+            firsts = [(p, profiles.index(p)) for p in dict.fromkeys(profiles)]
+            assert list(table.first.items()) == firsts, (name, market)
+            for agent_id in market.agent_ids:
+                bundles = [table.bundle_of(i, agent_id) for i in range(len(table))]
+                assert bundles == [a.bundle_of(agent_id) for a in built], (name, market)
+            # a first holder is built once and kept
+            assert all(table[i] is table[i] for _, i in firsts), (name, market)
+
+
+def test_cached_table_holds_at_most_150_bytes_per_allocation():
+    # a row of agent indices per allocation (about 120 B on CPython 3.11),
+    # where a built Allocation per leaf took about 200 B
+    market = generate_instance(SHAPES["ladder"](4))
+    clear_enumeration_cache()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        table, _ = feasible_with_profiles(market, BUILT_IN_CONSTRAINT_SETS["unrestricted"])
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    clear_enumeration_cache()
+    assert len(table) == 65_536
+    assert held <= 150 * len(table), held / len(table)
 
 
 @pytest.mark.parametrize("n", range(5, 9))

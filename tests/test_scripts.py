@@ -145,7 +145,7 @@ def test_bench_pairs_failed_share_on_fixed_numbers():
 def test_mutants_snippets_each_occur_exactly_once():
     script = runpy.run_path(str(ROOT / "scripts" / "mutants.py"))
     mutants = script["MUTANTS"]
-    assert len({m.name for m in mutants}) == len(mutants) == 25
+    assert len({m.name for m in mutants}) == len(mutants) == 27
     for mutant in mutants:
         assert script["occurrences"](mutant) == 1, mutant.name
         assert mutant.replacement != mutant.snippet, mutant.name
