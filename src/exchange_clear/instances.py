@@ -183,8 +183,7 @@ def parse_instance(text: str) -> Market:
         if not (isinstance(endowment, list) and all(isinstance(x, str) for x in endowment)):
             raise InstanceFormatError(f"agents[{pos}]: field 'endowment' must be a list of item ids")
         if len(set(endowment)) < len(endowment):
-            repeated = _repeat(endowment)
-            raise InstanceFormatError(f"agents[{pos}]: field 'endowment' repeats item id {repeated!r}")
+            raise InstanceFormatError(f"agents[{pos}]: field 'endowment' repeats item id {_repeat(endowment)!r}")
         demands = entry.get("demands")
         if not isinstance(demands, list):
             raise InstanceFormatError(f"agents[{pos}]: field 'demands' must be a list")
