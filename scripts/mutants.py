@@ -219,7 +219,7 @@ MUTANTS = (
     Mutant(
         "pareto-walk-skipped-when-dominated",
         AUDITORS,
-        "            for i, profile in enumerate(profiles)\n",
+        "            for i, profile in enumerate(table.profiles)\n",
         "            for profile, i in table.first.items()\n",
         ("tests/test_auditors.py",),
     ),
@@ -237,6 +237,13 @@ MUTANTS = (
         "                continue\n",
         "",
         ("tests/test_auditors.py",),
+    ),
+    Mutant(
+        "derived-tables-dropped",
+        AUDITORS,
+        "    tables = table.derived\n",
+        "    tables = {}\n",
+        ("tests/test_strategyproofness.py",),
     ),
     Mutant(
         "row-judge-ignores-key",

@@ -19,12 +19,14 @@ profile leaves the agent, with its withheld items, covering a true demand:
 the scenario's distinct satisfaction profiles and those covering first
 holders, keyed by profile.  Every mechanism spec over that market and
 constraint set is then judged by an argmax over each row's profiles.  The
-tables live and die with the true market's enumeration cache entry, so
-specs may be audited in any order: each table is built once while that
-entry stays cached.  The impossibility replication judges the fixture's
-scripted misreports with the same rows and argmax, so misreported markets
-never enter the enumeration cache.  ``feasibility.clear_enumeration_cache``
-empties the cache and the tables with it.
+tables sit in the `derived` dict of the true market's feasible table, keyed
+by (agent id, misreport budget), so they live and die with its enumeration
+cache entry: specs may be audited in any order, and each table is built
+once while that entry stays cached.  The impossibility replication judges
+the fixture's scripted misreports with the same rows and argmax, so
+misreported markets never enter the enumeration cache.
+``feasibility.clear_enumeration_cache`` empties the cache and the tables
+with it.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from .feasibility import (
     _compile,
     _search,
     _with_demands,
-    derived_tables,
     enumerate_feasible,
     feasible_with_profiles,
     resolve_budget,
@@ -315,7 +316,7 @@ def _misreport_rows(
         base = bases.get(scenario.withheld)
         if base is None:
             base = bases[scenario.withheld] = _compile(apply_misreport(market, scenario), constraints)
-        table, _, _ = _search(_with_demands(base, agent, scenario.reported_demands), search_budget)
+        table = _search(_with_demands(base, agent, scenario.reported_demands), search_budget)
         covering = {}
         for profile, i in table.first.items():
             # only the agent's bundle is read, so only a covering holder is built
@@ -357,14 +358,14 @@ def audit_strategyproofness(
     budget = budget or MisreportBudget()
     key = profile_key(market, spec)
     search_budget = resolve_budget(search_budget)
-    table, _ = feasible_with_profiles(market, spec.constraints, search_budget)
+    table = feasible_with_profiles(market, spec.constraints, search_budget)
     best = best_profile(table, key)
     truthful = table[table.first[best]]
     unsatisfied = [a for a, sat in zip(market.agent_ids, best) if not sat]
 
     witnesses = []
     examined = truncated_agents = 0
-    tables = derived_tables(market, spec.constraints, search_budget)
+    tables = table.derived
     for agent_id in unsatisfied:
         if (agent_id, budget) not in tables:  # a search over budget raises here, storing nothing
             misreports, truncated = _misreports_with_truncation(market, agent_id, budget)
@@ -541,7 +542,7 @@ def audit_weak_consistency(
     order: priority, node budget, `BudgetExceededError`, empty feasible set.
     """
     check_priority(market, spec.priority)
-    allocations, _ = feasible_with_profiles(market, spec.constraints, search_budget)
+    allocations = feasible_with_profiles(market, spec.constraints, search_budget)
     if not allocations:
         raise ValueError("empty candidate list")
     summary = dict(_consistency_summary(len(allocations), params or ConsistencyParams()))
@@ -560,7 +561,7 @@ def audit_weak_consistency_choice(
     deliberately broken mechanisms.  A choice outside its candidates, which
     would make witnesses that do not re-check, raises a ValueError."""
     params = params or ConsistencyParams()
-    table, profiles = feasible_with_profiles(market, constraints, search_budget)
+    table = feasible_with_profiles(market, constraints, search_budget)
     allocations = tuple(table)  # the chooser takes lists of them, so each is built once
     position = {alloc: i for i, alloc in enumerate(allocations)}
 
@@ -573,7 +574,7 @@ def audit_weak_consistency_choice(
             raise ValueError(f"chooser returned feasible allocation {index}, which is not among its candidates")
         return index
 
-    return _run_consistency_engine(allocations, profiles, market.agent_ids, choose, params)
+    return _run_consistency_engine(allocations, table.profiles, market.agent_ids, choose, params)
 
 
 def audit_constrained_pareto(
@@ -585,7 +586,7 @@ def audit_constrained_pareto(
     """Report every feasible allocation that Pareto-dominates the given one.
     The table's distinct profiles decide whether any does; only then are
     the holders walked, and only the dominating ones built."""
-    table, profiles = feasible_with_profiles(market, constraints, search_budget)
+    table = feasible_with_profiles(market, constraints, search_budget)
     target = tuple(satisfaction_profile(market, allocation).values())
     # under all(p >= t), a profile other than the target has some p > t
     dominating = {
@@ -597,7 +598,7 @@ def audit_constrained_pareto(
     if dominating:
         witnesses = tuple(  # their holders, in canonical order
             DominationWitness(table[i], dict(zip(market.agent_ids, profile)))
-            for i, profile in enumerate(profiles)
+            for i, profile in enumerate(table.profiles)
             if profile in dominating
         )
     return AuditReport(
@@ -728,7 +729,7 @@ def impossibility_report(runs: Sequence[tuple], search_budget: int | None = None
     means the impossibility replicated, which is the expected outcome.
     """
     fx = fixture("theorem5")
-    allocations, _ = feasible_with_profiles(fx.market, fx.constraints, search_budget)
+    allocations = feasible_with_profiles(fx.market, fx.constraints, search_budget)
     ir_identity = all(is_ir(fx.market, alloc) for alloc in allocations)
     witnesses = tuple(witness for *_, witness in runs if witness is not None)
     pareto_ok_runs = sum(pareto_ok for _, _, pareto_ok, _ in runs)

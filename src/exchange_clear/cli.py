@@ -141,7 +141,7 @@ def _cmd_enumerate(args) -> int:
     constraints = parse_constraints(args.constraints)
     # the table builds only the allocations read: the ends, or all of them
     # with --full
-    table, _ = feasible_with_profiles(market, constraints)
+    table = feasible_with_profiles(market, constraints)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "constraints": format_constraints(constraints),

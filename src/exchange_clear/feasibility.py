@@ -71,12 +71,12 @@ pairwise balance or a cycle cap.  A leaf records its assignment as a row
 (the agent index of each item) and its profile as an agent bitmask (bit i:
 agent i covers a live demand); at its return the search turns each distinct
 mask into one tuple, shared by the allocations with that profile, and notes
-its first holder.  It returns a :class:`FeasibleTable` (the rows, their
-profiles and each distinct profile's first holder, with an
-:class:`Allocation` built only when one is read), the profiles and its node
-count: the root, every placement that survives the tests, every failed
-step of the root pass's and the joint test's packings and every step of the
-leaves' cycle-partition search.  Past the node budget it aborts with
+its first holder.  It returns one :class:`FeasibleTable`: the rows, their
+profiles, each distinct profile's first holder (with an :class:`Allocation`
+built only when one is read) and the nodes the search charged: the root,
+every placement that survives the tests, every failed step of the root
+pass's and the joint test's packings and every step of the leaves'
+cycle-partition search.  Past the node budget it aborts with
 :class:`BudgetExceededError` (the instance is beyond desk scale).
 
 A search is two steps.  `_compile` turns (market, constraint set) into the
@@ -108,7 +108,9 @@ generator-seed-3 ladder: n=6 `pairwise` 300,355 -> 32,132 nodes under cp),
 so its budget is reached later.  The cache keeps the full table:
 `run_mechanism` and the audits read many specs' choices from its first
 holders, the Pareto audit the holders of the profiles that dominate, and
-`enumerate` its size, ends and profiles.
+`enumerate` its size, ends and profiles.  A cached table also carries the
+tables derived from it (`derived`): the strategyproofness audit's misreport
+tables, which leave the cache with it.
 """
 
 from __future__ import annotations
@@ -610,18 +612,24 @@ class FeasibleTable(Sequence):
     the agent it goes to, read through the compiled `cells`.  `profiles`
     holds each allocation's satisfaction profile (0/1 per agent, canonical
     agent order), and `first` maps each distinct profile to the index of its
-    first holder, in order of first appearance.  `table[i]` builds the
-    :class:`Allocation`; a first holder is built once and kept, so a
-    table holds no allocation that was never read.  A table equals the tuple
-    of its allocations, and another table with the same allocations."""
+    first holder, in order of first appearance.  `nodes` is the number of
+    nodes the search charged.  `derived` starts empty; the strategyproofness
+    audit keeps its misreport tables there, keyed by (agent id, misreport
+    budget), so they live as long as the table.  `table[i]` builds the
+    :class:`Allocation`; a first holder is built once and kept, so a table
+    holds no allocation that was never read.  A table equals the tuple of
+    its allocations, and another table with the same allocations: equality
+    reads neither `nodes` nor `derived`."""
 
-    __slots__ = ("_rows", "_cells", "profiles", "first", "_built")
+    __slots__ = ("_rows", "_cells", "profiles", "first", "nodes", "derived", "_built")
 
-    def __init__(self, rows, cells, profiles, first):
+    def __init__(self, rows, cells, profiles, first, nodes):
         self._rows = rows
         self._cells = cells
         self.profiles = profiles
         self.first = first
+        self.nodes = nodes
+        self.derived = {}
         self._built = {}  # first-holder index -> its allocation, once read
 
     def __len__(self) -> int:
@@ -660,12 +668,12 @@ class FeasibleTable(Sequence):
 
 def search_feasible(
     market: Market, constraints: ConstraintSet, budget: int, weights: list[int] | None = None
-) -> tuple[FeasibleTable, tuple[tuple[int, ...], ...], int]:
+) -> FeasibleTable:
     """Depth-first search of one (market, constraint set), uncached: markets
     searched once call it directly.  Returns a :class:`FeasibleTable` of the
-    feasible allocations in canonical order, their satisfaction profiles
-    (the table's `profiles`) and the number of nodes charged against
-    `budget`, the node budget itself (see :func:`resolve_budget`); no state
+    feasible allocations in canonical order, with their satisfaction
+    profiles and, as `nodes`, the number of nodes charged against `budget`,
+    the node budget itself (see :func:`resolve_budget`); no other state
     outlives the call.  With `weights` (one non-negative integer per agent,
     canonical agent order) the table holds only the first holder of the
     feasible profile whose satisfied agents weigh the most, and nothing when
@@ -674,10 +682,9 @@ def search_feasible(
     return _search(_compile(market, constraints), budget, weights)
 
 
-def _search(
-    c: _Compiled, budget: int, weights: list[int] | None = None
-) -> tuple[FeasibleTable, tuple[tuple[int, ...], ...], int]:
-    """:func:`search_feasible` over a compiled market.
+def _search(c: _Compiled, budget: int, weights: list[int] | None = None) -> FeasibleTable:
+    """:func:`search_feasible` over a compiled market: one
+    :class:`FeasibleTable`, its node count included.
 
     Items are assigned in id order, each to the agents in id order, so leaves
     come out in canonical order.  An item that one watched agent cannot do
@@ -916,39 +923,28 @@ def _search(
             profile[f] = tuple([f >> i & 1 for i in range(n)])
             first[profile[f]] = j
     profiles = tuple(map(profile.__getitem__, masks))
-    return FeasibleTable(tuple(rows), cells, profiles, first), profiles, nodes
+    return FeasibleTable(tuple(rows), cells, profiles, first, nodes)
 
 
 @lru_cache(maxsize=4096)
-def _feasible_profiles_cached(
-    market: Market, constraints: ConstraintSet, budget: int
-) -> tuple[FeasibleTable, dict]:
-    """The enumeration cache: :func:`search_feasible`'s table plus an empty
-    dict for the tables derived from it (see :func:`derived_tables`).  Its
-    callers key it on :func:`_canonical` constraint sets."""
-    table, _, _ = search_feasible(market, constraints, budget)
-    return table, {}
+def _feasible_profiles_cached(market: Market, constraints: ConstraintSet, budget: int) -> FeasibleTable:
+    """The enumeration cache: :func:`search_feasible`'s table, whose
+    `derived` tables stay with the entry.  Its callers key it on
+    :func:`_canonical` constraint sets."""
+    return search_feasible(market, constraints, budget)
 
 
 def feasible_with_profiles(
     market: Market, constraints: ConstraintSet, budget: int | None = None
-) -> tuple[FeasibleTable, tuple[tuple[int, ...], ...]]:
-    """The :class:`FeasibleTable` of (market, constraints), allocations in
-    canonical order, and its satisfaction profiles (0/1 per agent, canonical
-    agent order).  Cached; shared by the mechanisms and the auditors so
-    repeated runs over one instance pay for the search once.
+) -> FeasibleTable:
+    """The :class:`FeasibleTable` of (market, constraints): allocations in
+    canonical order, their satisfaction profiles (0/1 per agent, canonical
+    agent order), the search's node count and the tables derived from it.
+    Cached; shared by the mechanisms and the auditors so repeated runs over
+    one instance pay for the search once, and constraint sets that define
+    one feasible set share one table.
     """
-    table, _ = _feasible_profiles_cached(market, _canonical(constraints), resolve_budget(budget))
-    return table, table.profiles
-
-
-def derived_tables(market: Market, constraints: ConstraintSet, budget: int) -> dict:
-    """The dict of tables derived from the feasible table of (market,
-    constraints) under node budget `budget` (see :func:`resolve_budget`):
-    the strategyproofness audit's misreport tables.  It lives in that
-    table's enumeration cache entry, so its tables leave the cache with it,
-    and constraint sets that define one feasible set share it."""
-    return _feasible_profiles_cached(market, _canonical(constraints), budget)[1]
+    return _feasible_profiles_cached(market, _canonical(constraints), resolve_budget(budget))
 
 
 def enumerate_feasible(
@@ -965,8 +961,7 @@ def enumerate_feasible(
     allocations read the cached :class:`FeasibleTable` of
     :func:`feasible_with_profiles` instead.
     """
-    table, _ = feasible_with_profiles(market, constraints, budget)
-    return list(table)
+    return list(feasible_with_profiles(market, constraints, budget))
 
 
 def clear_enumeration_cache() -> None:

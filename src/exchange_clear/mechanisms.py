@@ -86,7 +86,7 @@ def run_mechanism(market: Market, spec: MechanismSpec, budget: int | None = None
     read from the enumeration cache: callers that run many specs on one
     market, or audit the same table, pay for the search once."""
     key = profile_key(market, spec)
-    table, _ = feasible_with_profiles(market, spec.constraints, budget)
+    table = feasible_with_profiles(market, spec.constraints, budget)
     return table[table.first[best_profile(table, key)]]
 
 
@@ -96,7 +96,7 @@ def solve(market: Market, spec: MechanismSpec, budget: int | None = None) -> All
     once.  It charges no more nodes than the full search (see
     :func:`search_feasible`), so `budget` is reached later."""
     weights = _weights(market, spec)
-    table, _, _ = search_feasible(market, spec.constraints, resolve_budget(budget), weights)
+    table = search_feasible(market, spec.constraints, resolve_budget(budget), weights)
     if not table:
         raise ValueError("empty candidate list")
     return table[0]

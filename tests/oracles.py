@@ -482,7 +482,7 @@ def naive_audit_strategyproofness(market, spec, budget=None, search_budget=None)
     bytes."""
     budget = budget or MisreportBudget()
     check_priority(market, spec.priority)
-    allocations, _ = feasible_with_profiles(market, spec.constraints, search_budget)
+    allocations = feasible_with_profiles(market, spec.constraints, search_budget)
     truthful = run_mechanism(market, spec, search_budget)
     profile = satisfaction_profile(market, truthful)
     unsatisfied = [agent_id for agent_id in market.agent_ids if profile[agent_id] == 0]
@@ -536,7 +536,7 @@ def naive_replicate_impossibility(search_budget: int | None = None) -> AuditRepo
     """
     fx = fixture("theorem5")
     market, constraints = fx.market, fx.constraints
-    allocations, _ = feasible_with_profiles(market, constraints, search_budget)
+    allocations = feasible_with_profiles(market, constraints, search_budget)
     ir_identity = all(is_ir(market, alloc) for alloc in allocations)
 
     witnesses = []

@@ -194,7 +194,8 @@ def test_criterion_8_engineering_determinism(family, two_agent_family, tmp_path,
         assert _feasible_profiles_cached.cache_info().currsize == 0
         cold = serialize(audit_strategyproofness(fx.market, spec))
         assert cold == serialize(audit_strategyproofness(fx.market, spec))
-        allocations, profiles = feasible_with_profiles(fx.market, fx.constraints)
+        allocations = feasible_with_profiles(fx.market, fx.constraints)
+        profiles = allocations.profiles
         assert serialize(audit_weak_consistency(fx.market, spec)) == serialize(
             naive_weak_consistency(
                 allocations,

@@ -48,7 +48,8 @@ BENCH_SHAPES = [(15, 10), (2, 22), (1, 56), (4, 156)]
 
 
 def naive_mechanism_report(market, spec, params):
-    allocations, profiles = feasible_with_profiles(market, spec.constraints)
+    allocations = feasible_with_profiles(market, spec.constraints)
+    profiles = allocations.profiles
     choose = key_chooser(market, spec, profiles)
     return naive_weak_consistency(allocations, profiles, market.agent_ids, choose, params)
 
@@ -70,7 +71,7 @@ def modular_choice(market, constraints):
     """The candidate at (sum of the candidates' canonical positions) mod
     their number: a leave-one-out's choice moves with the index it drops,
     so the leave-one-outs' choices are nearly all distinct."""
-    allocations, _ = feasible_with_profiles(market, constraints)
+    allocations = feasible_with_profiles(market, constraints)
     position = {alloc: i for i, alloc in enumerate(allocations)}
 
     def choice(candidates):
@@ -80,7 +81,8 @@ def modular_choice(market, constraints):
 
 
 def naive_choice_report(market, constraints, choice, params):
-    allocations, profiles = feasible_with_profiles(market, constraints)
+    allocations = feasible_with_profiles(market, constraints)
+    profiles = allocations.profiles
     position = {alloc: i for i, alloc in enumerate(allocations)}
 
     def choose(indices):
@@ -126,7 +128,7 @@ def test_broken_chooser_matches_naive(name):
 def test_engine_matches_naive_around_exhaustive_limit():
     market = tiny_random_market(9)
     constraints = BUILT_IN_CONSTRAINT_SETS["sir"]
-    count = len(feasible_with_profiles(market, constraints)[0])
+    count = len(feasible_with_profiles(market, constraints))
     assert count == 6
     spec = MechanismSpec("cup", market.agent_ids, constraints)
     for limit in (count - 1, count, count + 1):
@@ -149,7 +151,7 @@ def test_engine_matches_naive_on_one_and_two_allocations():
         (swap, BUILT_IN_CONSTRAINT_SETS["sir"], 2),
     )
     for market, constraints, count in cases:
-        assert len(feasible_with_profiles(market, constraints)[0]) == count
+        assert len(feasible_with_profiles(market, constraints)) == count
         for kind in ("cp", "cup"):
             spec = MechanismSpec(kind, market.agent_ids, constraints)
             for limit, samples in itertools.product((0, 12), (0, 1, 64)):
@@ -161,7 +163,7 @@ def test_engine_matches_naive_on_one_and_two_allocations():
 def test_engine_matches_naive_when_a_sample_is_the_full_set():
     market = tiny_random_market(9)
     constraints = BUILT_IN_CONSTRAINT_SETS["sir"]
-    count = len(feasible_with_profiles(market, constraints)[0])
+    count = len(feasible_with_profiles(market, constraints))
     params = ConsistencyParams(seed=1, samples=400, exhaustive_limit=0)
     pairs, _ = naive_consistency_pairs(count, params)
     everything = tuple(range(count))
@@ -177,7 +179,7 @@ def pairwise_bench_market(seed, count):
     audits, with its `pairwise` feasible count pinned."""
     market = generate_instance(GeneratorConfig(seed=seed, agents=(4, 4)))
     constraints = BUILT_IN_CONSTRAINT_SETS["pairwise"]
-    assert len(feasible_with_profiles(market, constraints)[0]) == count
+    assert len(feasible_with_profiles(market, constraints)) == count
     return market, constraints
 
 
@@ -193,7 +195,8 @@ def test_engine_matches_naive_on_bench_size_markets(seed, count):
 def mechanism_choice_engine(market, spec, params):
     """The engine run with the mechanism's own choice on every set it asks
     about: `chosen_index` over the set's profiles."""
-    allocations, profiles = feasible_with_profiles(market, spec.constraints)
+    allocations = feasible_with_profiles(market, spec.constraints)
+    profiles = allocations.profiles
     key = profile_key(market, spec)
 
     def choose(mask):
@@ -236,7 +239,8 @@ def test_every_fixed_strict_order_of_profiles_is_weakly_consistent():
     rng = random.Random(16)
     audits = 0
     for market, constraints in fixed_order_markets():
-        allocations, profiles = feasible_with_profiles(market, constraints)
+        allocations = feasible_with_profiles(market, constraints)
+        profiles = allocations.profiles
         holders = {}  # feasible indices by profile, as bitmasks
         for i, profile in enumerate(profiles):
             holders[profile] = holders.get(profile, 0) | 1 << i
@@ -286,7 +290,8 @@ def test_broken_chooser_matches_naive_on_a_bench_size_market():
     # the leave-one-outs choose 55 distinct allocations holding all 7 of the
     # market's profiles, where broken_choice's hold one
     choice = modular_choice(market, constraints)
-    allocations, profiles = feasible_with_profiles(market, constraints)
+    allocations = feasible_with_profiles(market, constraints)
+    profiles = allocations.profiles
     loo_choices = [allocations.index(choice(allocations[:i] + allocations[i + 1:])) for i in range(56)]
     assert len(set(loo_choices)) == 55
     assert {profiles[i] for i in loo_choices} == set(profiles)
@@ -298,7 +303,7 @@ def test_broken_chooser_matches_naive_on_a_bench_size_market():
 def test_choose_runs_once_per_set_never_per_pair(exhaustive):
     market = tiny_random_market(9)
     constraints = BUILT_IN_CONSTRAINT_SETS["sir"]
-    count = len(feasible_with_profiles(market, constraints)[0])
+    count = len(feasible_with_profiles(market, constraints))
     assert count == 6
     params = ConsistencyParams(seed=5, samples=20, exhaustive_limit=count if exhaustive else 0)
     broken = broken_choice(market, constraints)
@@ -442,8 +447,8 @@ def test_chooser_must_return_one_of_its_candidates(pick, message):
     # params sample, and some audited set lacks allocation 0
     constraints = BUILT_IN_CONSTRAINT_SETS["unrestricted"]
     market = next(m for m in map(tiny_random_market, itertools.count(1))
-                  if len(feasible_with_profiles(m, constraints)[0]) > 4)
-    allocations, _ = feasible_with_profiles(market, constraints)
+                  if len(feasible_with_profiles(m, constraints)) > 4)
+    allocations = feasible_with_profiles(market, constraints)
     assert len(allocations) == 81
     with pytest.raises(ValueError, match=f"^chooser returned {message}$"):
         audit_weak_consistency_choice(market, constraints, lambda candidates: pick(allocations))
@@ -454,7 +459,8 @@ def test_empty_feasible_set_raises_a_named_error():
     # nothing feasible; sampling zero indices would never draw a set
     market = Market((Agent("1", [], []),), (Item("x"),))
     constraints = BUILT_IN_CONSTRAINT_SETS["sir"]
-    assert feasible_with_profiles(market, constraints) == ((), ())
+    table = feasible_with_profiles(market, constraints)
+    assert (tuple(table), table.profiles) == ((), ())
     spec = MechanismSpec("cp", market.agent_ids, constraints)
     with pytest.raises(ValueError, match="^empty candidate list$"):
         audit_weak_consistency(market, spec)

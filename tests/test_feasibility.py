@@ -221,7 +221,8 @@ def test_search_matches_naive_with_null_items(set_name):
     cs = CHECK_SETS[set_name]
     assert sum(bool(market.null_item_ids) for market in NULL_MARKETS) > 30
     for market in NULL_MARKETS:
-        assert search_feasible(market, cs, DEFAULT_SEARCH_BUDGET)[:2] == _naive_with_profiles(market, cs), market
+        expected = _naive_with_profiles(market, cs)
+        assert _with_profiles(search_feasible(market, cs, DEFAULT_SEARCH_BUDGET)) == expected, market
 
 
 def test_filter_chain_property():
@@ -345,6 +346,12 @@ def _naive_with_profiles(market, cs):
     return tuple(allocs), profiles
 
 
+def _with_profiles(table):
+    """A feasible table as :func:`_naive_with_profiles` returns its
+    answer: (allocations, profiles)."""
+    return tuple(table), table.profiles
+
+
 # the desirable filter with the sets whose agents may claim an item: a
 # claimant can always receive it (kept out of CHECK_SETS, which the slower
 # strategyproofness gate also runs)
@@ -356,7 +363,7 @@ def test_feasible_with_profiles_matches_naive(seed):
     # four agents reach balanced trades that a cap of 2 or 3 rejects
     market = tiny_random_market(seed, max_agents=4, max_items=5)
     for name, cs in {**CHECK_SETS, **CLAIM_SETS}.items():
-        assert feasible_with_profiles(market, cs) == _naive_with_profiles(market, cs), (seed, name)
+        assert _with_profiles(feasible_with_profiles(market, cs)) == _naive_with_profiles(market, cs), (seed, name)
 
 
 @settings(max_examples=80, deadline=None)
@@ -364,14 +371,14 @@ def test_feasible_with_profiles_matches_naive(seed):
 def test_feasible_with_profiles_matches_naive_property(seed, name):
     market = tiny_random_market(seed, max_agents=4, max_items=5)
     cs = CHECK_SETS[name]
-    assert feasible_with_profiles(market, cs) == _naive_with_profiles(market, cs)
+    assert _with_profiles(feasible_with_profiles(market, cs)) == _naive_with_profiles(market, cs)
 
 
 def _check_bounded(market, cs, expected, search=None):
     """The search bounded by cp's and cup's keys, under the canonical and the
     reversed priority, returns run_mechanism's choice from the feasible table
     `expected` (allocations, profiles) with its profile, or nothing when the
-    table is empty.  `search` maps the weights to a search's result."""
+    table is empty.  `search` maps the weights to a search's table."""
     search = search or (lambda weights: search_feasible(market, cs, DEFAULT_SEARCH_BUDGET, weights))
     allocations, profiles = expected
     for kind in MECHANISM_KINDS:
@@ -379,14 +386,14 @@ def _check_bounded(market, cs, expected, search=None):
             spec = MechanismSpec(kind, priority, cs)
             chosen = [chosen_index(profiles, profile_key(market, spec))] if allocations else []
             choice = tuple(allocations[i] for i in chosen), tuple(profiles[i] for i in chosen)
-            assert search(_weights(market, spec))[:2] == choice, spec
+            assert _with_profiles(search(_weights(market, spec))) == choice, spec
 
 
 @pytest.mark.parametrize("seed", range(1, 41))
 def test_frontier_search_keeps_first_holders_of_maximal_profiles(seed):
     market = tiny_random_market(seed, max_agents=4, max_items=5)
     for cs in {**CHECK_SETS, **CLAIM_SETS}.values():
-        _check_bounded(market, cs, feasible_with_profiles(market, cs))
+        _check_bounded(market, cs, _with_profiles(feasible_with_profiles(market, cs)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -422,7 +429,7 @@ def test_agentless_market_matches_naive(set_name, items):
     # an item with no agent to receive it leaves nothing feasible
     market = Market((), items)
     cs = BUILT_IN_CONSTRAINT_SETS[set_name]
-    assert feasible_with_profiles(market, cs) == _naive_with_profiles(market, cs)
+    assert _with_profiles(feasible_with_profiles(market, cs)) == _naive_with_profiles(market, cs)
     for run in (run_mechanism, solve):
         if items:
             with pytest.raises(ValueError, match="empty candidate list"):
@@ -434,7 +441,7 @@ def test_agentless_market_matches_naive(set_name, items):
 def test_cycle_partition_steps_are_charged(monkeypatch):
     market = generate_instance(GeneratorConfig(seed=3, agents=(4, 4), items_per_agent=(2, 2)))
     cs = BUILT_IN_CONSTRAINT_SETS["maxcycle3"]
-    *expected, charged_nodes = search_feasible(market, cs, DEFAULT_SEARCH_BUDGET)
+    charged = search_feasible(market, cs, DEFAULT_SEARCH_BUDGET)
 
     real = feasibility._partition_into_cycles
     steps = []
@@ -443,14 +450,14 @@ def test_cycle_partition_steps_are_charged(monkeypatch):
         "_partition_into_cycles",
         lambda edges, cap, charge: real(edges, cap, lambda: steps.append(1)),
     )
-    *found, free_nodes = search_feasible(market, cs, DEFAULT_SEARCH_BUDGET)
-    assert found == expected
-    assert steps and free_nodes + len(steps) == charged_nodes
+    free = search_feasible(market, cs, DEFAULT_SEARCH_BUDGET)
+    assert _with_profiles(free) == _with_profiles(charged)
+    assert steps and free.nodes + len(steps) == charged.nodes
     # the assignment search alone fits this budget; the partition steps do not
-    assert search_feasible(market, cs, free_nodes)[:2] == tuple(expected)
+    assert _with_profiles(search_feasible(market, cs, free.nodes)) == _with_profiles(charged)
     monkeypatch.undo()
     with pytest.raises(BudgetExceededError):
-        search_feasible(market, cs, free_nodes)
+        search_feasible(market, cs, free.nodes)
 
 
 def test_pairwise_five_agent_ladder_cell_fits_default_budget():
@@ -504,8 +511,8 @@ SHAPES = {
 )
 def test_search_node_counts_are_pinned(shape, arg, text, nodes, count):
     market = generate_instance(SHAPES[shape](arg))
-    allocations, _, charged = search_feasible(market, parse_constraints(text), DEFAULT_SEARCH_BUDGET)
-    assert (charged, len(allocations)) == (nodes, count)
+    table = search_feasible(market, parse_constraints(text), DEFAULT_SEARCH_BUDGET)
+    assert (table.nodes, len(table)) == (nodes, count)
 
 
 def test_sir_reservation_packing_is_charged():
@@ -522,8 +529,8 @@ def test_sir_reservation_packing_is_charged():
     items = tuple(Item(f"p{i}") for i in range(k + 1)) + tuple(Item(f"u{j}") for j in range(k))
     market = Market(agents, items)
     sir = parse_constraints("sir")
-    allocations, _, nodes = search_feasible(market, sir, DEFAULT_SEARCH_BUDGET)
-    assert (nodes, allocations) == (2_049, (endowment_allocation(market),))
+    table = search_feasible(market, sir, DEFAULT_SEARCH_BUDGET)
+    assert (table.nodes, table) == (2_049, (endowment_allocation(market),))
     with pytest.raises(BudgetExceededError):
         search_feasible(market, sir, 1_000)
 
@@ -548,8 +555,8 @@ def test_bounded_search_node_counts_are_pinned(n, text, cp_nodes, cup_nodes):
     cs = parse_constraints(text)
     for kind, nodes in (("cp", cp_nodes), ("cup", cup_nodes)):
         weights = _weights(market, MechanismSpec(kind, market.agent_ids, cs))
-        allocations, _, charged = search_feasible(market, cs, DEFAULT_SEARCH_BUDGET, weights)
-        assert (charged, len(allocations)) == (nodes, 1), kind
+        table = search_feasible(market, cs, DEFAULT_SEARCH_BUDGET, weights)
+        assert (table.nodes, len(table)) == (nodes, 1), kind
 
 
 def test_equal_profiles_in_a_table_are_one_tuple():
@@ -559,8 +566,8 @@ def test_equal_profiles_in_a_table_are_one_tuple():
     pairwise = BUILT_IN_CONSTRAINT_SETS["pairwise"]
     clear_enumeration_cache()
     tables = {
-        "full": search_feasible(market, pairwise, DEFAULT_SEARCH_BUDGET)[1],
-        "cached": feasible_with_profiles(market, pairwise)[1],
+        "full": search_feasible(market, pairwise, DEFAULT_SEARCH_BUDGET).profiles,
+        "cached": feasible_with_profiles(market, pairwise).profiles,
     }
     assert len(tables["full"]) == len(tables["cached"]) == 474
     for name, profiles in tables.items():
@@ -591,7 +598,8 @@ def test_table_rows_first_holders_and_bundles(seeds):
         everything = naive_enumerate(market, BUILT_IN_CONSTRAINT_SETS["unrestricted"])
         for name, cs in BUILT_IN_CONSTRAINT_SETS.items():
             clear_enumeration_cache()
-            table, profiles = feasible_with_profiles(market, cs)
+            table = feasible_with_profiles(market, cs)
+            profiles = table.profiles
             assert _allocations_held(table) == [], (name, market)
             built = list(table)
             assert built == [a for a in everything if naive_satisfies_constraints(market, a, cs)], (name, market)
@@ -613,7 +621,7 @@ def test_cached_table_holds_at_most_150_bytes_per_allocation():
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        table, _ = feasible_with_profiles(market, BUILT_IN_CONSTRAINT_SETS["unrestricted"])
+        table = feasible_with_profiles(market, BUILT_IN_CONSTRAINT_SETS["unrestricted"])
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -633,8 +641,8 @@ def test_one_donor_counts_match_exact_oracles(seed, n):
     # n^n assignments.
     market, compat = one_donor_market(seed, n)
     with_identity = [[int(i == j) | c for j, c in enumerate(row)] for i, row in enumerate(compat)]
-    sir, _, _ = search_feasible(market, parse_constraints("sir"), DEFAULT_SEARCH_BUDGET)
-    pairwise, _, _ = search_feasible(market, parse_constraints("sir,pairwise"), DEFAULT_SEARCH_BUDGET)
+    sir = search_feasible(market, parse_constraints("sir"), DEFAULT_SEARCH_BUDGET)
+    pairwise = search_feasible(market, parse_constraints("sir,pairwise"), DEFAULT_SEARCH_BUDGET)
     assert (len(sir), len(pairwise)) == (permanent(with_identity), involutions(compat))
 
 
@@ -653,8 +661,8 @@ def test_one_donor_counts_match_exact_oracles(seed, n):
 )
 def test_one_donor_node_counts_are_pinned(seed, text, nodes, count):
     market, _ = one_donor_market(seed, 8)
-    allocations, _, charged = search_feasible(market, parse_constraints(text), DEFAULT_SEARCH_BUDGET)
-    assert (charged, len(allocations)) == (nodes, count)
+    table = search_feasible(market, parse_constraints(text), DEFAULT_SEARCH_BUDGET)
+    assert (table.nodes, len(table)) == (nodes, count)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -666,7 +674,7 @@ def test_one_donor_search_matches_naive(seed, n):
     for text in ("pairwise", "maxcycle=3", "sir,pairwise", "sir,maxcycle=3"):
         cs = parse_constraints(text)
         expected = _naive_with_profiles(market, cs)
-        assert search_feasible(market, cs, DEFAULT_SEARCH_BUDGET)[:2] == expected, text
+        assert _with_profiles(search_feasible(market, cs, DEFAULT_SEARCH_BUDGET)) == expected, text
         _check_bounded(market, cs, expected)
 
 # ------------------------------------------------- root reservation pass
@@ -712,7 +720,7 @@ def test_reservation_pass_matches_naive(group):
         for name, cs in PASS_SETS.items():
             allocs = tuple(a for a in sir if naive_satisfies_constraints(market, a, cs))
             expected = allocs, tuple(tuple(satisfaction_profile(market, a).values()) for a in allocs)
-            assert search_feasible(market, cs, DEFAULT_SEARCH_BUDGET)[:2] == expected, (name, market)
+            assert _with_profiles(search_feasible(market, cs, DEFAULT_SEARCH_BUDGET)) == expected, (name, market)
             _check_bounded(market, cs, expected)
 
 
@@ -759,7 +767,10 @@ def test_searches_leave_their_compiled_value_unchanged():
     def bounded(c):
         # only the base is searched this way: it is the market's own value
         _check_bounded(
-            market, cs, feasible_with_profiles(market, cs), lambda w: feasibility._search(c, DEFAULT_SEARCH_BUDGET, w)
+            market,
+            cs,
+            _with_profiles(feasible_with_profiles(market, cs)),
+            lambda w: feasibility._search(c, DEFAULT_SEARCH_BUDGET, w),
         )
 
     def reservation_pass(c):
@@ -792,8 +803,8 @@ def test_reservation_pass_runs_only_under_sir(monkeypatch):
     monkeypatch.setattr(feasibility, "_reservation_consistent", spy)
     for name, cs in {**CHECK_SETS, **CLAIM_SETS, **PASS_SETS}.items():
         runs.clear()
-        allocs = search_feasible(market, cs, DEFAULT_SEARCH_BUDGET)[0]
+        allocs = search_feasible(market, cs, DEFAULT_SEARCH_BUDGET)
         assert list(allocs) == naive_enumerate(market, cs), name
         assert runs == ([True] if SIR in cs else []), name
-    _, profiles = feasible_with_profiles(market, BUILT_IN_CONSTRAINT_SETS["ir"])
+    profiles = feasible_with_profiles(market, BUILT_IN_CONSTRAINT_SETS["ir"]).profiles
     assert any(profile[0] for profile in profiles)

@@ -171,7 +171,8 @@ def test_run_mechanism_matches_key_chooser(seed):
     market = tiny_random_market(seed)
     for name in ("sir", "pairwise", "sir+maxcycle2", "desirable", "unrestricted"):
         cs = BUILT_IN_CONSTRAINT_SETS[name]
-        allocations, profiles = feasible_with_profiles(market, cs)
+        allocations = feasible_with_profiles(market, cs)
+        profiles = allocations.profiles
         everything = tuple(range(len(allocations)))
         for kind in ("cp", "cup"):
             for priority in itertools.permutations(market.agent_ids):

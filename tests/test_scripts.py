@@ -145,10 +145,19 @@ def test_bench_pairs_failed_share_on_fixed_numbers():
 def test_mutants_snippets_each_occur_exactly_once():
     script = runpy.run_path(str(ROOT / "scripts" / "mutants.py"))
     mutants = script["MUTANTS"]
-    assert len({m.name for m in mutants}) == len(mutants) == 27
+    assert len({m.name for m in mutants}) == len(mutants) == 28
     for mutant in mutants:
         assert script["occurrences"](mutant) == 1, mutant.name
         assert mutant.replacement != mutant.snippet, mutant.name
         assert all((ROOT / test).is_file() for test in mutant.tests), mutant.name
     done = run("scripts/mutants.py", "--check")
     assert done.returncode == 0, done.stderr
+
+
+def test_mutants_table_has_one_killed_row_per_mutant():
+    # MUTANTS.md commits the last full run, so it lists every mutant of the
+    # script once, in the script's order, and each was killed
+    names = [m.name for m in runpy.run_path(str(ROOT / "scripts" / "mutants.py"))["MUTANTS"]]
+    table = (ROOT / "MUTANTS.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| ([\w-]+) \| [\w.]+ \| [^|]+ \| ([^|]+?) \| [\d.]+ \|$", table, re.M)
+    assert rows == [(name, "killed") for name in names]

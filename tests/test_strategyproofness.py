@@ -39,9 +39,7 @@ from exchange_clear.feasibility import (
     _search,
     _with_demands,
     clear_enumeration_cache,
-    derived_tables,
     feasible_with_profiles,
-    resolve_budget,
     search_feasible,
 )
 
@@ -149,7 +147,7 @@ def test_sp_audit_matches_naive_with_null_items(set_name):
 SEED27 = tiny_random_market(27, max_agents=4, max_items=5)
 SIR = BUILT_IN_CONSTRAINT_SETS["sir"]
 SEED27_SPEC = MechanismSpec("cp", SEED27.agent_ids, SIR)
-TIGHT = search_feasible(SEED27, SIR, DEFAULT_SEARCH_BUDGET)[2]
+TIGHT = search_feasible(SEED27, SIR, DEFAULT_SEARCH_BUDGET).nodes
 
 
 def test_seed27_tight_budget_premise():
@@ -160,7 +158,7 @@ def test_seed27_tight_budget_premise():
     assert probed == ["1", "2", "4"]
     nodes = {
         agent_id: [
-            search_feasible(apply_misreport(SEED27, scenario), SIR, DEFAULT_SEARCH_BUDGET)[2]
+            search_feasible(apply_misreport(SEED27, scenario), SIR, DEFAULT_SEARCH_BUDGET).nodes
             for scenario in enumerate_misreports(SEED27, agent_id)
         ]
         for agent_id in probed
@@ -172,10 +170,10 @@ def test_seed27_tight_budget_premise():
 def test_clear_enumeration_cache_empties_misreport_tables(theorem5):
     spec = MechanismSpec("cp", theorem5.market.agent_ids, theorem5.constraints)
     audit_strategyproofness(theorem5.market, spec)
-    assert derived_tables(theorem5.market, theorem5.constraints, resolve_budget(None))
+    assert feasible_with_profiles(theorem5.market, theorem5.constraints).derived
     clear_enumeration_cache()
     assert _feasible_profiles_cached.cache_info().currsize == 0
-    assert derived_tables(theorem5.market, theorem5.constraints, resolve_budget(None)) == {}
+    assert feasible_with_profiles(theorem5.market, theorem5.constraints).derived == {}
 
 
 def test_budget_exceeded_while_building_stores_no_table():
@@ -183,7 +181,7 @@ def test_budget_exceeded_while_building_stores_no_table():
     feasible_with_profiles(SEED27, SIR, TIGHT)  # the true market fits
     with pytest.raises(BudgetExceededError):
         audit_strategyproofness(SEED27, SEED27_SPEC, search_budget=TIGHT)
-    assert derived_tables(SEED27, SIR, TIGHT) == {}
+    assert feasible_with_profiles(SEED27, SIR, TIGHT).derived == {}
     with pytest.raises(BudgetExceededError):  # and again: nothing half-built is found
         audit_strategyproofness(SEED27, SEED27_SPEC, search_budget=TIGHT)
     after_failure = _same_bytes(SEED27, SEED27_SPEC, search_budget=TIGHT * 100)
@@ -203,14 +201,20 @@ def test_budget_env_var_change_rebuilds_tables(monkeypatch):
 
 
 def test_misreported_markets_stay_out_of_the_enumeration_cache():
+    # each audit looks the true market up once: its misreport tables come
+    # with the table it reads
     clear_enumeration_cache()
     for kind in ("cp", "cup"):
         for priority in itertools.permutations(SEED27.agent_ids):
-            before = _feasible_profiles_cached.cache_info().currsize
+            before = _feasible_profiles_cached.cache_info()
             report = audit_strategyproofness(SEED27, MechanismSpec(kind, priority, SIR))
+            after = _feasible_profiles_cached.cache_info()
             assert report.summary["agents_probed"] > 0
-            assert _feasible_profiles_cached.cache_info().currsize <= before + 1
+            assert after.currsize <= before.currsize + 1
+            assert after.hits + after.misses == before.hits + before.misses + 1
     assert _feasible_profiles_cached.cache_info().currsize == 1
+    # the cached table carries its own search's node count
+    assert feasible_with_profiles(SEED27, SIR).nodes == search_feasible(SEED27, SIR, DEFAULT_SEARCH_BUDGET).nodes
 
 
 # ---------------------------------------------------------- misreport bases
@@ -231,8 +235,14 @@ def test_patched_search_matches_the_misreported_markets_search(set_name):
                     bases[scenario.withheld] = _compile(misreported, cs)
                 patched = _with_demands(bases[scenario.withheld], agent, scenario.reported_demands)
                 expected = search_feasible(misreported, cs, DEFAULT_SEARCH_BUDGET)
-                assert _search(patched, DEFAULT_SEARCH_BUDGET) == expected, (market, scenario)
-                short = expected[2] - 1
+                found = _search(patched, DEFAULT_SEARCH_BUDGET)
+                assert (tuple(found), found.profiles, found.first, found.nodes) == (
+                    tuple(expected),
+                    expected.profiles,
+                    expected.first,
+                    expected.nodes,
+                ), (market, scenario)
+                short = expected.nodes - 1
                 with pytest.raises(BudgetExceededError) as patched_error:
                     _search(patched, short)
                 with pytest.raises(BudgetExceededError) as direct_error:
@@ -293,7 +303,7 @@ def _replication_search_nodes():
     markets = [fx.market] + [
         apply_misreport(fx.market, scripted_misreport(fx, agent_id)) for agent_id in fx.market.agent_ids
     ]
-    return [search_feasible(market, fx.constraints, DEFAULT_SEARCH_BUDGET)[2] for market in markets]
+    return [search_feasible(market, fx.constraints, DEFAULT_SEARCH_BUDGET).nodes for market in markets]
 
 
 @pytest.mark.parametrize("search_budget", [None, *range(1, 1001, 25)])
