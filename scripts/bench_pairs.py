@@ -30,7 +30,9 @@ it is worse by more, and "unresolved" when the parent's interquartile range
 is wider than the bound and the two sides' runs overlap.  Per workload,
 `failures` holds each side's share of failed ops over all its runs (failed
 over attempted) and `no_worse`, false when the change's share exceeds the
-parent's.  The script exits 1 when a claim is not met, a metric is out of
+parent's.  The summary's `attempted` entry holds each side's median of ops
+attempted per run and their ratio, so a memory metric that grows with the
+op count (as `peak_rss_mb` does) can be read against the throughput.  The script exits 1 when a claim is not met, a metric is out of
 its bound or a workload's failed share grew.
 """
 
@@ -112,6 +114,14 @@ def failures(runs: list[dict]) -> dict:
         **{f"{side}_share": round(share, 6) for side, share in shares.items()},
         "no_worse": shares["change"] <= shares["parent"],
     }
+
+
+def attempted(runs: list[dict]) -> dict:
+    """Each side's median of ops attempted per run, and their ratio: a
+    memory metric that grows with the op count reads against it."""
+    medians = {side: statistics.median(run[side]["attempted"] for run in runs) for side in SIDES}
+    ratio = medians["change"] / medians["parent"] if medians["parent"] else None
+    return {**medians, "median_ratio": None if ratio is None else round(ratio, 4)}
 
 
 def judge(workloads: dict, claim: str, better: dict) -> dict | None:
@@ -217,6 +227,7 @@ def main(argv=None) -> int:
                         "within_bound": within_bound(entry["runs"], m, better[m], bound[m])}
                     for m in better
                 }
+                entry["summary"]["attempted"] = attempted(entry["runs"])
                 entry["failures"] = failures(entry["runs"])
                 pair += 1
                 if args.claim:
@@ -225,7 +236,7 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     regressed = any(
-        s["within_bound"] is False for entry in doc["workloads"].values() for s in entry["summary"].values()
+        entry["summary"][m]["within_bound"] is False for entry in doc["workloads"].values() for m in better
     ) or any(not entry["failures"]["no_worse"] for entry in doc["workloads"].values())
     return 1 if regressed or (doc["claim"] and not doc["claim"]["met"]) else 0
 

@@ -203,6 +203,20 @@ MUTANTS = (
         ("tests/test_feasibility.py",),
     ),
     Mutant(
+        "report-free-ignores-ir",
+        FEASIBILITY,
+        "    return not (c.need_sir or c.need_ir or c.desirable)\n",
+        "    return not (c.need_sir or c.desirable)\n",
+        ("tests/test_feasibility.py",),
+    ),
+    Mutant(
+        "structure-key-without-cycle-cap",
+        FEASIBILITY,
+        "    key = (tuple(c.owner), len(c.endow), c.pairwise, c.cycle_cap, budget)\n",
+        "    key = (tuple(c.owner), len(c.endow), c.pairwise, budget)\n",
+        ("tests/test_feasibility.py",),
+    ),
+    Mutant(
         "patch-keeps-base-demands",
         FEASIBILITY,
         "    live[agent] = _live(base.pos, demands)\n",

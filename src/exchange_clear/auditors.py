@@ -53,6 +53,8 @@ from .feasibility import (
     BUILT_IN_CONSTRAINT_SETS,
     ConstraintSet,
     _compile,
+    _report_free,
+    _score,
     _search,
     _with_demands,
     enumerate_feasible,
@@ -310,13 +312,20 @@ def _misreport_rows(
     """
     true_demands = market.agent(agent_id).demands
     agent = market.agent_ids.index(agent_id)
-    bases = {}
+    bases = {}  # withheld set -> [its compiled base, its first table if the base is report-free]
     rows = []
     for scenario in scenarios:
-        base = bases.get(scenario.withheld)
-        if base is None:
-            base = bases[scenario.withheld] = _compile(apply_misreport(market, scenario), constraints)
-        table = _search(_with_demands(base, agent, scenario.reported_demands), search_budget)
+        entry = bases.get(scenario.withheld)
+        if entry is None:
+            entry = bases[scenario.withheld] = [_compile(apply_misreport(market, scenario), constraints), None]
+        base, searched = entry
+        patched = _with_demands(base, agent, scenario.reported_demands)
+        if searched is not None:
+            table = _score(patched, searched)
+        else:
+            table = _search(patched, search_budget)
+            if _report_free(base):
+                entry[1] = table
         covering = {}
         for profile, i in table.first.items():
             # only the agent's bundle is read, so only a covering holder is built

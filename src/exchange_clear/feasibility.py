@@ -118,7 +118,7 @@ from __future__ import annotations
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import getitem
 from typing import Callable, NamedTuple
 
@@ -128,6 +128,7 @@ CONSTRAINT_KINDS = ("unrestricted", "sir", "ir", "maxcycle", "pairwise", "desira
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "EXCHANGE_CLEAR_BUDGET"
+_CACHE_SIZE = 4096  # entries of the enumeration cache, and of the rows kept per trade structure
 
 
 class BudgetExceededError(RuntimeError):
@@ -916,6 +917,13 @@ def _search(c: _Compiled, budget: int, weights: list[int] | None = None) -> Feas
         descend(0)
     finally:
         descend = pack = None  # break the closures' reference cycles
+    return _table(tuple(rows), masks, cells, n, nodes)
+
+
+def _table(rows: tuple, masks: list[int], cells, n: int, nodes: int) -> FeasibleTable:
+    """The :class:`FeasibleTable` of `rows`, whose profiles are the agent
+    bitmasks `masks` over `n` agents: each distinct mask becomes one tuple,
+    shared by its holders, and its first holder is noted."""
     profile: dict[int, tuple[int, ...]] = {}  # one tuple per distinct mask, shared by its holders
     first: dict[tuple[int, ...], int] = {}  # each profile's first holder, in order of first appearance
     for j, f in enumerate(masks):
@@ -923,15 +931,81 @@ def _search(c: _Compiled, budget: int, weights: list[int] | None = None) -> Feas
             profile[f] = tuple([f >> i & 1 for i in range(n)])
             first[profile[f]] = j
     profiles = tuple(map(profile.__getitem__, masks))
-    return FeasibleTable(tuple(rows), cells, profiles, first, nodes)
+    return FeasibleTable(rows, cells, profiles, first, nodes)
 
 
-@lru_cache(maxsize=4096)
+def _report_free(c: _Compiled) -> bool:
+    """Whether the full search of `c` reads the demand reports only to score
+    its leaves.  Without sir, ir and desirable no agent is watched or
+    claims an item, every agent may receive every item and no leaf is
+    dropped on its score, so the rows and the node count depend only on the
+    trade structure: the owner of each item, the number of agents, pairwise
+    balance and the cycle cap (the paper's exchange cycle constraints)."""
+    return not (c.need_sir or c.need_ir or c.desirable)
+
+
+class _Scores(dict):
+    """Profile masks, memoized on what the agents hold of what they want:
+    bits a*m .. a*m + m-1 of a key are the wanted items agent a holds (m
+    items).  Agent a's bit is set when they cover one of its `live`
+    demands, as at a leaf."""
+
+    def __init__(self, live: list[list[int]], m: int):
+        self.cover = [_Coverage(ds) for ds in live]
+        self.m = m
+
+    def __missing__(self, held: int) -> int:
+        m, full = self.m, (1 << self.m) - 1
+        f = self[held] = sum([cover[held >> i * m & full] << i for i, cover in enumerate(self.cover)])
+        return f
+
+
+def _score(c: _Compiled, searched: FeasibleTable) -> FeasibleTable:
+    """What :func:`_search` returns for a report-free `c` (see
+    :func:`_report_free`), given `searched`, the full search's table of a
+    value with the same trade structure and node budget: its rows and node
+    count, each row scored for `c`'s demands.  A row's profile reads only
+    who holds the items each agent wants, so rows that agree there are
+    scored once."""
+    n, m = len(c.endow), len(c.cells)
+    wanted = [_union(ds) for ds in c.live]
+    # per item p and agent a, the key bit of a holding p if a wants it
+    bits = [[(wanted[a] >> p & 1) << a * m + p for a in range(n)] for p in range(m)]
+    held = map(sum, map(partial(map, getitem, bits), searched._rows))
+    masks = list(map(_Scores(c.live, m).__getitem__, held))
+    return _table(searched._rows, masks, c.cells, n, searched.nodes)
+
+
+# the full search's table per trade structure, least recently used first
+_structures: dict[tuple, FeasibleTable] = {}
+
+
+def _shared_search(c: _Compiled, budget: int) -> FeasibleTable:
+    """:func:`_search` of a report-free `c` (see :func:`_report_free`),
+    searched once per trade structure and node budget: a value whose
+    structure was searched before is scored over that search's rows
+    (:func:`_score`).  The memo keeps the last :data:`_CACHE_SIZE`
+    structures; a search over budget raises and stores nothing."""
+    key = (tuple(c.owner), len(c.endow), c.pairwise, c.cycle_cap, budget)
+    searched = _structures.pop(key, None)
+    if searched is None:
+        table = searched = _search(c, budget)
+        if len(_structures) >= _CACHE_SIZE:
+            del _structures[next(iter(_structures))]
+    else:
+        table = _score(c, searched)
+    _structures[key] = searched
+    return table
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def _feasible_profiles_cached(market: Market, constraints: ConstraintSet, budget: int) -> FeasibleTable:
     """The enumeration cache: :func:`search_feasible`'s table, whose
     `derived` tables stay with the entry.  Its callers key it on
-    :func:`_canonical` constraint sets."""
-    return search_feasible(market, constraints, budget)
+    :func:`_canonical` constraint sets.  Under a report-free set a miss is
+    searched once per trade structure (:func:`_shared_search`)."""
+    c = _compile(market, constraints)
+    return _shared_search(c, budget) if _report_free(c) else _search(c, budget)
 
 
 def feasible_with_profiles(
@@ -966,5 +1040,7 @@ def enumerate_feasible(
 
 def clear_enumeration_cache() -> None:
     """Empty the enumeration cache, and with it the tables derived from its
-    entries (the strategyproofness audit's misreport tables)."""
+    entries (the strategyproofness audit's misreport tables), and the rows
+    kept per trade structure (:func:`_shared_search`)."""
     _feasible_profiles_cached.cache_clear()
+    _structures.clear()

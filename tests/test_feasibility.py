@@ -808,3 +808,116 @@ def test_reservation_pass_runs_only_under_sir(monkeypatch):
         assert runs == ([True] if SIR in cs else []), name
     profiles = feasible_with_profiles(market, BUILT_IN_CONSTRAINT_SETS["ir"]).profiles
     assert any(profile[0] for profile in profiles)
+
+
+# ------------------------------------------------- shared trade structures
+
+# the sets that read no demand report: without sir, ir and desirable a
+# search's rows and nodes depend only on the trade structure
+FREE_SETS = {
+    name: cs for name, cs in CHECK_SETS.items() if not {"sir", "ir", "desirable"} & {c.kind for c in cs}
+}
+
+
+def _twin(market):
+    """`market` with each agent taking the next agent's demands: the same
+    endowments, so the same trade structure."""
+    demands = [ag.demands for ag in market.agents]
+    demands = demands[1:] + demands[:1]
+    return Market(tuple(Agent(ag.id, ag.endowment, d) for ag, d in zip(market.agents, demands)), market.items)
+
+
+def _table_parts(table):
+    return table._rows, table.profiles, table.first, table.nodes
+
+
+def _count_searches(monkeypatch):
+    """Count the calls of feasibility._search from here on; returns the
+    list of their compiled values and the unwrapped search."""
+    real = feasibility._search
+    searched = []
+    monkeypatch.setattr(feasibility, "_search", lambda c, *args: searched.append(c) or real(c, *args))
+    return searched, real
+
+
+def _check_shared(markets, sets, monkeypatch):
+    """Every (market, set) read through the enumeration cache equals
+    _search of its compiled value, and each trade structure is searched
+    once: the first market with it is searched, the others are scored."""
+    clear_enumeration_cache()
+    searched, search = _count_searches(monkeypatch)
+    structures = set()
+    for market in markets:
+        for name, cs in sets.items():
+            c = feasibility._compile(market, feasibility._canonical(cs))
+            structure = (tuple(c.owner), len(c.endow), c.pairwise, c.cycle_cap)
+            before = len(searched)
+            table = feasible_with_profiles(market, cs)
+            assert len(searched) - before == int(structure not in structures), (name, market)
+            structures.add(structure)
+            assert _table_parts(table) == _table_parts(search(c, DEFAULT_SEARCH_BUDGET)), (name, market)
+    assert len(searched) == len(structures)
+    clear_enumeration_cache()
+
+
+@pytest.mark.parametrize("seeds", [range(1, 51), range(51, 101), range(101, 151), range(151, 201)])
+def test_shared_structure_tables_match_their_own_search(seeds, monkeypatch):
+    # each market and its twin, under every report-free set in turn: the
+    # twin is always scored over the market's rows, and so is a market
+    # whose structure an earlier one had
+    markets = [twin for market in suites.family(seeds) for twin in (market, _twin(market))]
+    _check_shared(markets, FREE_SETS, monkeypatch)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_one_donor_seeds_share_one_structure(n, monkeypatch):
+    # one donor item per agent, whatever the seed: seeds 2 and 3 are scored
+    # over seed 1's rows
+    markets = [one_donor_market(seed, n)[0] for seed in (1, 2, 3)]
+    sets = {text: parse_constraints(text) for text in ("pairwise", "maxcycle=3")}
+    _check_shared(markets, sets, monkeypatch)
+
+
+def test_shared_structure_budget_one_short_raises_and_stores_nothing():
+    market = suites.family([3])[0]
+    cs = FREE_SETS["maxcycle3"]
+    clear_enumeration_cache()
+    nodes = feasible_with_profiles(market, cs).nodes
+    stored = dict(feasibility._structures)
+    twin = _twin(market)
+    with pytest.raises(BudgetExceededError) as shared_error:
+        feasible_with_profiles(twin, cs, nodes - 1)
+    with pytest.raises(BudgetExceededError) as direct_error:
+        search_feasible(twin, cs, nodes - 1)
+    assert str(shared_error.value) == str(direct_error.value)
+    assert feasibility._structures == stored
+    assert feasibility._feasible_profiles_cached.cache_info().currsize == 1
+    clear_enumeration_cache()
+    assert feasibility._structures == {}
+
+
+def test_report_reading_sets_leave_the_structure_memo_alone(monkeypatch):
+    class Spy(dict):
+        touched = 0
+
+        def pop(self, *args):
+            Spy.touched += 1
+            return super().pop(*args)
+
+        def __setitem__(self, key, value):
+            Spy.touched += 1
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(feasibility, "_structures", Spy())
+    markets = suites.family(range(1, 11))
+    for name, cs in {**CHECK_SETS, **CLAIM_SETS}.items():
+        clear_enumeration_cache()
+        for market in markets:
+            feasible_with_profiles(market, cs)
+            feasible_with_profiles(_twin(market), cs)
+        if name in FREE_SETS:
+            assert Spy.touched > 0, name
+        else:
+            assert Spy.touched == 0, name
+        Spy.touched = 0
+    clear_enumeration_cache()

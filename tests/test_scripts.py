@@ -142,10 +142,18 @@ def test_bench_pairs_failed_share_on_fixed_numbers():
     assert failures(runs([(0, 0)], [(10, 1)])) == {"parent_share": 0.0, "change_share": 0.1, "no_worse": False}
 
 
+def test_bench_pairs_attempted_medians_on_fixed_numbers():
+    attempted = bench_pairs()["attempted"]
+    assert attempted(runs([(100, 0), (300, 0), (200, 1)], [(250, 0), (150, 0), (350, 2)])) == {
+        "parent": 200, "change": 250, "median_ratio": 1.25,
+    }
+    assert attempted(runs([(0, 0)], [(10, 0)]))["median_ratio"] is None
+
+
 def test_mutants_snippets_each_occur_exactly_once():
     script = runpy.run_path(str(ROOT / "scripts" / "mutants.py"))
     mutants = script["MUTANTS"]
-    assert len({m.name for m in mutants}) == len(mutants) == 28
+    assert len({m.name for m in mutants}) == len(mutants) == 30
     for mutant in mutants:
         assert script["occurrences"](mutant) == 1, mutant.name
         assert mutant.replacement != mutant.snippet, mutant.name

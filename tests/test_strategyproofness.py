@@ -280,6 +280,28 @@ def test_misreport_rows_compile_one_base_per_withheld_set(monkeypatch):
     assert bases > len(SEED27.agent_ids)
 
 
+@pytest.mark.parametrize("set_name", ["unrestricted", "pairwise", "maxcycle3", "sir"])
+def test_misreport_rows_search_each_report_free_base_once(set_name, monkeypatch):
+    # without sir, ir and desirable the reports with one withheld set share
+    # a trade structure: the first is searched, the others are scored over
+    # its rows, with the rows of a search per report.  Under sir every
+    # report is searched.
+    cs = CHECK_SETS[set_name]
+    real = auditors._search
+    searched = []
+    monkeypatch.setattr(auditors, "_search", lambda c, *args: searched.append(c) or real(c, *args))
+    for market in TINY_MARKETS[:20] + [SEED27]:
+        for agent_id in market.agent_ids:
+            scenarios = enumerate_misreports(market, agent_id)
+            searched.clear()
+            rows = auditors._misreport_rows(market, cs, agent_id, scenarios, DEFAULT_SEARCH_BUDGET)
+            withheld = {scenario.withheld for scenario in scenarios}
+            assert len(searched) == (len(scenarios) if set_name == "sir" else len(withheld)), (market, agent_id)
+            with monkeypatch.context() as patch:
+                patch.setattr(auditors, "_report_free", lambda c: False)
+                assert rows == auditors._misreport_rows(market, cs, agent_id, scenarios, DEFAULT_SEARCH_BUDGET)
+
+
 # ------------------------------------------------- impossibility replication
 
 def _replication_bytes(replicate, search_budget):
