@@ -13,7 +13,10 @@ can be manipulated by a scripted demand restriction.
 The strategyproofness audit's unit of work is one (market, constraint set,
 probed agent).  Per withheld set of that agent, one misreported market is
 built and compiled into a search base, and each demand report with that
-withheld set is searched once, as a patch of the base.  The searches fill a
+withheld set is searched once, as a patch of the base.  Under a
+report-free constraint set (no sir, ir or desirable) the reports of one
+withheld set share a trade structure, so only the first is searched and
+the others are scored over its rows.  The searches fill a
 misreport table with one row per scenario where the first holder of some
 profile leaves the agent, with its withheld items, covering a true demand:
 the scenario's distinct satisfaction profiles and those covering first
@@ -302,7 +305,12 @@ def _misreport_rows(
     validates it) and compiled into a base, and each of them is searched as
     a patch of that base that swaps in its demand report.  The scenarios
     are those of the canonical misreport stream or a fixture's script, so
-    every report with that withheld set keeps the same endowment.
+    every report with that withheld set keeps the same endowment.  Under
+    a report-free constraint set (see `feasibility._report_free`) those
+    patches differ only in what the search scores, so the first is
+    searched, its table is kept beside the base, and the others are scored
+    over its rows (`feasibility._score`) with the same rows, profiles,
+    first holders and node count.
 
     Returns the rows.  A row is (scenario, profiles, covering): `profiles`
     are the scenario's distinct satisfaction profiles, and `covering` maps

@@ -111,6 +111,20 @@ holders, the Pareto audit the holders of the profiles that dominate, and
 `enumerate` its size, ends and profiles.  A cached table also carries the
 tables derived from it (`derived`): the strategyproofness audit's misreport
 tables, which leave the cache with it.
+
+Without sir, ir and desirable (the paper's exchange cycle constraints:
+none, pairwise balance or a cycle cap) the full search reads the demands
+only to score its leaves, so its rows and node count depend only on the
+trade structure: the owner of each item, the number of agents, pairwise
+balance, the cycle cap and the node budget.  Such a set is report-free
+(:func:`_report_free`).  A cache miss under it is searched once per
+structure (:func:`_shared_search`): the first market with a structure runs
+the search with its own demands, and every later one is scored over the
+kept rows (:func:`_score`), one coverage lookup per agent for each
+distinct holding of wanted items, then the same fold into profiles and
+first holders.  So markets that differ only in their demands, as the
+strategyproofness audit's demand reports do, pay for one search.  The
+memo keeps the last 4,096 structures and empties with the cache.
 """
 
 from __future__ import annotations
