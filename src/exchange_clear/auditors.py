@@ -15,10 +15,12 @@ probed agent).  Per withheld set of that agent, one misreported market is
 built and compiled into a search base, and each demand report with that
 withheld set is searched once, as a patch of the base.  Under a
 report-free constraint set (no sir, ir or desirable) the reports of one
-withheld set share a trade structure, so only the first is searched and
-the others are scored over its rows.  The searches fill a
-misreport table with one row per scenario where the first holder of some
-profile leaves the agent, with its withheld items, covering a true demand:
+withheld set share a trade structure, and they go through the
+per-structure row memo that also serves the enumeration cache's misses:
+only the first is searched, and the others are scored over its rows.  The
+searches fill a misreport table with one row per scenario where the first
+holder of some profile leaves the agent, with its withheld items, covering a
+true demand:
 the scenario's distinct satisfaction profiles and those covering first
 holders, keyed by profile.  Every mechanism spec over that market and
 constraint set is then judged by an argmax over each row's profiles.  The
@@ -57,8 +59,8 @@ from .feasibility import (
     ConstraintSet,
     _compile,
     _report_free,
-    _score,
     _search,
+    _shared_search,
     _with_demands,
     enumerate_feasible,
     feasible_with_profiles,
@@ -297,8 +299,8 @@ def realized_bundle(misreport_allocation_bundle: Bundle, withheld: Bundle) -> Bu
 def _misreport_rows(
     market: Market, constraints: ConstraintSet, agent_id: str, scenarios: Iterable, search_budget: int
 ) -> tuple[tuple, ...]:
-    """Misreports of one agent, each searched once (never through the
-    enumeration cache), ready to be judged under any mechanism spec.
+    """Misreports of one agent, each searched or scored once (never through
+    the enumeration cache), ready to be judged under any mechanism spec.
 
     Scenarios with one withheld set differ only in the agent's demand
     report.  So the first of them is built (`apply_misreport`, which
@@ -307,10 +309,11 @@ def _misreport_rows(
     are those of the canonical misreport stream or a fixture's script, so
     every report with that withheld set keeps the same endowment.  Under
     a report-free constraint set (see `feasibility._report_free`) those
-    patches differ only in what the search scores, so the first is
-    searched, its table is kept beside the base, and the others are scored
-    over its rows (`feasibility._score`) with the same rows, profiles,
-    first holders and node count.
+    patches differ only in what the search scores, so they go through
+    `feasibility._shared_search`: a trade structure is searched once, and
+    every other patch with it is scored over its rows, with the same rows,
+    profiles, first holders and node count.  A patch that reads the
+    reports is searched here, by `_search`.
 
     Returns the rows.  A row is (scenario, profiles, covering): `profiles`
     are the scenario's distinct satisfaction profiles, and `covering` maps
@@ -320,20 +323,14 @@ def _misreport_rows(
     """
     true_demands = market.agent(agent_id).demands
     agent = market.agent_ids.index(agent_id)
-    bases = {}  # withheld set -> [its compiled base, its first table if the base is report-free]
+    bases = {}
     rows = []
     for scenario in scenarios:
-        entry = bases.get(scenario.withheld)
-        if entry is None:
-            entry = bases[scenario.withheld] = [_compile(apply_misreport(market, scenario), constraints), None]
-        base, searched = entry
-        patched = _with_demands(base, agent, scenario.reported_demands)
-        if searched is not None:
-            table = _score(patched, searched)
-        else:
-            table = _search(patched, search_budget)
-            if _report_free(base):
-                entry[1] = table
+        base = bases.get(scenario.withheld)
+        if base is None:
+            base = bases[scenario.withheld] = _compile(apply_misreport(market, scenario), constraints)
+        search = _shared_search if _report_free(base) else _search
+        table = search(_with_demands(base, agent, scenario.reported_demands), search_budget)
         covering = {}
         for profile, i in table.first.items():
             # only the agent's bundle is read, so only a covering holder is built

@@ -123,8 +123,12 @@ the search with its own demands, and every later one is scored over the
 kept rows (:func:`_score`), one coverage lookup per agent for each
 distinct holding of wanted items, then the same fold into profiles and
 first holders.  So markets that differ only in their demands, as the
-strategyproofness audit's demand reports do, pay for one search.  The
-memo keeps the last 4,096 structures and empties with the cache.
+strategyproofness audit's demand reports do, pay for one search; the
+audit's misreport searches go through the same memo.  The memo keeps the
+rows, the node count and, once a market is scored over them, each row's
+holdings packed in one int, but no table, so a table evicted from the
+cache does not outlive its entry.  It keeps the last 4,096 structures and
+empties with the cache.
 """
 
 from __future__ import annotations
@@ -133,7 +137,8 @@ import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from operator import getitem
+from itertools import repeat
+from operator import and_, getitem
 from typing import Callable, NamedTuple
 
 from .core import Allocation, Market, is_ir, is_sir
@@ -958,40 +963,34 @@ def _report_free(c: _Compiled) -> bool:
     return not (c.need_sir or c.need_ir or c.desirable)
 
 
-class _Scores(dict):
-    """Profile masks, memoized on what the agents hold of what they want:
-    bits a*m .. a*m + m-1 of a key are the wanted items agent a holds (m
-    items).  Agent a's bit is set when they cover one of its `live`
-    demands, as at a leaf."""
-
-    def __init__(self, live: list[list[int]], m: int):
-        self.cover = [_Coverage(ds) for ds in live]
-        self.m = m
-
-    def __missing__(self, held: int) -> int:
-        m, full = self.m, (1 << self.m) - 1
-        f = self[held] = sum([cover[held >> i * m & full] << i for i, cover in enumerate(self.cover)])
-        return f
+def _holdings(rows: tuple, n: int, m: int) -> list[int]:
+    """Each of `rows` (over `n` agents and `m` items) as one int: bit
+    a*m + p is set when agent a holds item p."""
+    bits = [[1 << a * m + p for a in range(n)] for p in range(m)]
+    return list(map(sum, map(partial(map, getitem, bits), rows)))
 
 
-def _score(c: _Compiled, searched: FeasibleTable) -> FeasibleTable:
+def _score(c: _Compiled, rows: tuple, nodes: int, holdings: list[int]) -> FeasibleTable:
     """What :func:`_search` returns for a report-free `c` (see
-    :func:`_report_free`), given `searched`, the full search's table of a
-    value with the same trade structure and node budget: its rows and node
-    count, each row scored for `c`'s demands.  A row's profile reads only
-    who holds the items each agent wants, so rows that agree there are
-    scored once."""
+    :func:`_report_free`), given the `rows` and `nodes` of the full search
+    of a value with the same trade structure and node budget, and the rows'
+    :func:`_holdings`: each row scored for `c`'s demands.  An agent's bit
+    reads only the wanted items it holds, so each agent looks up each of
+    its distinct holdings once in its coverage memo."""
     n, m = len(c.endow), len(c.cells)
-    wanted = [_union(ds) for ds in c.live]
-    # per item p and agent a, the key bit of a holding p if a wants it
-    bits = [[(wanted[a] >> p & 1) << a * m + p for a in range(n)] for p in range(m)]
-    held = map(sum, map(partial(map, getitem, bits), searched._rows))
-    masks = list(map(_Scores(c.live, m).__getitem__, held))
-    return _table(searched._rows, masks, c.cells, n, searched.nodes)
+    columns = [repeat(0, len(rows))]  # per agent with a live demand, its bit per row
+    for a, demands in enumerate(c.live):
+        if demands:
+            cover, shift = _Coverage(demands), a * m
+            held = list(map(and_, holdings, repeat(_union(demands) << shift)))
+            bit = {h: cover[h >> shift] << a for h in set(held)}
+            columns.append(map(bit.__getitem__, held))
+    return _table(rows, list(map(sum, zip(*columns))), c.cells, n, nodes)
 
 
-# the full search's table per trade structure, least recently used first
-_structures: dict[tuple, FeasibleTable] = {}
+# per trade structure, least recently used first: the full search's rows,
+# its node count and, once a value is scored over them, the rows' holdings
+_structures: dict[tuple, tuple] = {}
 
 
 def _shared_search(c: _Compiled, budget: int) -> FeasibleTable:
@@ -999,16 +998,21 @@ def _shared_search(c: _Compiled, budget: int) -> FeasibleTable:
     searched once per trade structure and node budget: a value whose
     structure was searched before is scored over that search's rows
     (:func:`_score`).  The memo keeps the last :data:`_CACHE_SIZE`
-    structures; a search over budget raises and stores nothing."""
+    structures, and no table; a search over budget raises and stores
+    nothing."""
     key = (tuple(c.owner), len(c.endow), c.pairwise, c.cycle_cap, budget)
-    searched = _structures.pop(key, None)
-    if searched is None:
-        table = searched = _search(c, budget)
+    kept = _structures.pop(key, None)
+    if kept is None:
+        table = _search(c, budget)
+        kept = (table._rows, table.nodes, None)
         if len(_structures) >= _CACHE_SIZE:
             del _structures[next(iter(_structures))]
     else:
-        table = _score(c, searched)
-    _structures[key] = searched
+        rows, nodes, holdings = kept
+        if holdings is None:  # a cold search does no extra pass
+            kept = rows, nodes, holdings = rows, nodes, _holdings(rows, len(c.endow), len(c.cells))
+        table = _score(c, rows, nodes, holdings)
+    _structures[key] = kept
     return table
 
 

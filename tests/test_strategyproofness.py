@@ -28,7 +28,7 @@ from exchange_clear import (
     scripted_misreport,
     serialize,
 )
-from exchange_clear import auditors
+from exchange_clear import auditors, feasibility
 from exchange_clear.auditors import impossibility_runs
 from exchange_clear.suites import family
 from exchange_clear.feasibility import (
@@ -281,25 +281,35 @@ def test_misreport_rows_compile_one_base_per_withheld_set(monkeypatch):
 
 
 @pytest.mark.parametrize("set_name", ["unrestricted", "pairwise", "maxcycle3", "sir"])
-def test_misreport_rows_search_each_report_free_base_once(set_name, monkeypatch):
+def test_misreport_rows_search_each_report_free_structure_once(set_name, monkeypatch):
     # without sir, ir and desirable the reports with one withheld set share
-    # a trade structure: the first is searched, the others are scored over
-    # its rows, with the rows of a search per report.  Under sir every
-    # report is searched.
+    # a trade structure, as may two withheld sets: each structure is
+    # searched once and the other reports are scored over its rows, with
+    # the rows of a search per report.  Under sir every report is searched.
     cs = CHECK_SETS[set_name]
-    real = auditors._search
     searched = []
-    monkeypatch.setattr(auditors, "_search", lambda c, *args: searched.append(c) or real(c, *args))
+    for module in (auditors, feasibility):
+        real = module._search
+        monkeypatch.setattr(module, "_search", lambda c, *args, real=real: searched.append(c) or real(c, *args))
     for market in TINY_MARKETS[:20] + [SEED27]:
         for agent_id in market.agent_ids:
             scenarios = enumerate_misreports(market, agent_id)
+            withheld = {scenario.withheld: scenario for scenario in scenarios}
+            structures = set()
+            for scenario in withheld.values():
+                c = _compile(apply_misreport(market, scenario), cs)
+                structures.add((tuple(c.owner), len(c.endow)))
+            clear_enumeration_cache()
             searched.clear()
             rows = auditors._misreport_rows(market, cs, agent_id, scenarios, DEFAULT_SEARCH_BUDGET)
-            withheld = {scenario.withheld for scenario in scenarios}
-            assert len(searched) == (len(scenarios) if set_name == "sir" else len(withheld)), (market, agent_id)
+            if set_name == "sir":
+                assert len(searched) == len(scenarios), (market, agent_id)
+            else:
+                assert len(searched) == len(structures) <= len(withheld), (market, agent_id)
             with monkeypatch.context() as patch:
                 patch.setattr(auditors, "_report_free", lambda c: False)
                 assert rows == auditors._misreport_rows(market, cs, agent_id, scenarios, DEFAULT_SEARCH_BUDGET)
+    clear_enumeration_cache()
 
 
 # ------------------------------------------------- impossibility replication
