@@ -32,8 +32,13 @@ is wider than the bound and the two sides' runs overlap.  Per workload,
 over attempted) and `no_worse`, false when the change's share exceeds the
 parent's.  The summary's `attempted` entry holds each side's median of ops
 attempted per run and their ratio, so a memory metric that grows with the
-op count (as `peak_rss_mb` does) can be read against the throughput.  The script exits 1 when a claim is not met, a metric is out of
-its bound or a workload's failed share grew.
+op count (as `peak_rss_mb` does) can be read against the throughput.  Its
+`rss_bytes_per_extra_op` is the change in median `peak_rss_mb`, in bytes,
+over the change in median ops attempted (null when the op count did not
+move): about 170-190 B per op is the harness's own per-op bookkeeping, and
+much more than that is memory the package holds.  The script exits 1 when
+a claim is not met, a metric is out of its bound or a workload's failed
+share grew.
 """
 
 from __future__ import annotations
@@ -122,6 +127,20 @@ def attempted(runs: list[dict]) -> dict:
     medians = {side: statistics.median(run[side]["attempted"] for run in runs) for side in SIDES}
     ratio = medians["change"] / medians["parent"] if medians["parent"] else None
     return {**medians, "median_ratio": None if ratio is None else round(ratio, 4)}
+
+
+def rss_per_extra_op(runs: list[dict]) -> float | None:
+    """The change in median `peak_rss_mb`, in bytes (bench/run.py's MB is
+    ru_maxrss / 1024, so 2**20 bytes), over the change in median ops
+    attempted; None when the op count did not move."""
+    medians = {
+        side: [statistics.median(run[side][key] for run in runs) for key in ("attempted", "peak_rss_mb")]
+        for side in SIDES
+    }
+    extra_ops = medians["change"][0] - medians["parent"][0]
+    if not extra_ops:
+        return None
+    return round((medians["change"][1] - medians["parent"][1]) * 2**20 / extra_ops, 1)
 
 
 def judge(workloads: dict, claim: str, better: dict) -> dict | None:
@@ -227,7 +246,9 @@ def main(argv=None) -> int:
                         "within_bound": within_bound(entry["runs"], m, better[m], bound[m])}
                     for m in better
                 }
-                entry["summary"]["attempted"] = attempted(entry["runs"])
+                entry["summary"]["attempted"] = {
+                    **attempted(entry["runs"]), "rss_bytes_per_extra_op": rss_per_extra_op(entry["runs"]),
+                }
                 entry["failures"] = failures(entry["runs"])
                 pair += 1
                 if args.claim:

@@ -238,6 +238,13 @@ MUTANTS = (
         ("tests/test_auditors.py",),
     ),
     Mutant(
+        "pareto-dominance-reversed",
+        AUDITORS,
+        "all(map(ge, profile, target))",
+        "all(map(ge, target, profile))",
+        ("tests/test_auditors.py",),
+    ),
+    Mutant(
         "truthful-repeated-among-subsets",
         AUDITORS,
         "if withheld or len(reported_demands) < len(demands):",
@@ -271,6 +278,13 @@ MUTANTS = (
         MECHANISMS,
         'count = 1 << n if spec.kind == "cup" else 0',
         "count = 0",
+        ("tests/test_mechanisms.py",),
+    ),
+    Mutant(
+        "priority-check-unsorted",
+        MECHANISMS,
+        "sorted(priority) != list(market.agent_ids)",
+        "list(priority) != list(market.agent_ids)",
         ("tests/test_mechanisms.py",),
     ),
 )

@@ -40,6 +40,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass, field
+from operator import ge
 from typing import Callable, Iterable, Sequence
 
 from .core import (
@@ -122,6 +123,9 @@ class MisreportBudget:
         _check_int_fields(self)
 
 
+_DEFAULT_BUDGET = MisreportBudget()
+
+
 @dataclass(frozen=True)
 class ManipulationWitness:
     """A misreport under which a truthfully-unsatisfied agent ends up holding
@@ -196,6 +200,9 @@ class ConsistencyParams:
                 raise ValueError(f"{name} must be at most {bound}, got {value!r}")
 
 
+_DEFAULT_PARAMS = ConsistencyParams()
+
+
 @dataclass
 class CounterexampleFixture:
     name: str
@@ -244,7 +251,7 @@ def enumerate_misreports(
     market: Market, agent_id: str, budget: MisreportBudget | None = None
 ) -> list[MisreportScenario]:
     """The first `max_scenarios` scenarios of the canonical misreport order."""
-    return _misreports_with_truncation(market, agent_id, budget or MisreportBudget())[0]
+    return _misreports_with_truncation(market, agent_id, budget or _DEFAULT_BUDGET)[0]
 
 
 def _misreports_with_truncation(
@@ -369,7 +376,7 @@ def audit_strategyproofness(
     A misreport is a witness when the mechanism's choice on the misreported
     market (its key-maximal profile's first holder) leaves the agent, with
     her withheld items, covering a true demand."""
-    budget = budget or MisreportBudget()
+    budget = budget or _DEFAULT_BUDGET
     key = profile_key(market, spec)
     search_budget = resolve_budget(search_budget)
     table = feasible_with_profiles(market, spec.constraints, search_budget)
@@ -381,11 +388,12 @@ def audit_strategyproofness(
     examined = truncated_agents = 0
     tables = table.derived
     for agent_id in unsatisfied:
-        if (agent_id, budget) not in tables:  # a search over budget raises here, storing nothing
+        entry = tables.get((agent_id, budget))
+        if entry is None:  # a search over budget raises here, storing nothing
             misreports, truncated = _misreports_with_truncation(market, agent_id, budget)
             rows = _misreport_rows(market, spec.constraints, agent_id, misreports, search_budget)
-            tables[agent_id, budget] = rows, len(misreports), truncated
-        rows, scenarios, truncated = tables[agent_id, budget]
+            entry = tables[agent_id, budget] = rows, len(misreports), truncated
+        rows, scenarios, truncated = entry
         examined += scenarios
         truncated_agents += int(truncated)
         witnesses.extend(_manipulations(rows, key, truthful))
@@ -559,7 +567,7 @@ def audit_weak_consistency(
     allocations = feasible_with_profiles(market, spec.constraints, search_budget)
     if not allocations:
         raise ValueError("empty candidate list")
-    summary = dict(_consistency_summary(len(allocations), params or ConsistencyParams()))
+    summary = dict(_consistency_summary(len(allocations), params or _DEFAULT_PARAMS))
     return AuditReport(kind="weak-consistency", verdict=VERDICT_CLEAN, summary=summary)
 
 
@@ -574,7 +582,7 @@ def audit_weak_consistency_choice(
     lists; used to regression-test the auditor's own sensitivity against
     deliberately broken mechanisms.  A choice outside its candidates, which
     would make witnesses that do not re-check, raises a ValueError."""
-    params = params or ConsistencyParams()
+    params = params or _DEFAULT_PARAMS
     table = feasible_with_profiles(market, constraints, search_budget)
     allocations = tuple(table)  # the chooser takes lists of them, so each is built once
     position = {alloc: i for i, alloc in enumerate(allocations)}
@@ -606,7 +614,7 @@ def audit_constrained_pareto(
     dominating = {
         profile
         for profile in table.first
-        if profile != target and all(p >= t for p, t in zip(profile, target))
+        if profile != target and all(map(ge, profile, target))
     }
     witnesses = ()
     if dominating:

@@ -56,7 +56,14 @@ class Agent:
 
 @dataclass(frozen=True)
 class Market:
-    """Agents plus the item pool; stored in canonical (id-sorted) order."""
+    """Agents plus the item pool; stored in canonical (id-sorted) order.
+
+    Markets key the enumeration cache, so the hash of the fields is
+    computed once, on first use, and kept (`_hash`); equality still
+    compares the fields.  The hash depends on PYTHONHASHSEED, so it never
+    travels: pickle, `copy` and `deepcopy` rebuild a market from its
+    fields, and the copy hashes afresh.
+    """
 
     agents: tuple[Agent, ...]
     items: tuple[Item, ...]
@@ -64,6 +71,16 @@ class Market:
     def __post_init__(self):
         object.__setattr__(self, "agents", tuple(sorted(self.agents, key=lambda a: a.id)))
         object.__setattr__(self, "items", tuple(sorted(self.items, key=lambda it: it.id)))
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.agents, self.items))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.agents, self.items)
 
     @cached_property
     def agent_ids(self) -> tuple[str, ...]:
@@ -195,8 +212,11 @@ def utility(market: Market, allocation: Allocation, agent_id: str) -> int:
 
 
 def satisfaction_profile(market: Market, allocation: Allocation) -> dict[str, int]:
-    """Per-agent 0/1 satisfaction flags, keyed by agent id in canonical order."""
-    return {ag.id: utility(market, allocation, ag.id) for ag in market.agents}
+    """Per-agent 0/1 satisfaction flags, keyed by agent id in canonical order:
+    :func:`utility` of each agent, read from its bundle and demands directly
+    rather than looked up by id."""
+    bundle_of = allocation.bundle_of
+    return {ag.id: int(covers(bundle_of(ag.id), ag.demands)) for ag in market.agents}
 
 
 def weakly_prefers(market: Market, agent_id: str, bundle_x: Bundle, bundle_y: Bundle) -> bool:

@@ -136,7 +136,7 @@ from __future__ import annotations
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import repeat
 from operator import and_, getitem
 from typing import Callable, NamedTuple
@@ -185,12 +185,29 @@ def max_cycle_agents(limit: int) -> Constraint:
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """A conjunction of constraints."""
+    """A conjunction of constraints.
+
+    Constraint sets key the enumeration cache, so, as for
+    :class:`~exchange_clear.core.Market`, the hash of the fields is
+    computed once, on first use, and kept; pickle, `copy` and `deepcopy`
+    rebuild the set from its fields, so the seed-dependent hash never
+    travels.
+    """
 
     constraints: tuple[Constraint, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "constraints", tuple(self.constraints))
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.constraints,))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.constraints,)
 
     def __iter__(self):
         return iter(self.constraints)

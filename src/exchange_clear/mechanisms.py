@@ -41,9 +41,10 @@ class MechanismSpec:
 
 
 def check_priority(market: Market, priority: Sequence[str]) -> PriorityOrder:
-    """Validate that the priority order is a permutation of the market's agents."""
+    """Validate that the priority order is a permutation of the market's
+    agents, whose ids `market.agent_ids` holds already sorted."""
     priority = tuple(priority)
-    if sorted(priority) != sorted(market.agent_ids):
+    if sorted(priority) != list(market.agent_ids):
         raise ValueError(
             f"priority order {priority!r} is not a permutation of agents {market.agent_ids!r}"
         )

@@ -1,4 +1,7 @@
 import os
+import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,31 @@ def subprocess_env(**overrides: str) -> dict[str, str]:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     env.pop("EXCHANGE_CLEAR_BUDGET", None)
     return env
+
+
+def look_up_in_child(value, build: str) -> tuple[int, str]:
+    """Unpickle `value` in a child process under another PYTHONHASHSEED and
+    look it up in a dict keyed by an equal value built fresh there by the
+    expression `build` (over the `exchange_clear` names).  Returns the
+    child's hash of the fresh value and what the lookup found.  `value` is
+    hashed here first, so a kept hash would have a stale value to carry."""
+    hash(value)
+    seed = "8" if os.environ.get("PYTHONHASHSEED") == "7" else "7"
+    code = (
+        "import pickle, sys\n"
+        "from exchange_clear import *\n"
+        "value = pickle.loads(sys.stdin.buffer.read())\n"
+        "assert '_hash' not in vars(value)\n"
+        f"fresh = {build}\n"
+        "print(hash(fresh), {fresh: 'found'}.get(value))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], input=pickle.dumps(value), capture_output=True,
+        env=subprocess_env(PYTHONHASHSEED=seed), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    child_hash, found = proc.stdout.decode().split()
+    return int(child_hash), found
 
 
 @pytest.fixture(scope="session")

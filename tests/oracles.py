@@ -26,6 +26,7 @@ from exchange_clear import (
     run_mechanism,
     satisfaction_profile,
     satisfies,
+    utility,
 )
 from exchange_clear.core import bundle_sort_key
 from exchange_clear.feasibility import feasible_with_profiles
@@ -195,6 +196,12 @@ def naive_satisfies_constraints(market, allocation, constraints):
 
 
 
+
+
+def naive_satisfaction_profile(market, allocation):
+    """Per-agent 0/1 satisfaction keyed by agent id in canonical order, each
+    flag the agent's `utility`, looked up by id."""
+    return {ag.id: utility(market, allocation, ag.id) for ag in market.agents}
 
 
 def naive_enumerate(market, constraints):

@@ -27,13 +27,16 @@ from exchange_clear import (
     run_mechanism,
     satisfaction_profile,
     scripted_misreport,
+    serialize,
     validate_market,
 )
 
 from exchange_clear.auditors import _misreports_with_truncation
-from exchange_clear.suites import family
+from exchange_clear.feasibility import clear_enumeration_cache
+from exchange_clear.suites import SIR_SETS, family
 
 from oracles import choose_from, naive_misreport_stream, tiny_random_market, two_agent_partner_market
+from test_consistency import BENCH_SHAPES, pairwise_bench_market
 
 
 # ---------------------------------------------------------------- misreports
@@ -386,3 +389,45 @@ def test_two_agent_partner_family_has_no_self_covering_endowments():
         assert validate_market(market) == []
         for ag in market.agents:
             assert not any(d <= ag.endowment for d in ag.demands)
+
+
+# ------------------------------------------------------ warm equals cold
+
+def audit_documents(market, spec):
+    """The bytes of one spec's run and its three audits, in that order."""
+    outcome = run_mechanism(market, spec)
+    return (
+        serialize(outcome),
+        serialize(audit_constrained_pareto(market, outcome, spec.constraints)),
+        serialize(audit_weak_consistency(market, spec)),
+        serialize(audit_strategyproofness(market, spec)),
+    )
+
+
+def warm_cold_cases():
+    """(market, constraints) for the four benchmark shapes under `pairwise`
+    and `family(1-30)` under every `sir` set."""
+    for seed, count in BENCH_SHAPES:
+        yield pairwise_bench_market(seed, count)
+    for market in family(range(1, 31)):
+        for constraints in SIR_SETS.values():
+            yield market, constraints
+
+
+def test_warm_audits_match_cold_ones():
+    # each spec cold, right after the cache is emptied; then every spec
+    # twice more over the tables, derived misreport tables and kept hashes
+    # that the other specs left behind
+    for market, constraints in warm_cold_cases():
+        specs = [
+            MechanismSpec(kind, priority, constraints)
+            for kind in ("cp", "cup")
+            for priority in (market.agent_ids, market.agent_ids[::-1])
+        ]
+        cold = {}
+        for spec in specs:
+            clear_enumeration_cache()
+            cold[spec] = audit_documents(market, spec)
+        for _ in range(2):
+            for spec in specs:
+                assert audit_documents(market, spec) == cold[spec], (serialize(market), spec)

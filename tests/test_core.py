@@ -1,20 +1,31 @@
+import copy
+import itertools
+import pickle
+
 import pytest
 
 from exchange_clear import (
     Agent,
     Allocation,
+    BUILT_IN_CONSTRAINT_SETS,
     Item,
     Market,
     endowment_allocation,
     is_ir,
     is_sir,
+    parse_instance,
     pareto_dominates,
     satisfaction_profile,
     satisfies,
+    serialize,
     utility,
     validate_market,
     weakly_prefers,
 )
+from exchange_clear.feasibility import _feasible_profiles_cached, clear_enumeration_cache, feasible_with_profiles
+
+from conftest import look_up_in_child
+from oracles import naive_satisfaction_profile, tiny_random_market
 
 
 def test_validate_example1_ok(example1):
@@ -174,3 +185,63 @@ def test_market_canonical_order():
     )
     assert market.agent_ids == ("1", "2")
     assert market.item_ids == ("x", "y")
+
+
+def test_satisfaction_profile_matches_the_utility_oracle_on_every_allocation():
+    # every total assignment, null items and empty demand sets included;
+    # the keys come in canonical agent order
+    for seed in range(1, 41):
+        market = tiny_random_market(seed, 4, 5)
+        for assignees in itertools.product(market.agent_ids, repeat=len(market.item_ids)):
+            allocation = Allocation(tuple(zip(market.item_ids, assignees)))
+            got = satisfaction_profile(market, allocation)
+            assert list(got.items()) == list(naive_satisfaction_profile(market, allocation).items())
+
+
+# ------------------------------------------------ the market's kept hash
+
+def fresh_market(example1) -> Market:
+    """An unhashed market equal to example1's, parsed from its text."""
+    return parse_instance(serialize(example1.market))
+
+
+def test_market_hash_is_the_fields_hash_computed_once(example1):
+    market = fresh_market(example1)
+    assert "_hash" not in vars(market)
+    assert hash(market) == hash((market.agents, market.items))
+    assert vars(market)["_hash"] == hash(market)
+    other = fresh_market(example1)
+    assert other == market and other is not market and hash(other) == hash(market)
+
+
+def test_equal_markets_parsed_separately_share_one_cache_entry(example1):
+    clear_enumeration_cache()
+    first, second = fresh_market(example1), fresh_market(example1)
+    cs = BUILT_IN_CONSTRAINT_SETS["sir"]
+    table = feasible_with_profiles(first, cs)
+    before = _feasible_profiles_cached.cache_info()
+    assert feasible_with_profiles(second, cs) is table
+    after = _feasible_profiles_cached.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits + 1, before.misses, before.currsize)
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [lambda m: pickle.loads(pickle.dumps(m)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_market_copies_rebuild_from_the_fields(example1, duplicate):
+    market = fresh_market(example1)
+    hash(market)
+    twin = duplicate(market)
+    assert twin is not market
+    assert "_hash" not in vars(twin)
+    assert twin == market and hash(twin) == hash(market)
+
+
+def test_unpickled_market_is_found_under_another_hash_seed(example1):
+    market = fresh_market(example1)
+    text = serialize(market)
+    child_hash, found = look_up_in_child(market, f"parse_instance({text!r})")
+    assert found == "found"
+    assert child_hash != hash(market)  # the seeds differ, so a kept hash would be stale

@@ -1,6 +1,7 @@
 import copy
 import gc
 import itertools
+import pickle
 import re
 import tracemalloc
 import types
@@ -40,6 +41,7 @@ from exchange_clear.feasibility import (
 )
 from exchange_clear.mechanisms import MECHANISM_KINDS, _weights, profile_key, solve
 
+from conftest import look_up_in_child
 from oracles import (
     TradeGraph,
     chosen_index,
@@ -140,6 +142,48 @@ def test_parse_and_format_constraints():
         parse_constraints("bogus")
     with pytest.raises(ValueError):
         parse_constraints("maxcycle=x")
+
+
+def test_constraint_set_hash_is_the_fields_hash_computed_once():
+    cs = parse_constraints("sir,maxcycle=3")
+    assert "_hash" not in vars(cs)
+    assert hash(cs) == hash((cs.constraints,))
+    assert vars(cs)["_hash"] == hash(cs)
+    other = parse_constraints("sir,maxcycle=3")
+    assert other == cs and other is not cs and hash(other) == hash(cs)
+
+
+def test_equal_constraint_sets_parsed_separately_share_one_cache_entry(example1):
+    # straight into the cache, past the canonical-set memo
+    clear_enumeration_cache()
+    first, second = parse_constraints("sir,maxcycle=3"), parse_constraints("sir,maxcycle=3")
+    cached = feasibility._feasible_profiles_cached
+    table = cached(example1.market, first, DEFAULT_SEARCH_BUDGET)
+    before = cached.cache_info()
+    assert cached(example1.market, second, DEFAULT_SEARCH_BUDGET) is table
+    after = cached.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits + 1, before.misses, before.currsize)
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [lambda cs: pickle.loads(pickle.dumps(cs)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_constraint_set_copies_rebuild_from_the_fields(duplicate):
+    cs = parse_constraints("sir,pairwise,maxcycle=3")
+    hash(cs)
+    twin = duplicate(cs)
+    assert twin is not cs
+    assert "_hash" not in vars(twin)
+    assert twin == cs and hash(twin) == hash(cs)
+
+
+def test_unpickled_constraint_set_is_found_under_another_hash_seed():
+    cs = parse_constraints("sir,pairwise,maxcycle=3")
+    child_hash, found = look_up_in_child(cs, "parse_constraints('sir,pairwise,maxcycle=3')")
+    assert found == "found"
+    assert child_hash != hash(cs)  # the seeds differ, so a kept hash would be stale
 
 
 def test_endowment_passes_every_built_in(example1):

@@ -123,6 +123,23 @@ def test_bench_pairs_within_bound_on_fixed_numbers():
     assert within_bound(pairs(wide, [20, 30, 40, 50, 55]), "ops_per_s", "higher", 0.25) is False
 
 
+def test_bench_pairs_rss_per_extra_op_on_fixed_numbers():
+    rss_per_extra_op = bench_pairs()["rss_per_extra_op"]
+
+    def sides(parent, change):
+        keys = ("attempted", "peak_rss_mb")
+        return [{"parent": dict(zip(keys, p)), "change": dict(zip(keys, c))} for p, c in zip(parent, change)]
+
+    # medians: 200 -> 250 ops and 51 -> 52 MB, so 2**20 B over 50 extra ops
+    moved = sides([(100, 50), (300, 51), (200, 52)], [(250, 51), (150, 53), (350, 52)])
+    assert rss_per_extra_op(moved) == 20971.5
+    # fewer ops and less memory is a positive rate too; more memory, a negative one
+    assert rss_per_extra_op(sides([(200, 52)], [(100, 51.5)])) == 5242.9
+    assert rss_per_extra_op(sides([(200, 52)], [(100, 53)])) == -10485.8
+    # an op count that did not move gives no rate
+    assert rss_per_extra_op(sides([(200, 50), (300, 60)], [(250, 70), (250, 80)])) is None
+
+
 def runs(parent, change):
     """Pairs of runs from each side's (attempted, failed) ops."""
     keys = ("attempted", "failed")
@@ -153,7 +170,7 @@ def test_bench_pairs_attempted_medians_on_fixed_numbers():
 def test_mutants_snippets_each_occur_exactly_once():
     script = runpy.run_path(str(ROOT / "scripts" / "mutants.py"))
     mutants = script["MUTANTS"]
-    assert len({m.name for m in mutants}) == len(mutants) == 30
+    assert len({m.name for m in mutants}) == len(mutants) == 32
     for mutant in mutants:
         assert script["occurrences"](mutant) == 1, mutant.name
         assert mutant.replacement != mutant.snippet, mutant.name
